@@ -14,14 +14,7 @@ from .bound import (
     omega_violation,
     optimize_lower_bound,
 )
-from .cut_oracle import (
-    ExpandedDual,
-    expand_dual,
-    min_cut_2color,
-    min_cut_2color_via_gadget,
-    min_cut_forced,
-    split_into_basic_cuts,
-)
+from .cut_oracle import min_cut_2color, min_cut_forced, split_into_basic_cuts
 from .decode import (
     CERTIFICATE_TOL,
     DecodeResult,
@@ -60,13 +53,16 @@ from .matching import (
     min_weight_perfect_matching,
 )
 from .oracle import (
+    ExpandedDual,
     TooLarge,
     brute_cc,
     brute_cc2,
     brute_cck,
     check_coloring_chain,
     exact_cc_value,
+    expand_dual,
     full_lp_bound,
+    min_cut_2color_via_gadget,
 )
 
 __all__ = [

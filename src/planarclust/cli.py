@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .bound import CutPool, optimize_lower_bound
+from .bound import BoundResult, CutPool, optimize_lower_bound
 from .decode import best_decode
 from .graph import GraphError
 from .instances import (
@@ -122,26 +122,32 @@ def _solve_instance(instance, tol, max_batches, restarts, seed, threshold):
     return br, res, (t1 - t0) * 1000.0, (t2 - t1) * 1000.0
 
 
+def _result_fields(instance, br, res=None):
+    """Fields every result document shares; the decoded ones when `res` is given."""
+    doc = {"format_version": FORMAT_VERSION, "name": instance.name, "bound": br.bound}
+    if res is not None:
+        doc.update(
+            energy=res.energy,
+            gap=res.energy - br.bound,
+            certificate=bool(res.certificate),
+            method=res.method,
+            labels=res.partition.tolist(),
+        )
+    return doc
+
+
 def cmd_solve(args) -> int:
     instance = read_instance(args.instance)
     br, res, ms_bound, ms_decode = _solve_instance(
         instance, args.tol, args.max_batches, args.restarts, args.seed, args.threshold
     )
-    gap = res.energy - br.bound
     _emit(
         {
-            "format_version": FORMAT_VERSION,
-            "name": instance.name,
-            "bound": br.bound,
-            "energy": res.energy,
-            "gap": gap,
-            "certificate": bool(res.certificate),
+            **_result_fields(instance, br, res),
             "converged": bool(br.converged),
             "batches": br.batches,
             "oracle_calls": br.oracle_calls,
-            "method": res.method,
             "wall_times": {"bound_ms": ms_bound, "decode_ms": ms_decode},
-            "labels": res.partition.tolist(),
             "params": {
                 "tol": args.tol,
                 "restarts": args.restarts,
@@ -160,9 +166,7 @@ def cmd_bound(args) -> int:
     br = optimize_lower_bound(instance.graph, instance.theta, tol=args.tol, max_batches=args.max_batches)
     ms = (time.perf_counter() - t0) * 1000.0
     doc = {
-        "format_version": FORMAT_VERSION,
-        "name": instance.name,
-        "bound": br.bound,
+        **_result_fields(instance, br),
         "converged": bool(br.converged),
         "batches": br.batches,
         "oracle_calls": br.oracle_calls,
@@ -190,8 +194,6 @@ def _load_bound(path, edge_count):
         cut = np.zeros(edge_count, dtype=bool)
         cut[np.asarray(ids, dtype=int)] = True
         pool.add(cut)
-    from .bound import BoundResult
-
     return BoundResult(
         lam=lam,
         bound=float(doc["bound"]),
@@ -215,20 +217,7 @@ def cmd_decode(args) -> int:
         threshold=args.threshold,
     )
     ms = (time.perf_counter() - t0) * 1000.0
-    gap = res.energy - br.bound
-    _emit(
-        {
-            "format_version": FORMAT_VERSION,
-            "name": instance.name,
-            "bound": br.bound,
-            "energy": res.energy,
-            "gap": gap,
-            "certificate": bool(res.certificate),
-            "method": res.method,
-            "wall_times": {"decode_ms": ms},
-            "labels": res.partition.tolist(),
-        }
-    )
+    _emit({**_result_fields(instance, br, res), "wall_times": {"decode_ms": ms}})
     return 0 if res.certificate else 2
 
 
@@ -291,11 +280,7 @@ def _bench_one(task):
         instance, tol, max_batches, restarts, seed, threshold
     )
     return {
-        "name": instance.name,
-        "bound": br.bound,
-        "energy": res.energy,
-        "gap": res.energy - br.bound,
-        "certificate": bool(res.certificate),
+        **_result_fields(instance, br, res),
         "batches": br.batches,
         "ms_bound": ms_bound,
         "ms_decode": ms_decode,
@@ -317,7 +302,7 @@ def cmd_bench(args) -> int:
         rows = [_bench_one(t) for t in tasks]
     fieldnames = ["name", "bound", "energy", "gap", "certificate", "batches", "ms_bound", "ms_decode"]
     with open(args.out, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.DictWriter(fh, fieldnames=fieldnames)
+        writer = csv.DictWriter(fh, fieldnames=fieldnames, extrasaction="ignore")
         writer.writeheader()
         writer.writerows(rows)
     print(f"wrote {len(rows)} rows to {args.out}", file=sys.stderr)

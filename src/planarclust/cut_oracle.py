@@ -15,31 +15,26 @@ The cost of one oracle call therefore scales with the number of odd faces
 rather than with the graph, which is what makes the cutting-plane loop and
 the per-edge forced cuts affordable.
 
-`expand_dual` builds the explicit matching gadget (one clique per face, a
-parity hub on odd faces, one weight-carrying edge per original edge) whose
-perfect matchings are in weight-preserving bijection with the 2-colorable
-cuts; it serves as an independent reference route and is exercised heavily
-by the tests.  Convention: an original edge is cut iff its gadget edge IS
-in the matching.
+Weights that scale to integers (short decimals) are solved in exact int64
+arithmetic; other weights in float64.  The independent reference route
+through an explicit matching gadget lives in `oracle.py`.
 """
 
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
 
 from .graph import PlanarGraph, partition_from_cut
-from .matching import (
-    Matching,
-    MatchingProblem,
-    _DenseBlossom,
-    min_weight_perfect_matching,
-    scale_to_int,
-)
+from .matching import match_dense, scale_to_int
+
+
+class OracleError(RuntimeError):
+    """The oracle's result violates a condition it guarantees."""
+
 
 _dual_cache: "weakref.WeakKeyDictionary[PlanarGraph, _DualInfo]" = weakref.WeakKeyDictionary()
 
@@ -67,6 +62,8 @@ class _DualInfo:
         self.group_starts = starts
         self.group_lo = lo[order][starts]
         self.group_hi = hi[order][starts]
+        # sorted face-pair key per group: lookup of the group joining two faces
+        self.group_key = self.group_lo * graph.face_count + self.group_hi
         self.face_count = graph.face_count
 
 
@@ -78,31 +75,22 @@ def _dual_info(graph: PlanarGraph) -> _DualInfo:
     return info
 
 
-def _match_terminals(dist: np.ndarray, integral: bool):
+def _match_terminals(dist: np.ndarray):
     """Pairs of terminal indices forming a min-weight perfect matching."""
     t = dist.shape[0]
     if t == 2:
         return [(0, 1)]
-    solver = _DenseBlossom(t, integer=integral)
-    w2 = dist.astype(np.int64) if integral else dist.astype(float)
-    solver.W2 = -2 * w2  # negated: solver maximizes
-    if integral:
-        solver.W2 = solver.W2.astype(np.int64)
-    np.fill_diagonal(solver.W2, 2 * solver.NONEDGE)
-    solver.real = np.ones((t, t), dtype=bool)
-    np.fill_diagonal(solver.real, False)
-    mate = solver.solve()
+    mate = match_dense(dist, ~np.eye(t, dtype=bool))
     return [(v, int(mate[v])) for v in range(t) if v < mate[v]]
 
 
-def _solve_even_subgraph(graph: PlanarGraph, w: np.ndarray, integral: bool):
+def _solve_even_subgraph(graph: PlanarGraph, w: np.ndarray):
     """Minimum-weight even subgraph of the dual == min 2-colorable cut.
 
-    `w` is int64 when `integral` (exact arithmetic) else float64.
+    `w` is int64 (exact arithmetic) or float64.
     Returns (cut bool array, value in the same units as w).
     """
     info = _dual_info(graph)
-    m = graph.edge_count
     neg = w < 0
     cut = neg.copy()
 
@@ -129,35 +117,33 @@ def _solve_even_subgraph(graph: PlanarGraph, w: np.ndarray, integral: bool):
             adj, directed=False, indices=terminals, return_predecessors=True
         )
         d_t = dist[:, terminals]
-        if integral:
-            d_t = np.rint(d_t)
-        rep_of_pair = {}
-        for g in range(info.group_lo.size):
-            rep_of_pair[(int(info.group_lo[g]), int(info.group_hi[g]))] = int(rep_edges[g])
+        if np.issubdtype(w.dtype, np.integer):
+            d_t = np.rint(d_t).astype(np.int64)
 
-        flip = np.zeros(m, dtype=bool)
-        term_index = {int(t): i for i, t in enumerate(terminals)}
-        for i, j in _match_terminals(d_t, integral):
+        # walk each matched path; a dual edge used an odd number of times flips
+        fc = info.face_count
+        steps = []
+        for i, j in _match_terminals(d_t):
             src = int(terminals[i])
             p = int(terminals[j])
             while p != src:
                 q = int(pred[i, p])
-                a, b = (q, p) if q < p else (p, q)
-                flip[rep_of_pair[(a, b)]] ^= True
+                steps.append(min(p, q) * fc + max(p, q))
                 p = q
-        cut = cut ^ flip
+        groups = np.searchsorted(info.group_key, steps)
+        odd = np.bincount(groups, minlength=info.group_key.size) % 2 == 1
+        cut[rep_edges[odd]] ^= True
     value = w[cut].sum()
     return cut, value
 
 
 def _prepare_weights(w, edge_count: int):
+    """(int64 weights, scale) when w * scale is integral, else (w, 1.0)."""
     w = np.asarray(w, dtype=float)
     if w.shape != (edge_count,):
         raise ValueError("weight vector must have one entry per edge")
     scaled = scale_to_int(w)
-    if scaled is not None:
-        return w, scaled[0], scaled[1]
-    return w, None, None
+    return scaled if scaled is not None else (w, 1.0)
 
 
 def min_cut_2color(graph: PlanarGraph, w) -> tuple[np.ndarray, float]:
@@ -166,12 +152,9 @@ def min_cut_2color(graph: PlanarGraph, w) -> tuple[np.ndarray, float]:
     Exact in integer arithmetic whenever the weights are short decimals.
     The returned value is always <= 0.
     """
-    w, wint, scale = _prepare_weights(w, graph.edge_count)
-    if wint is not None:
-        cut, val = _solve_even_subgraph(graph, wint, True)
-        return cut, float(val) / scale
-    cut, val = _solve_even_subgraph(graph, w, False)
-    return cut, float(val)
+    w, scale = _prepare_weights(w, graph.edge_count)
+    cut, val = _solve_even_subgraph(graph, w)
+    return cut, float(val) / scale
 
 
 def min_cut_forced(graph: PlanarGraph, w, e: int) -> tuple[np.ndarray, float]:
@@ -179,24 +162,18 @@ def min_cut_forced(graph: PlanarGraph, w, e: int) -> tuple[np.ndarray, float]:
 
     Implemented by making `e` cheaper than any cut avoiding it can be
     (subtract M = 1 + sum|w|), solving the unconstrained problem, and
-    adding M back.
+    adding M back.  Raises OracleError if the solution misses `e`.
     """
-    w, wint, scale = _prepare_weights(w, graph.edge_count)
+    w, scale = _prepare_weights(w, graph.edge_count)
     if not (0 <= e < graph.edge_count):
         raise ValueError(f"edge id {e} out of range")
-    if wint is not None:
-        m_int = 1 + int(np.abs(wint).sum())
-        w2 = wint.copy()
-        w2[e] -= m_int
-        cut, val = _solve_even_subgraph(graph, w2, True)
-        assert cut[e]
-        return cut, float(val + m_int) / scale
-    m_f = 1.0 + float(np.abs(w).sum())
+    big = 1 + np.abs(w).sum()
     w2 = w.copy()
-    w2[e] -= m_f
-    cut, val = _solve_even_subgraph(graph, w2, False)
-    assert cut[e]
-    return cut, float(val) + m_f
+    w2[e] -= big
+    cut, val = _solve_even_subgraph(graph, w2)
+    if not cut[e]:
+        raise OracleError(f"forced cut misses edge {e}")
+    return cut, float(val + big) / scale
 
 
 def split_into_basic_cuts(graph: PlanarGraph, x) -> list[np.ndarray]:
@@ -221,143 +198,3 @@ def split_into_basic_cuts(graph: PlanarGraph, x) -> list[np.ndarray]:
             seen.add(key)
             out.append(b)
     return out
-
-
-# -- explicit matching gadget (reference route) --------------------------
-
-
-@dataclass(frozen=True)
-class ExpandedDual:
-    """Gadget graph whose perfect matchings correspond to 2-colorable cuts.
-
-    back_map[k] is the original edge id carried by gadget edge k, or None
-    for gadget-internal (zero weight) edges.  A cut X maps to matchings of
-    total weight sum(w_e * X_e) + constant; here constant == 0.
-    """
-
-    problem: MatchingProblem
-    back_map: tuple
-    constant: float
-    edge_ports: tuple[tuple[int, int], ...]
-    face_ports: tuple[tuple[int, ...], ...]
-    face_hub: tuple[int, ...]  # -1 when the face has even degree
-
-
-_gadget_cache: "weakref.WeakKeyDictionary[PlanarGraph, tuple]" = weakref.WeakKeyDictionary()
-
-
-def _gadget_topology(graph: PlanarGraph):
-    """Weight-independent gadget structure, cached per graph."""
-    cached = _gadget_cache.get(graph)
-    if cached is not None:
-        return cached
-    ports_of_edge: list[list[int]] = [[] for _ in range(graph.edge_count)]
-    face_ports = []
-    face_hub = []
-    n_gadget = 0
-    for cycle in graph.faces:
-        ports = []
-        for e in cycle:
-            ports.append(n_gadget)
-            ports_of_edge[e].append(n_gadget)
-            n_gadget += 1
-        hub = -1
-        if len(cycle) % 2 == 1:
-            hub = n_gadget
-            n_gadget += 1
-        face_ports.append(tuple(ports))
-        face_hub.append(hub)
-    internal = []
-    for ports, hub in zip(face_ports, face_hub):
-        members = list(ports) + ([hub] if hub >= 0 else [])
-        for i in range(len(members)):
-            for j in range(i + 1, len(members)):
-                internal.append((members[i], members[j]))
-    cached = (n_gadget, tuple(tuple(p) for p in ports_of_edge), tuple(face_ports), tuple(face_hub), tuple(internal))
-    _gadget_cache[graph] = cached
-    return cached
-
-
-def expand_dual(graph: PlanarGraph, w) -> ExpandedDual:
-    w = np.asarray(w, dtype=float)
-    n_gadget, ports_of_edge, face_ports, face_hub, internal = _gadget_topology(graph)
-
-    edges = []
-    back_map = []
-    edge_ports = []
-    for e in range(graph.edge_count):
-        p1, p2 = ports_of_edge[e]
-        edges.append((p1, p2, float(w[e])))
-        back_map.append(e)
-        edge_ports.append((p1, p2))
-    for a, b in internal:
-        edges.append((a, b, 0.0))
-        back_map.append(None)
-
-    return ExpandedDual(
-        problem=MatchingProblem(n_gadget, tuple(edges)),
-        back_map=tuple(back_map),
-        constant=0.0,
-        edge_ports=tuple(edge_ports),
-        face_ports=face_ports,
-        face_hub=face_hub,
-    )
-
-
-def min_cut_2color_via_gadget(graph: PlanarGraph, w) -> tuple[np.ndarray, float]:
-    """Reference oracle: one perfect matching on the full gadget graph."""
-    xd = expand_dual(graph, w)
-    m = min_weight_perfect_matching(xd.problem)
-    cut = np.zeros(graph.edge_count, dtype=bool)
-    for k in m.matched_edges:
-        e = xd.back_map[k]
-        if e is not None:
-            cut[e] = True
-    return cut, m.total_weight - xd.constant
-
-
-def matching_for_cut(xd: ExpandedDual, x) -> Matching:
-    """Explicit perfect matching of the gadget realizing the cut x.
-
-    Only defined for 2-colorable cuts (even dual degree per face); used to
-    verify the gadget's weight-preserving bijection.
-    """
-    x = np.asarray(x, dtype=bool)
-    used = set()
-    chosen = []
-    # for a bridge, its two ports sit in one face and the gadget holds both
-    # the weight-carrying edge and a parallel zero clique edge; completion
-    # must use the internal one
-    internal = {}
-    for k, (u, v, _) in enumerate(xd.problem.edges):
-        if xd.back_map[k] is None:
-            internal[(u, v) if u < v else (v, u)] = k
-    for e, cut_flag in enumerate(x):
-        if cut_flag:
-            assert xd.back_map[e] == e
-            chosen.append(e)
-            p1, p2 = xd.edge_ports[e]
-            used.add(p1)
-            used.add(p2)
-    for ports, hub in zip(xd.face_ports, xd.face_hub):
-        rest = [p for p in ports if p not in used]
-        if hub >= 0:
-            rest.append(hub)
-        if len(rest) % 2 != 0:
-            raise ValueError("cut is not 2-colorable: odd face parity")
-        for i in range(0, len(rest), 2):
-            a, b = rest[i], rest[i + 1]
-            chosen.append(internal[(min(a, b), max(a, b))])
-    weights = [xd.problem.edges[k][2] for k in chosen]
-    covered = sorted(v for k in chosen for v in xd.problem.edges[k][:2])
-    if covered != list(range(xd.problem.vertex_count)):
-        raise ValueError("construction failed to cover every gadget vertex")
-    mate = [-1] * xd.problem.vertex_count
-    for k in chosen:
-        u, v, _ = xd.problem.edges[k]
-        mate[u], mate[v] = v, u
-    return Matching(
-        matched_edges=frozenset(chosen),
-        total_weight=float(sum(weights)),
-        mate=tuple(mate),
-    )

@@ -81,9 +81,8 @@ def _check_edges(vertex_count: int, edges) -> None:
         seen.add(key)
 
 
-def _check_connected(vertex_count: int, edges) -> None:
-    if vertex_count == 1:
-        return
+def component_count(vertex_count: int, edges) -> int:
+    """Number of connected components of the graph (union-find)."""
     parent = list(range(vertex_count))
 
     def find(x):
@@ -92,14 +91,13 @@ def _check_connected(vertex_count: int, edges) -> None:
             x = parent[x]
         return x
 
-    n_comp = vertex_count
+    count = vertex_count
     for u, v in edges:
         ru, rv = find(u), find(v)
         if ru != rv:
             parent[ru] = rv
-            n_comp -= 1
-    if n_comp != 1:
-        raise MalformedInput(f"graph is disconnected ({n_comp} components)")
+            count -= 1
+    return count
 
 
 def _trace_faces(vertex_count, edges, rotation):
@@ -164,7 +162,9 @@ def build_graph(vertex_count, edges, rotation) -> PlanarGraph:
     if len(rotation) != vertex_count:
         raise MalformedInput("rotation must list every vertex")
     _check_edges(vertex_count, edges)
-    _check_connected(vertex_count, edges)
+    n_comp = component_count(vertex_count, edges)
+    if n_comp != 1:
+        raise MalformedInput(f"graph is disconnected ({n_comp} components)")
     if not edges:
         faces, edge_faces = ((),), ()
     else:

@@ -22,7 +22,7 @@ from decimal import ROUND_HALF_EVEN, Decimal
 import numpy as np
 from scipy.spatial import Delaunay
 
-from .graph import PlanarGraph, build_graph
+from .graph import PlanarGraph, build_graph, component_count
 
 FORMAT_VERSION = 1
 
@@ -194,30 +194,12 @@ def gen_random_planar(n: int, seed: int) -> Instance:
     keep = [True] * len(edges)
     n_kept = len(edges)
 
-    def connected_without(skip):
-        parent = list(range(n))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        comp = n
-        for j, (u, v) in enumerate(edges):
-            if not keep[j] or j == skip:
-                continue
-            ru, rv = find(u), find(v)
-            if ru != rv:
-                parent[ru] = rv
-                comp -= 1
-        return comp == 1
-
-    for j in order:
+    for j in order.tolist():
         if n_kept <= target:
             break
-        if connected_without(int(j)):
-            keep[int(j)] = False
+        rest = (e for k, e in enumerate(edges) if keep[k] and k != j)
+        if component_count(n, rest) == 1:
+            keep[j] = False
             n_kept -= 1
 
     final_edges = [e for j, e in enumerate(edges) if keep[j]]

@@ -7,10 +7,15 @@ matching whenever one exists; missing edges are padded with a strongly
 negative sentinel so that a "perfect" matching through a sentinel edge is
 exactly the witness that no true perfect matching exists.
 
-Weights are scaled to 64-bit integers whenever every input weight is a
-decimal with at most nine fractional digits, so matchings on instance
-weights are computed in exact arithmetic.  Other inputs fall back to
-floating point with a relative tie tolerance of 1e-12.
+`match_dense(weights, mask)` is the one entry to the solver: a symmetric
+weight matrix plus a boolean mask of real edges in, the mate array out.
+The matrix's dtype selects the arithmetic: int64 is exact, float64 uses a
+relative tie tolerance of 1e-12.  Negation, doubling and sentinel padding
+happen inside the solver, so callers pass plain minimum-weight costs.
+`min_weight_perfect_matching` wraps it for edge-list problems and scales
+the weights to 64-bit integers whenever every input weight is a decimal
+with at most nine fractional digits, so matchings on instance weights are
+computed in exact arithmetic.
 
 The implementation keeps a dense weight matrix and performs the hot
 per-vertex scans (slack rows, best-edge tracking for dual updates) as
@@ -110,41 +115,45 @@ def min_weight_perfect_matching(problem: MatchingProblem) -> Matching:
 
     # Pick one representative per vertex pair: minimum weight, then lowest
     # edge index, so parallel inputs behave deterministically.
+    uv = np.array([(u, v) for u, v, _ in problem.edges], dtype=np.int64).reshape(-1, 2)
     weights = np.array([w for _, _, w in problem.edges], dtype=float)
-    rep: dict[tuple[int, int], int] = {}
-    for k, (u, v, w) in enumerate(problem.edges):
-        key = (u, v) if u < v else (v, u)
-        j = rep.get(key)
-        if j is None or w < problem.edges[j][2]:
-            rep[key] = k
+    lo, hi = uv.min(axis=1), uv.max(axis=1)
+    key = lo * n + hi
+    order = np.lexsort((np.arange(key.size), weights, key))
+    rep = order[np.unique(key[order], return_index=True)[1]]
+    rep_of = np.full((n, n), -1, dtype=np.int64)
+    rep_of[lo[rep], hi[rep]] = rep_of[hi[rep], lo[rep]] = rep
 
     scaled = scale_to_int(weights)
-    if scaled is not None:
-        wint, scale = scaled
-        solver = _DenseBlossom(n, integer=True)
-        for key, k in rep.items():
-            solver.add_edge(key[0], key[1], -int(wint[k]))
-    else:
-        solver = _DenseBlossom(n, integer=False)
-        for key, k in rep.items():
-            solver.add_edge(key[0], key[1], -float(weights[k]))
-
-    mate = solver.solve()
-    matched = []
-    for v in range(n):
-        u = mate[v]
-        if u < 0:
-            raise NoPerfectMatching("maximum matching is not perfect")
-        if v < u:
-            if not solver.is_real_edge(v, u):
-                raise NoPerfectMatching("no perfect matching exists")
-            matched.append(rep[(v, u)])
-    total = float(weights[matched].sum()) if matched else 0.0
+    wvals = weights if scaled is None else scaled[0]
+    w = np.zeros((n, n), dtype=wvals.dtype)
+    w[lo[rep], hi[rep]] = w[hi[rep], lo[rep]] = wvals[rep]
+    mate = match_dense(w, rep_of >= 0)
+    if (mate < 0).any():
+        raise NoPerfectMatching("maximum matching is not perfect")
+    v = np.flatnonzero(np.arange(n) < mate)
+    matched = rep_of[v, mate[v]]
+    if (matched < 0).any():
+        raise NoPerfectMatching("no perfect matching exists")
+    total = float(weights[matched].sum()) if matched.size else 0.0
     return Matching(
-        matched_edges=frozenset(matched),
+        matched_edges=frozenset(matched.tolist()),
         total_weight=total,
-        mate=tuple(int(m) for m in mate),
+        mate=tuple(mate.tolist()),
     )
+
+
+def match_dense(weights: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """Minimum-weight maximum-cardinality matching on a dense matrix.
+
+    `weights` is a symmetric n x n matrix, read only where the symmetric
+    boolean `mask` is True (the real edges).  An int64 matrix is solved in
+    exact integer arithmetic, a float64 one with a relative tie tolerance.
+    Returns the mate array: mate[v] is v's partner, or -1 when v is left
+    unmatched.  A pair outside `mask` in the result means the real edges
+    admit no perfect matching.
+    """
+    return _DenseBlossom(weights, mask).solve()
 
 
 class _DenseBlossom:
@@ -155,10 +164,11 @@ class _DenseBlossom:
     when no real perfect matching exists.
     """
 
-    def __init__(self, n: int, integer: bool):
-        self.n = n
-        self.integer = integer
-        if integer:
+    def __init__(self, weights: np.ndarray, mask: np.ndarray):
+        weights = np.asarray(weights)
+        self.n = weights.shape[0]
+        self.integer = np.issubdtype(weights.dtype, np.integer)
+        if self.integer:
             self.dtype = np.int64
             self.NONEDGE = -(2**44)
             self.INF = 2**62
@@ -166,16 +176,10 @@ class _DenseBlossom:
             self.dtype = np.float64
             self.NONEDGE = -1e18
             self.INF = np.inf
-        # W2 holds doubled weights so slacks stay integral.
-        self.W2 = np.full((n, n), 2 * self.NONEDGE, dtype=self.dtype)
-        self.real = np.zeros((n, n), dtype=bool)
-
-    def add_edge(self, u: int, v: int, w):
-        self.W2[u, v] = self.W2[v, u] = 2 * w
-        self.real[u, v] = self.real[v, u] = True
-
-    def is_real_edge(self, u: int, v: int) -> bool:
-        return bool(self.real[u, v])
+        self.real = np.asarray(mask, dtype=bool)
+        # W2 holds negated (the solver maximizes), doubled weights so slacks
+        # stay integral.
+        self.W2 = np.where(self.real, -2 * weights.astype(self.dtype), 2 * self.NONEDGE)
 
     # -- solver state ---------------------------------------------------
 
@@ -202,7 +206,7 @@ class _DenseBlossom:
         self.free_ids = list(range(2 * n - 1, n - 1, -1))
         self.active_blossoms: set[int] = set()
         self.vlabel = np.zeros(n, dtype=np.int8)
-        self.s2val = np.full(n, self.INF, dtype=self.dtype if self.integer else np.float64)
+        self.s2val = np.full(n, self.INF, dtype=self.dtype)
         self.s2arg = np.full(n, -1, dtype=np.int64)
         self.queue: list[int] = []
         self.allowed: set[tuple[int, int]] = set()

@@ -6,17 +6,27 @@ dynamic program that reaches slightly larger instances than raw
 enumeration, the two-versus-four-color inequality checks, and the bound LP
 solved with its complete (exponential) constraint set.
 
+`expand_dual` builds the explicit matching gadget (one clique per face, a
+parity hub on odd faces, one weight-carrying edge per original edge) whose
+perfect matchings are in weight-preserving bijection with the 2-colorable
+cuts; one general-graph matching on it is a reference route for the dual
+T-join oracle in `cut_oracle.py`.  Convention: an original edge is cut iff
+its gadget edge IS in the matching.
+
 Guards are hard errors: an oracle must never silently approximate.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
 
+from .cut_oracle import OracleError
 from .graph import PlanarGraph, canonical_labels, cut_energy
 from .lp import LpProblem, solve_lp
+from .matching import Matching, MatchingProblem, min_weight_perfect_matching
 
 
 class TooLarge(ValueError):
@@ -257,3 +267,144 @@ def full_lp_bound(graph: PlanarGraph, theta, with_upper_bounds: bool) -> float:
     if sol.status != "optimal":
         raise RuntimeError(f"full bound LP unexpectedly {sol.status}")
     return float(theta.sum() + sol.objective_value)
+
+
+# -- explicit matching gadget (reference route) --------------------------
+
+
+@dataclass(frozen=True)
+class ExpandedDual:
+    """Gadget graph whose perfect matchings correspond to 2-colorable cuts.
+
+    back_map[k] is the original edge id carried by gadget edge k, or None
+    for gadget-internal (zero weight) edges.  A cut X maps to matchings of
+    total weight sum(w_e * X_e) + constant; here constant == 0.
+    """
+
+    problem: MatchingProblem
+    back_map: tuple
+    constant: float
+    edge_ports: tuple[tuple[int, int], ...]
+    face_ports: tuple[tuple[int, ...], ...]
+    face_hub: tuple[int, ...]  # -1 when the face has even degree
+
+
+_gadget_cache: "weakref.WeakKeyDictionary[PlanarGraph, tuple]" = weakref.WeakKeyDictionary()
+
+
+def _gadget_topology(graph: PlanarGraph):
+    """Weight-independent gadget structure, cached per graph."""
+    cached = _gadget_cache.get(graph)
+    if cached is not None:
+        return cached
+    ports_of_edge: list[list[int]] = [[] for _ in range(graph.edge_count)]
+    face_ports = []
+    face_hub = []
+    n_gadget = 0
+    for cycle in graph.faces:
+        ports = []
+        for e in cycle:
+            ports.append(n_gadget)
+            ports_of_edge[e].append(n_gadget)
+            n_gadget += 1
+        hub = -1
+        if len(cycle) % 2 == 1:
+            hub = n_gadget
+            n_gadget += 1
+        face_ports.append(tuple(ports))
+        face_hub.append(hub)
+    internal = []
+    for ports, hub in zip(face_ports, face_hub):
+        members = list(ports) + ([hub] if hub >= 0 else [])
+        for i in range(len(members)):
+            for j in range(i + 1, len(members)):
+                internal.append((members[i], members[j]))
+    cached = (n_gadget, tuple(tuple(p) for p in ports_of_edge), tuple(face_ports), tuple(face_hub), tuple(internal))
+    _gadget_cache[graph] = cached
+    return cached
+
+
+def expand_dual(graph: PlanarGraph, w) -> ExpandedDual:
+    w = np.asarray(w, dtype=float)
+    n_gadget, ports_of_edge, face_ports, face_hub, internal = _gadget_topology(graph)
+
+    edges = []
+    back_map = []
+    edge_ports = []
+    for e in range(graph.edge_count):
+        p1, p2 = ports_of_edge[e]
+        edges.append((p1, p2, float(w[e])))
+        back_map.append(e)
+        edge_ports.append((p1, p2))
+    for a, b in internal:
+        edges.append((a, b, 0.0))
+        back_map.append(None)
+
+    return ExpandedDual(
+        problem=MatchingProblem(n_gadget, tuple(edges)),
+        back_map=tuple(back_map),
+        constant=0.0,
+        edge_ports=tuple(edge_ports),
+        face_ports=face_ports,
+        face_hub=face_hub,
+    )
+
+
+def min_cut_2color_via_gadget(graph: PlanarGraph, w) -> tuple[np.ndarray, float]:
+    """Reference oracle: one perfect matching on the full gadget graph."""
+    xd = expand_dual(graph, w)
+    m = min_weight_perfect_matching(xd.problem)
+    cut = np.zeros(graph.edge_count, dtype=bool)
+    for k in m.matched_edges:
+        e = xd.back_map[k]
+        if e is not None:
+            cut[e] = True
+    return cut, m.total_weight - xd.constant
+
+
+def matching_for_cut(xd: ExpandedDual, x) -> Matching:
+    """Explicit perfect matching of the gadget realizing the cut x.
+
+    Only defined for 2-colorable cuts (even dual degree per face); used to
+    verify the gadget's weight-preserving bijection.
+    """
+    x = np.asarray(x, dtype=bool)
+    used = set()
+    chosen = []
+    # for a bridge, its two ports sit in one face and the gadget holds both
+    # the weight-carrying edge and a parallel zero clique edge; completion
+    # must use the internal one
+    internal = {}
+    for k, (u, v, _) in enumerate(xd.problem.edges):
+        if xd.back_map[k] is None:
+            internal[(u, v) if u < v else (v, u)] = k
+    for e, cut_flag in enumerate(x):
+        if cut_flag:
+            if xd.back_map[e] != e:
+                raise OracleError(f"gadget edge {e} does not carry original edge {e}")
+            chosen.append(e)
+            p1, p2 = xd.edge_ports[e]
+            used.add(p1)
+            used.add(p2)
+    for ports, hub in zip(xd.face_ports, xd.face_hub):
+        rest = [p for p in ports if p not in used]
+        if hub >= 0:
+            rest.append(hub)
+        if len(rest) % 2 != 0:
+            raise ValueError("cut is not 2-colorable: odd face parity")
+        for i in range(0, len(rest), 2):
+            a, b = rest[i], rest[i + 1]
+            chosen.append(internal[(min(a, b), max(a, b))])
+    weights = [xd.problem.edges[k][2] for k in chosen]
+    covered = sorted(v for k in chosen for v in xd.problem.edges[k][:2])
+    if covered != list(range(xd.problem.vertex_count)):
+        raise ValueError("construction failed to cover every gadget vertex")
+    mate = [-1] * xd.problem.vertex_count
+    for k in chosen:
+        u, v, _ = xd.problem.edges[k]
+        mate[u], mate[v] = v, u
+    return Matching(
+        matched_edges=frozenset(chosen),
+        total_weight=float(sum(weights)),
+        mate=tuple(mate),
+    )

@@ -1,18 +1,22 @@
 import numpy as np
 import pytest
 
+from planarclust import cut_oracle
 from planarclust.cut_oracle import (
-    expand_dual,
-    matching_for_cut,
+    OracleError,
     min_cut_2color,
-    min_cut_2color_via_gadget,
     min_cut_forced,
     split_into_basic_cuts,
 )
 from planarclust.graph import cut_from_partition, is_valid_multicut, partition_from_cut
 from planarclust.instances import gen_random_planar
-from planarclust.matching import min_weight_perfect_matching
-from planarclust.oracle import brute_cc2
+from planarclust.matching import min_weight_perfect_matching, scale_to_int
+from planarclust.oracle import (
+    brute_cc2,
+    expand_dual,
+    matching_for_cut,
+    min_cut_2color_via_gadget,
+)
 
 from conftest import embedded
 
@@ -66,27 +70,44 @@ def test_forced_four_cycle(four_cycle):
 
 
 def test_forced_consistency_random():
+    # factor pi makes the weights non-decimal: the float arithmetic path
     rng = np.random.default_rng(5)
     for seed in range(25):
         inst = gen_random_planar(int(rng.integers(4, 9)), seed)
-        _, base = min_cut_2color(inst.graph, inst.theta)
-        for e in range(inst.graph.edge_count):
-            cut, val = min_cut_forced(inst.graph, inst.theta, e)
-            assert cut[e]
-            assert val >= base - 1e-9
-            assert is_valid_multicut(inst.graph, cut)
+        for factor in (1.0, np.pi):
+            theta = inst.theta * factor
+            _, base = min_cut_2color(inst.graph, theta)
+            for e in range(inst.graph.edge_count):
+                cut, val = min_cut_forced(inst.graph, theta, e)
+                assert cut[e]
+                assert val >= base - 1e-9
+                assert np.dot(theta, cut) == pytest.approx(val, abs=1e-9)
+                assert is_valid_multicut(inst.graph, cut)
+
+
+def test_forced_missing_edge_raises(triangle, monkeypatch):
+    def no_cut(graph, w):
+        return np.zeros(graph.edge_count, dtype=bool), 0
+
+    monkeypatch.setattr(cut_oracle, "_solve_even_subgraph", no_cut)
+    with pytest.raises(OracleError):
+        min_cut_forced(triangle, [1.0, 1.0, 1.0], 0)
 
 
 def test_oracle_matches_brute_force():
+    # factor pi makes the weights non-decimal: the float arithmetic path
     for seed in range(150):
         n = 4 + seed % 7
         inst = gen_random_planar(n, 1000 + seed)
-        cut, val = min_cut_2color(inst.graph, inst.theta)
         _, ref = brute_cc2(inst.graph, inst.theta)
-        assert val == pytest.approx(ref, abs=1e-9)
-        assert np.dot(inst.theta, cut) == pytest.approx(val, abs=1e-12)
-        assert is_valid_multicut(inst.graph, cut)
-        assert val <= 1e-12
+        for factor in (1.0, np.pi):
+            theta = inst.theta * factor
+            assert (scale_to_int(theta) is None) == (factor == np.pi and inst.theta.any())
+            cut, val = min_cut_2color(inst.graph, theta)
+            assert val == pytest.approx(ref * factor, abs=1e-9)
+            assert np.dot(theta, cut) == pytest.approx(val, abs=1e-12)
+            assert is_valid_multicut(inst.graph, cut)
+            assert val <= 1e-12
 
 
 def test_gadget_route_agrees():
