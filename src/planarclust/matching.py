@@ -5,7 +5,21 @@ classic O(V^3) stage structure).  It maximizes weight in max-cardinality
 mode on the negated weights, which yields the minimum-weight perfect
 matching whenever one exists; missing edges are padded with a strongly
 negative sentinel so that a "perfect" matching through a sentinel edge is
-exactly the witness that no true perfect matching exists.
+exactly the witness that no true perfect matching exists.  The sentinel,
+-(1 + 2 n max|w|), outweighs any difference in real weight; int64 inputs
+whose sentinel leaves no head-room below the solver's infinity raise
+MatchingError.  An odd vertex count gets one dummy vertex joined to all at
+weight 0, so the solver always seeks a perfect matching.
+
+Like Blossom V (Kolmogorov 2009), the solver does not start from an empty
+matching with uniform duals.  Each vertex dual starts at half the largest
+entry of its (negated, doubled) weight row, which makes every slack
+nonnegative; then each free vertex in index order lowers its dual by its
+minimum slack and is matched to the lowest-index free vertex on a now
+tight edge.  Every slack stays nonnegative, every matched edge is tight and
+there are no blossoms, so the primal-dual stages start from there.  On the
+cut oracle's metric-closure matrices this greedy start leaves few vertices
+free, and the stage count (one per augmentation) drops accordingly.
 
 `match_dense(weights, mask)` is the one entry to the solver: a symmetric
 weight matrix plus a boolean mask of real edges in, the mate array out.
@@ -149,9 +163,10 @@ def match_dense(weights: np.ndarray, mask: np.ndarray) -> np.ndarray:
     `weights` is a symmetric n x n matrix, read only where the symmetric
     boolean `mask` is True (the real edges).  An int64 matrix is solved in
     exact integer arithmetic, a float64 one with a relative tie tolerance.
-    Returns the mate array: mate[v] is v's partner, or -1 when v is left
-    unmatched.  A pair outside `mask` in the result means the real edges
-    admit no perfect matching.
+    Returns the mate array: mate[v] is v's partner, or -1 for the one
+    vertex left unmatched when n is odd.  A pair outside `mask` in the
+    result means the real edges admit no perfect matching; the result
+    has the most real edges possible, and among those the least weight.
     """
     return _DenseBlossom(weights, mask).solve()
 
@@ -166,34 +181,36 @@ class _DenseBlossom:
 
     def __init__(self, weights: np.ndarray, mask: np.ndarray):
         weights = np.asarray(weights)
-        self.n = weights.shape[0]
+        mask = np.asarray(mask, dtype=bool)
+        self.size = weights.shape[0]
+        if self.size % 2:
+            # a dummy vertex joined to all at weight 0 turns a maximum
+            # matching of an odd vertex set into a perfect one
+            weights = np.pad(weights, (0, 1))
+            mask = np.pad(mask, (0, 1), constant_values=True)
+        self.n = n = weights.shape[0]
         self.integer = np.issubdtype(weights.dtype, np.integer)
-        if self.integer:
-            self.dtype = np.int64
-            self.NONEDGE = -(2**44)
-            self.INF = 2**62
-        else:
-            self.dtype = np.float64
-            self.NONEDGE = -1e18
-            self.INF = np.inf
-        self.real = np.asarray(mask, dtype=bool)
+        self.dtype = np.int64 if self.integer else np.float64
+        self.INF = 2**62 if self.integer else np.inf
+        real = mask & ~np.eye(n, dtype=bool)
+        maxabs = np.abs(weights[real]).max(initial=0)
+        maxabs = int(maxabs) if self.integer else float(maxabs)
+        self.tol = 0 if self.integer else 1e-12 * max(1.0, 2 * maxabs)
+        # one missing edge must outweigh any difference in real weight, so
+        # the sentinel is derived from the weights, never a fixed constant
+        nonedge = -(1 + 2 * n * maxabs)
+        if -16 * nonedge >= self.INF:
+            # duals and slacks stay within a few multiples of |nonedge|
+            raise MatchingError(f"weights up to {maxabs} leave no head-room for the sentinel")
         # W2 holds negated (the solver maximizes), doubled weights so slacks
         # stay integral.
-        self.W2 = np.where(self.real, -2 * weights.astype(self.dtype), 2 * self.NONEDGE)
+        self.W2 = np.where(real, -2 * weights.astype(self.dtype), 2 * nonedge)
 
     # -- solver state ---------------------------------------------------
 
     def _init_state(self):
         n = self.n
-        if self.integer:
-            maxw = max(0, int(self.W2.max()) // 2) if n else 0
-            self.tol = 0
-        else:
-            realw = self.W2[self.real]
-            maxw = max(0.0, float(realw.max()) / 2.0) if realw.size else 0.0
-            self.tol = 1e-12 * max(1.0, float(np.abs(self.W2[self.real]).max()) if realw.size else 1.0)
         self.y = np.zeros(2 * n, dtype=self.dtype)
-        self.y[:n] = maxw
         self.mate = np.full(n, -1, dtype=np.int64)
         self.label = np.zeros(2 * n, dtype=np.int8)
         self.labeledge: list = [None] * (2 * n)
@@ -210,6 +227,35 @@ class _DenseBlossom:
         self.s2arg = np.full(n, -1, dtype=np.int64)
         self.queue: list[int] = []
         self.allowed: set[tuple[int, int]] = set()
+        self._greedy_start()
+
+    def _greedy_start(self):
+        """Dual-feasible duals and a greedy matching on tight edges.
+
+        Each vertex dual starts at half its largest W2 entry, so every
+        slack is >= 0.  Each free vertex in index order then lowers its
+        dual by its minimum slack and takes the lowest-index free vertex
+        whose edge became tight.  Matched edges are tight and no blossom
+        exists, which is a valid state for the primal-dual stages.
+        """
+        n = self.n
+        if n == 0:
+            return
+        # the diagonal holds the sentinel, the smallest entry of each row
+        top = self.W2.max(axis=1)
+        self.y[:n] = top // 2 if self.integer else top / 2
+        for v in range(n):
+            if self.mate[v] >= 0:
+                continue
+            slack = self._slack_row(v)
+            slack[v] = self.INF
+            s = slack.min()
+            self.y[v] -= s
+            tight = np.flatnonzero((slack - s <= self.tol) & (self.mate < 0))
+            if tight.size:
+                u = int(tight[0])
+                self.mate[v] = u
+                self.mate[u] = v
 
     def _leaves(self, b: int):
         if b < self.n:
@@ -234,7 +280,8 @@ class _DenseBlossom:
 
     def _assign_label(self, w: int, t: int, edge):
         b = int(self.inblossom[w])
-        assert self.label[b] == 0 and self.label[w] == 0
+        if self.label[b] or self.label[w]:
+            raise MatchingError(f"vertex {w} is labeled twice in one stage")
         self.label[w] = self.label[b] = t
         self.labeledge[w] = self.labeledge[b] = edge
         leaves = self._leaves(b)
@@ -244,7 +291,8 @@ class _DenseBlossom:
         else:
             bb = int(self.base[b])
             m = int(self.mate[bb])
-            assert m >= 0
+            if m < 0:
+                raise MatchingError(f"T-blossom base {bb} is unmatched")
             self._assign_label(m, 1, (bb, m))
 
     def _scan_blossom(self, v: int, w: int) -> int:
@@ -258,7 +306,8 @@ class _DenseBlossom:
                 if self.label[b] & 4:
                     found = int(self.base[b])
                     break
-                assert self.label[b] & 3 == 1
+                if self.label[b] & 3 != 1:
+                    raise MatchingError(f"tree walk reached non-S blossom {b}")
                 marked.append(b)
                 self.label[b] |= 4
                 if self.labeledge[b] is None:
@@ -266,7 +315,8 @@ class _DenseBlossom:
                 else:
                     far = self.labeledge[b][0]
                     bt = int(self.inblossom[far])
-                    assert self.label[bt] & 3 == 2
+                    if self.label[bt] & 3 != 2:
+                        raise MatchingError(f"tree walk reached non-T blossom {bt}")
                     vv = self.labeledge[bt][0]
             if ww != -1:
                 vv, ww = ww, vv
@@ -301,7 +351,8 @@ class _DenseBlossom:
         for bl, (far, near) in cw:
             childs.append(bl)
             cyc.append((near, far))
-        assert len(childs) % 2 == 1
+        if len(childs) % 2 == 0:
+            raise MatchingError(f"blossom at base {base_vertex} has an even cycle")
 
         self.base[b] = base_vertex
         self.parent[b] = -1
@@ -410,7 +461,8 @@ class _DenseBlossom:
                     marked_vertex = leaf
                     break
             if marked_vertex >= 0:
-                assert self.label[marked_vertex] == 2
+                if self.label[marked_vertex] != 2:
+                    raise MatchingError(f"vertex {marked_vertex} holds a stale non-T mark")
                 self.label[marked_vertex] = 0
                 self.label[int(self.mate[self.base[cur]])] = 0
                 self._assign_label(marked_vertex, 2, self.labeledge[marked_vertex])
@@ -450,7 +502,8 @@ class _DenseBlossom:
         for s, p in ((v, w), (w, v)):
             while True:
                 bs = int(self.inblossom[s])
-                assert self.label[bs] == 1
+                if self.label[bs] != 1:
+                    raise MatchingError(f"augmenting path leaves S-blossom {bs}")
                 if bs >= self.n:
                     self._augment_blossom(bs, s)
                 self.mate[s] = p
@@ -458,7 +511,8 @@ class _DenseBlossom:
                     break
                 t = self.labeledge[bs][0]
                 bt = int(self.inblossom[t])
-                assert self.label[bt] == 2
+                if self.label[bt] != 2:
+                    raise MatchingError(f"augmenting path leaves T-blossom {bt}")
                 far, near = self.labeledge[bt]
                 if bt >= self.n:
                     self._augment_blossom(bt, near)
@@ -567,7 +621,8 @@ class _DenseBlossom:
             self.allowed = set()
             free = [v for v in range(n) if self.mate[v] == -1]
             if not free:
-                return self.mate
+                mate = self.mate[: self.size]
+                return np.where(mate < self.size, mate, -1)
             for v in free:
                 if self.label[self.inblossom[v]] == 0:
                     self._assign_label(v, 1, None)
@@ -603,8 +658,9 @@ class _DenseBlossom:
                             dtype_ = 4
                             d_blossom = b
                 if delta is None:
-                    # no way to grow any tree: matching has maximum cardinality
-                    return self.mate
+                    # n is even and missing edges hold the sentinel, so a
+                    # perfect matching exists and some tree can always grow
+                    raise MatchingError("no dual update with free vertices left")
                 if not self.integer:
                     delta = max(delta, 0.0)
                 self.y[:n][self.vlabel == 1] -= delta

@@ -1,8 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from planarclust.graph import build_graph
 from planarclust.instances import rotation_from_positions
+
+
+# derandomized: every run draws the same examples, so a failure reproduces
+settings.register_profile("derandomized", derandomize=True, deadline=None, database=None)
+settings.load_profile("derandomized")
 
 
 def embedded(vertex_count, edges, pos):

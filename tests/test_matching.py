@@ -3,11 +3,16 @@ import itertools
 import networkx as nx
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from scipy.sparse.csgraph import shortest_path
 
 from planarclust.matching import (
+    MatchingError,
     MatchingProblem,
     NoPerfectMatching,
     OddVertexCount,
+    match_dense,
     min_weight_perfect_matching,
     scale_to_int,
 )
@@ -180,3 +185,140 @@ def test_tie_heavy_sparse_vs_networkx():
         refw = -sum(g[u][v]["weight"] for u, v in ref)
         m = min_weight_perfect_matching(MatchingProblem(n, edges))
         assert m.total_weight == refw
+
+
+# -- match_dense against exhaustive search ------------------------------
+
+
+def brute_force_dense(w, mask):
+    """(real-edge count, cost) of the best maximum matching of all pairs.
+
+    Pairs outside `mask` may be matched but count as missing: the best
+    matching has the most real edges, then the least real cost.  With an
+    odd vertex count one vertex stays unmatched.
+    """
+    best = None
+
+    def rec(rest, count, cost):
+        nonlocal best
+        if len(rest) <= 1:
+            if best is None or (-count, cost) < (-best[0], best[1]):
+                best = (count, cost)
+            return
+        u = rest[0]
+        if len(rest) % 2 == 1:
+            rec(rest[1:], count, cost)
+        for i in range(1, len(rest)):
+            v = rest[i]
+            left = rest[1:i] + rest[i + 1:]
+            if mask[u, v]:
+                rec(left, count + 1, cost + w[u, v])
+            else:
+                rec(left, count, cost)
+
+    rec(list(range(w.shape[0])), 0, 0)
+    return best
+
+
+def check_against_brute_force(w, mask):
+    n = w.shape[0]
+    mate = match_dense(w, mask)
+    matched = np.flatnonzero(mate >= 0)
+    assert (mate[mate[matched]] == matched).all()
+    assert (mate[matched] != matched).all()
+    assert n - matched.size == n % 2
+    pairs = [(v, int(mate[v])) for v in range(n) if v < mate[v] and mask[v, mate[v]]]
+    count, cost = brute_force_dense(w, mask)
+    assert len(pairs) == count
+    got = sum(w[u, v] for u, v in pairs)
+    if np.issubdtype(w.dtype, np.integer):
+        assert got == cost
+    else:
+        assert got == pytest.approx(cost, rel=1e-9, abs=1e-9)
+
+
+def symmetric(n, upper, dtype):
+    m = np.zeros((n, n), dtype=dtype)
+    m[np.triu_indices(n, 1)] = upper
+    return m + m.T
+
+
+@pytest.mark.parametrize("dtype", [np.int64, np.float64])
+def test_match_dense_sparse_masks(dtype):
+    # sparse masks, many without a perfect matching: missing pairs hold the
+    # sentinel, which must not swamp the real weights in either mode
+    rng = np.random.default_rng(5)
+    unmatched = 0
+    for _ in range(400):
+        n = int(rng.integers(2, 11))
+        k = n * (n - 1) // 2
+        if dtype is np.int64:
+            upper = rng.integers(-10**6, 10**6, k)
+        else:
+            upper = rng.normal(size=k) * np.pi
+        w = symmetric(n, upper, dtype)
+        mask = symmetric(n, rng.random(k) < rng.uniform(0.2, 0.7), bool)
+        check_against_brute_force(w, mask)
+        unmatched += brute_force_dense(w, mask)[0] < n // 2
+    assert unmatched > 100
+
+
+def test_sentinel_head_room():
+    # the sentinel is 1 + 2*n*max|w|; 16 times it must stay below 2**62
+    n = 4
+    ok = 2**55 - 1
+    rng = np.random.default_rng(2)
+    for _ in range(20):
+        upper = rng.integers(-ok, ok, 6, endpoint=True)
+        upper[0] = ok
+        w = symmetric(n, upper, np.int64)
+        check_against_brute_force(w, symmetric(n, rng.random(6) < 0.6, bool))
+    w[0, 1] = w[1, 0] = ok + 1
+    with pytest.raises(MatchingError):
+        match_dense(w, np.ones((n, n), dtype=bool))
+    with pytest.raises(MatchingError):
+        match_dense(np.full((n, n), 1e308), np.ones((n, n), dtype=bool))
+
+
+@st.composite
+def dense_problems(draw, values):
+    n = draw(st.integers(1, 10))
+    k = n * (n - 1) // 2
+    upper = draw(st.lists(values, min_size=k, max_size=k))
+    present = draw(st.one_of(st.just([True] * k), st.lists(st.booleans(), min_size=k, max_size=k)))
+    dtype = np.float64 if any(isinstance(x, float) for x in upper) else np.int64
+    return symmetric(n, upper, dtype), symmetric(n, present, bool)
+
+
+@given(dense_problems(st.integers(-2, 2)))
+def test_match_dense_ties(problem):
+    check_against_brute_force(*problem)
+
+
+@given(dense_problems(st.integers(-10**9, 10**9)))
+def test_match_dense_signed_ints(problem):
+    check_against_brute_force(*problem)
+
+
+@given(dense_problems(st.floats(-100, 100).map(lambda x: x * np.pi)))
+def test_match_dense_non_decimal_floats(problem):
+    check_against_brute_force(*problem)
+
+
+def test_match_dense_euclidean_metric_vs_networkx():
+    # the production shape: a complete metric matrix over ~100 terminals
+    rng = np.random.default_rng(13)
+    for t in (98, 100):
+        pts = rng.random((t, 2)) * 1000
+        d = np.rint(np.hypot(*(pts[:, None, :] - pts[None, :, :]).transpose(2, 0, 1)))
+        d = shortest_path(d, directed=False).astype(np.int64)  # exact metric
+        mate = match_dense(d, ~np.eye(t, dtype=bool))
+        assert sorted(mate[mate]) == list(range(t))
+        g = nx.Graph()
+        for u, v in itertools.combinations(range(t), 2):
+            g.add_edge(u, v, weight=-int(d[u, v]))
+        ref = nx.max_weight_matching(g, maxcardinality=True)
+        assert len(ref) * 2 == t
+        assert sum(int(d[v, mate[v]]) for v in range(t) if v < mate[v]) == -sum(
+            g[u][v]["weight"] for u, v in ref
+        )
