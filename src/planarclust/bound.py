@@ -90,30 +90,39 @@ def omega_violation(graph: PlanarGraph, lam, tol: float):
     return None
 
 
+def restricted_lp(theta: np.ndarray, pool: CutPool) -> tuple[LpProblem, np.ndarray]:
+    """The bound LP over the pooled cuts, and the mask of pool rows it keeps.
+
+    The variables are the negative edges' lambdas.  Edges with theta >= 0
+    are fixed at lambda = theta and move into the right-hand side, so rows
+    that touch no negative edge hold automatically and are dropped.  The
+    LP's value plus sum(min(theta, 0)) is the bound; its constraint
+    multipliers are the rounding decoder's cut weights.
+    """
+    theta = np.asarray(theta, dtype=float)
+    neg = theta < 0
+    cuts = pool.matrix(theta.size)
+    rows = cuts[:, neg]
+    kept = rows.any(axis=1)
+    problem = LpProblem(
+        objective=-np.ones(rows.shape[1]),
+        lower=theta[neg],
+        upper=np.zeros(rows.shape[1]),
+        constraints=rows[kept],
+        rhs=-(cuts[kept] @ np.where(neg, 0.0, theta)),
+    )
+    return problem, kept
+
+
 def _solve_restricted(theta: np.ndarray, neg: np.ndarray, pool: CutPool) -> np.ndarray:
-    """Pool-restricted bound LP; returns the full lambda vector."""
+    """Pool-restricted bound LP; returns the full lambda vector (neg = theta < 0)."""
     lam = theta.copy()
     if not len(pool) or not neg.any():
         return lam
-    idx = np.flatnonzero(neg)
-    pos_theta = np.where(neg, 0.0, theta)
-    constraints = []
-    for cut in pool:
-        a = cut[idx].astype(float)
-        if not a.any():
-            continue  # only fixed edges: holds automatically
-        rhs = -float(pos_theta @ cut)
-        constraints.append((a, rhs))
-    problem = LpProblem(
-        objective=-np.ones(idx.size),
-        lower=theta[idx],
-        upper=np.zeros(idx.size),
-        constraints=tuple(constraints),
-    )
-    sol = solve_lp(problem)
+    sol = solve_lp(restricted_lp(theta, pool)[0])
     if sol.status != "optimal":
         raise RuntimeError("restricted bound LP infeasible; this cannot happen")
-    lam[idx] = sol.x
+    lam[neg] = sol.x
     return lam
 
 

@@ -7,10 +7,11 @@ Two decoders:
   subproblem, and merge that cut into the solution whenever the original
   energy does not increase; accepted cut edges get lambda zeroed.
 
-* rounding: over the pooled cut rows C, minimize theta.(C^T alpha) with a
-  penalty that neutralizes cutting any negative edge beyond one,
-  which is the LP dual of the bound optimization restricted to the pool;
-  threshold the relaxed indicator z = C^T alpha and repair.
+* rounding: solve the bound LP restricted to the pooled cut rows C and
+  read its constraint multipliers alpha >= 0, which solve the dual LP
+  (minimize theta.z with a penalty that neutralizes cutting any negative
+  edge beyond one, over z = C^T alpha); threshold the relaxed indicator z
+  and repair.
 
 Energies always refer to the repaired cut (connected components of the
 uncut subgraph), so every result is a feasible clustering.
@@ -22,10 +23,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bound import BoundResult, CutPool, lower_bound_value
+from .bound import BoundResult, CutPool, lower_bound_value, restricted_lp
 from .cut_oracle import min_cut_forced
 from .graph import PlanarGraph, cut_energy, cut_from_partition, partition_from_cut
-from .lp import LpProblem, solve_lp
+from .lp import solve_lp
 
 CERTIFICATE_TOL = 1e-6
 
@@ -90,50 +91,29 @@ def decode_rounding(
     threshold: float = 0.5,
     bound: float | None = None,
 ) -> DecodeResult:
-    """Decode by solving the pool-restricted dual LP and thresholding.
+    """Decode by thresholding the pool-restricted bound LP's cut multipliers.
 
-    Variables are one weight alpha_i >= 0 per pooled cut and one slack per
-    negative edge; minimize theta.z - sum_neg theta_e * s_e with
-    s_e >= z_e - 1, z = C^T alpha.  When `bound` is omitted the LP's own
-    optimum is used for the certificate, which equals the bound LP value
-    on the same pool (strong duality), so it is only meaningful for pools
-    from a converged run.
+    The multipliers alpha >= 0 of the pooled cut rows solve the LP dual:
+    minimize theta.z - sum_neg theta_e * max(z_e - 1, 0) over z = C^T alpha.
+    Edges with z >= threshold are cut.  When `bound` is omitted the
+    restricted LP's own value is used for the certificate, so it is only
+    meaningful for pools from a converged run.
     """
     theta = np.asarray(theta, dtype=float)
     if not (0.0 < threshold < 1.0):
         raise ValueError("threshold must lie strictly between 0 and 1")
     m = graph.edge_count
-    rows = pool.matrix(m).astype(float)
-    k = rows.shape[0]
-    if k == 0:
-        if bound is None:
-            bound = 0.0
-        return _result(graph, theta, np.zeros(m, dtype=bool), "rounding", bound)
-
-    neg_idx = np.flatnonzero(theta < 0)
-    n_vars = k + neg_idx.size
-    objective = np.zeros(n_vars)
-    objective[:k] = -(rows @ theta)  # maximize the negated min-objective
-    objective[k:] = theta[neg_idx]  # -(-theta_e) per slack
-    lower = np.zeros(n_vars)
-    upper = np.full(n_vars, np.inf)
-    constraints = []
-    for j, e in enumerate(neg_idx):
-        a = np.zeros(n_vars)
-        a[:k] = -rows[:, e]
-        a[k + j] = 1.0
-        constraints.append((a, -1.0))
-    sol = solve_lp(
-        LpProblem(objective=objective, lower=lower, upper=upper, constraints=tuple(constraints))
-    )
-    if sol.status != "optimal":
-        raise RuntimeError("rounding LP unexpectedly infeasible")
-    alpha = sol.x[:k]
-    z = rows.T @ alpha
-    x = z >= threshold
-    if bound is None:
-        bound = -sol.objective_value  # the minimized objective
-    return _result(graph, theta, x, "rounding", bound)
+    if not len(pool) or not (theta < 0).any():
+        # no cuts or nothing to cut: alpha = 0 is optimal, the LP value is 0
+        z, value = np.zeros(m), 0.0
+    else:
+        problem, kept = restricted_lp(theta, pool)
+        sol = solve_lp(problem)
+        if sol.status != "optimal":
+            raise RuntimeError("restricted bound LP infeasible; this cannot happen")
+        z = pool.matrix(m)[kept].T @ sol.duals
+        value = float(np.minimum(theta, 0.0).sum() + sol.objective_value)
+    return _result(graph, theta, z >= threshold, "rounding", value if bound is None else bound)
 
 
 def best_decode(

@@ -62,9 +62,6 @@ class PlanarGraph:
     def face_count(self) -> int:
         return len(self.faces)
 
-    def incident_edges(self, v: int) -> tuple[int, ...]:
-        return self.rotation[v]
-
 
 def _check_edges(vertex_count: int, edges) -> None:
     if vertex_count <= 0:

@@ -2,9 +2,10 @@
 
 Problems here are tiny (one variable per negative edge, tens to a few
 hundred cut constraints), so this wraps scipy's HiGHS backend rather than
-hand-rolling a simplex; the module contract (maximize, a.x >= rhs
+hand-rolling a simplex; the module contract (maximize, A x >= rhs
 constraints, nonnegative constraint duals, strong duality) is what the
-rest of the package and the tests depend on.
+rest of the package and the tests depend on.  The bound loop reads the
+primal x, the rounding decoder the duals of the same problem.
 """
 
 from __future__ import annotations
@@ -21,38 +22,38 @@ class LpError(RuntimeError):
 
 @dataclass(frozen=True)
 class LpProblem:
-    """maximize objective . x  s.t.  lower <= x <= upper, a . x >= rhs.
+    """maximize objective . x  s.t.  lower <= x <= upper, constraints x >= rhs.
 
-    Upper bounds may be +inf (the bound LP never needs that, the rounding
-    and no-upper-bound variants do); lower bounds must be finite so the
-    maximization cannot be unbounded below feasibility.
+    `constraints` holds one row per constraint (shape (rows, n)); it and
+    `rhs` default to no constraints.  Upper bounds may be +inf (only the
+    reference bound LP without upper bounds needs that); lower bounds must
+    be finite so the maximization cannot be unbounded below feasibility.
     """
 
     objective: np.ndarray
     lower: np.ndarray
     upper: np.ndarray
-    constraints: tuple = ()
+    constraints: np.ndarray | None = None
+    rhs: np.ndarray | None = None
 
     def __post_init__(self):
         obj = np.asarray(self.objective, dtype=float)
         lo = np.asarray(self.lower, dtype=float)
         hi = np.asarray(self.upper, dtype=float)
-        if not (obj.shape == lo.shape == hi.shape):
+        if not (obj.ndim == 1 and obj.shape == lo.shape == hi.shape):
             raise ValueError("objective and bounds must share a shape")
         if not np.all(np.isfinite(lo)):
             raise ValueError("lower bounds must be finite")
         if np.any(lo > hi):
             raise ValueError("lower bound exceeds upper bound")
-        object.__setattr__(self, "objective", obj)
-        object.__setattr__(self, "lower", lo)
-        object.__setattr__(self, "upper", hi)
-        rows = tuple(
-            (np.asarray(a, dtype=float), float(rhs)) for a, rhs in self.constraints
-        )
-        for a, _ in rows:
-            if a.shape != obj.shape:
-                raise ValueError("constraint row has wrong length")
-        object.__setattr__(self, "constraints", rows)
+        a = np.zeros((0, obj.size)) if self.constraints is None else self.constraints
+        b = np.zeros(0) if self.rhs is None else self.rhs
+        a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+        if b.ndim != 1 or a.shape != (b.size, obj.size):
+            raise ValueError("constraints must be a (rows, n) array with one rhs per row")
+        fields = {"objective": obj, "lower": lo, "upper": hi, "constraints": a, "rhs": b}
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)
 
 
 @dataclass(frozen=True)
@@ -79,19 +80,12 @@ _HIGHS_OPTS = {
 
 def solve_lp(problem: LpProblem) -> LpSolution:
     """Solve to optimality; feasibility ~1e-9, duality gap ~1e-8."""
-    n = problem.objective.shape[0]
-    if n == 0:
-        return LpSolution("optimal", np.zeros(0), np.zeros(len(problem.constraints)), 0.0)
-    if problem.constraints:
-        a_ub = -np.vstack([a for a, _ in problem.constraints])
-        b_ub = -np.array([rhs for _, rhs in problem.constraints])
-    else:
-        a_ub = None
-        b_ub = None
+    if problem.objective.size == 0:
+        return LpSolution("optimal", np.zeros(0), np.zeros(problem.rhs.size), 0.0)
     res = linprog(
         c=-problem.objective,
-        A_ub=a_ub,
-        b_ub=b_ub,
+        A_ub=-problem.constraints,
+        b_ub=-problem.rhs,
         bounds=list(zip(problem.lower, problem.upper)),
         method="highs",
         options=_HIGHS_OPTS,
@@ -100,11 +94,7 @@ def solve_lp(problem: LpProblem) -> LpSolution:
         return LpSolution("infeasible", None, None, None)
     if res.status != 0:
         raise LpError(f"LP solver failed: status {res.status}: {res.message}")
-    duals = (
-        -np.asarray(res.ineqlin.marginals, dtype=float)
-        if problem.constraints
-        else np.zeros(0)
-    )
+    duals = -np.asarray(res.ineqlin.marginals, dtype=float)
     # tiny negative multipliers are solver noise
     duals = np.where(np.abs(duals) < 1e-11, 0.0, duals)
     return LpSolution("optimal", np.asarray(res.x), duals, float(-res.fun))

@@ -582,26 +582,14 @@ class _DenseBlossom:
             best_pair = (int(args[i]), int(sv[i]))
         # vertices whose stored best partner sits in their own blossom may
         # hide a valid cross-blossom edge at larger slack
-        invalid = np.flatnonzero(has & ~valid)
-        if invalid.size:
-            if invalid.size <= 16:
-                for ii in invalid:
-                    w = int(sv[ii])
-                    rw = self.y[w] + self.y[sv] - self.W2[w, sv]
-                    rw = np.where(self.inblossom[sv] == self.inblossom[w], self.INF, rw)
-                    k = int(np.argmin(rw))
-                    if rw[k] < (self.INF if best_val is None else best_val):
-                        best_val = rw[k]
-                        best_pair = (int(sv[k]), w)
-            else:
-                sub = self.y[sv, None] + self.y[None, sv] - self.W2[np.ix_(sv, sv)]
-                same = tops[:, None] == tops[None, :]
-                sub = np.where(same, self.INF, sub)
-                k = int(np.argmin(sub))
-                r, c = divmod(k, sv.size)
-                if sub[r, c] < (self.INF if best_val is None else best_val):
-                    best_val = sub[r, c]
-                    best_pair = (int(sv[r]), int(sv[c]))
+        rows = sv[has & ~valid]
+        if rows.size:
+            sub = self.y[rows, None] + self.y[None, sv] - self.W2[np.ix_(rows, sv)]
+            sub = np.where(self.inblossom[rows, None] == tops[None, :], self.INF, sub)
+            r, c = divmod(int(np.argmin(sub)), sv.size)
+            if sub[r, c] < (self.INF if best_val is None else best_val):
+                best_val = sub[r, c]
+                best_pair = (int(sv[c]), int(rows[r]))
         if best_val is None or best_val >= self.INF:
             return None, None
         half = best_val // 2 if self.integer else best_val / 2
@@ -635,7 +623,6 @@ class _DenseBlossom:
                     break
                 # dual update
                 delta = None
-                dtype_ = -1
                 d_edge = None
                 d_blossom = None
                 freemask = self.vlabel == 0
@@ -644,18 +631,15 @@ class _DenseBlossom:
                     i = int(np.argmin(cand2))
                     if cand2[i] < self.INF and self.s2arg[i] >= 0:
                         delta = cand2[i]
-                        dtype_ = 2
                         d_edge = (int(self.s2arg[i]), i)
                 d3, pair3 = self._delta3()
                 if d3 is not None and (delta is None or d3 < delta):
                     delta = d3
-                    dtype_ = 3
                     d_edge = pair3
                 for b in self.active_blossoms:
                     if self.parent[b] == -1 and self.label[b] & 3 == 2:
                         if delta is None or self.y[b] < delta:
                             delta = self.y[b]
-                            dtype_ = 4
                             d_blossom = b
                 if delta is None:
                     # n is even and missing edges hold the sentinel, so a
@@ -673,16 +657,13 @@ class _DenseBlossom:
                             self.y[b] += delta
                         elif lb == 2:
                             self.y[b] -= delta
-                if dtype_ == 2:
-                    u, w = d_edge
-                    self._mark_allowed(u, w)
-                    self.queue.append(u)
-                elif dtype_ == 3:
-                    u, w = d_edge
-                    self._mark_allowed(u, w)
-                    self.queue.append(u)
-                elif dtype_ == 4:
+                if d_blossom is not None:
+                    # blossoms are checked last, so a chosen one has the minimum
                     self._expand_blossom(d_blossom, endstage=False)
+                else:
+                    u, w = d_edge
+                    self._mark_allowed(u, w)
+                    self.queue.append(u)
             # stage ended with augmentation
             for b in list(self.active_blossoms):
                 if (

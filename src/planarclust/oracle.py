@@ -261,7 +261,8 @@ def full_lp_bound(graph: PlanarGraph, theta, with_upper_bounds: bool) -> float:
         objective=-np.ones(m),
         lower=theta,
         upper=upper,
-        constraints=tuple((rows[i].astype(float), 0.0) for i in range(rows.shape[0])),
+        constraints=rows,
+        rhs=np.zeros(rows.shape[0]),
     )
     sol = solve_lp(problem)
     if sol.status != "optimal":

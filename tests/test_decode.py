@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from planarclust.bound import CutPool, optimize_lower_bound
-from planarclust.decode import best_decode, decode_recursive, decode_rounding
+from planarclust.bound import CutPool, lower_bound_value, optimize_lower_bound, restricted_lp
+from planarclust.decode import CERTIFICATE_TOL, best_decode, decode_recursive, decode_rounding
 from planarclust.graph import cut_energy, cut_from_partition, is_valid_multicut
 from planarclust.instances import gen_grid, gen_random_planar, UniformWeights
+from planarclust.lp import solve_lp
 from planarclust.oracle import all_bipartition_cuts, brute_cc, full_lp_bound
 
 
@@ -115,6 +116,46 @@ def test_rounding_with_complete_pool_reaches_optimum():
         assert res.energy == pytest.approx(cc, abs=1e-8)
         hits += 1
     assert hits >= 15
+
+
+@pytest.mark.parametrize("max_batches", [1000, 1])
+def test_rounding_multipliers_solve_the_dual(max_batches):
+    # the bound LP's cut multipliers alpha solve the rounding decoder's dual:
+    # min theta.z - sum_neg theta_e * max(z_e - 1, 0) over z = C^T alpha
+    pools = certified = cut_short = 0
+    # the last instance has an integrality gap, so rounding cannot certify it
+    instances = [gen_random_planar(8 + seed % 13, 1100 + seed) for seed in range(40)]
+    for inst in instances + [gen_random_planar(6, 4)]:
+        theta = inst.theta
+        br = optimize_lower_bound(inst.graph, theta, max_batches=max_batches)
+        if not len(br.pool):
+            continue
+        pools += 1
+        cut_short += not br.converged
+        problem, kept = restricted_lp(theta, br.pool)
+        sol = solve_lp(problem)
+        neg = theta < 0
+        lam = theta.copy()
+        lam[neg] = sol.x
+        alpha = np.zeros(len(br.pool))
+        alpha[kept] = sol.duals
+        assert np.all(alpha >= -1e-9)
+        z = br.pool.matrix(theta.size).T @ alpha
+        dual = theta @ z - theta[neg] @ np.maximum(z[neg] - 1.0, 0.0)
+        assert dual == pytest.approx(lower_bound_value(theta, lam), abs=1e-9)
+        if br.converged:
+            assert lower_bound_value(theta, lam) == pytest.approx(br.bound, abs=1e-9)
+            res = decode_rounding(inst.graph, theta, br.pool)  # the LP's own value
+            ref = decode_rounding(inst.graph, theta, br.pool, bound=br.bound)
+            assert np.array_equal(res.partition, ref.partition)
+            assert res.certificate == ref.certificate
+            assert res.certificate == (res.energy - br.bound <= CERTIFICATE_TOL)
+            certified += res.certificate
+    assert pools >= 30
+    if max_batches == 1:
+        assert cut_short >= 10
+    else:
+        assert 20 <= certified < pools
 
 
 def test_known_integrality_gap_instance():

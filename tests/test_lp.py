@@ -19,7 +19,8 @@ def test_single_constraint_dual():
             objective=[-1.0],
             lower=[-1.0],
             upper=[0.0],
-            constraints=(([1.0], -0.5),),
+            constraints=[[1.0]],
+            rhs=[-0.5],
         )
     )
     assert sol.x[0] == pytest.approx(-0.5)
@@ -33,7 +34,8 @@ def test_degenerate_optimum_value_unique():
             objective=[-1.0, -1.0],
             lower=[-1.0, -1.0],
             upper=[0.0, 0.0],
-            constraints=(([1.0, 1.0], 0.0),),
+            constraints=[[1.0, 1.0]],
+            rhs=[0.0],
         )
     )
     assert sol.objective_value == pytest.approx(0.0, abs=1e-9)
@@ -46,7 +48,8 @@ def test_infeasible():
             objective=[1.0],
             lower=[0.0],
             upper=[1.0],
-            constraints=(([1.0], 2.0),),
+            constraints=[[1.0]],
+            rhs=[2.0],
         )
     )
     assert sol.status == "infeasible"
@@ -59,7 +62,8 @@ def test_infinite_upper_bound():
             objective=[-1.0],
             lower=[0.0],
             upper=[np.inf],
-            constraints=(([1.0], 3.0),),
+            constraints=[[1.0]],
+            rhs=[3.0],
         )
     )
     assert sol.x[0] == pytest.approx(3.0)
@@ -70,11 +74,12 @@ def _random_problem(rng, n, m):
     lo = rng.uniform(-2, 0, size=n)
     hi = lo + rng.uniform(0.5, 2, size=n)
     mid = (lo + hi) / 2
-    cons = []
-    for _ in range(m):
-        a = rng.normal(size=n)
-        cons.append((a, float(a @ mid - rng.uniform(0, 1))))  # feasible at mid
-    return LpProblem(objective=c, lower=lo, upper=hi, constraints=tuple(cons))
+    a = np.zeros((m, n))
+    rhs = np.zeros(m)
+    for i in range(m):
+        a[i] = rng.normal(size=n)
+        rhs[i] = a[i] @ mid - rng.uniform(0, 1)  # feasible at mid
+    return LpProblem(objective=c, lower=lo, upper=hi, constraints=a, rhs=rhs)
 
 
 def test_strong_duality_random():
@@ -88,26 +93,20 @@ def test_strong_duality_random():
         assert np.all(sol.duals >= -1e-9)
         # strong duality: opt = -duals.rhs + box terms of reduced costs,
         # where reduced = c + A^T duals vanishes at interior variables
-        if p.constraints:
-            a_mat = np.vstack([a for a, _ in p.constraints])
-            rhs = np.array([r for _, r in p.constraints])
-            reduced = p.objective + a_mat.T @ sol.duals
-            dual_obj = -float(sol.duals @ rhs)
-        else:
-            reduced = p.objective.copy()
-            dual_obj = 0.0
+        reduced = p.objective + p.constraints.T @ sol.duals
+        dual_obj = -float(sol.duals @ p.rhs)
         dual_obj += float(np.sum(np.where(reduced > 0, reduced * p.upper, reduced * p.lower)))
         assert dual_obj == pytest.approx(sol.objective_value, abs=1e-7)
         # primal feasibility
         assert np.all(sol.x >= p.lower - 1e-9) and np.all(sol.x <= p.upper + 1e-9)
-        for a, r in p.constraints:
+        for a, r in zip(p.constraints, p.rhs):
             assert a @ sol.x >= r - 1e-8
 
 
 def _enumerate_vertices(p):
     """Candidate optima: intersections of n active conditions."""
     n = p.objective.shape[0]
-    conds = [(a, r) for a, r in p.constraints]
+    conds = list(zip(p.constraints, p.rhs))
     for j in range(n):
         e = np.zeros(n)
         e[j] = 1.0
@@ -122,7 +121,7 @@ def _enumerate_vertices(p):
         except np.linalg.LinAlgError:
             continue
         ok = np.all(x >= p.lower - 1e-9) and np.all(x <= p.upper + 1e-9)
-        ok = ok and all(a @ x >= r - 1e-9 for a, r in p.constraints)
+        ok = ok and all(a @ x >= r - 1e-9 for a, r in zip(p.constraints, p.rhs))
         if ok:
             val = float(p.objective @ x)
             if best is None or val > best:
@@ -153,7 +152,8 @@ def test_extra_constraint_never_increases_optimum():
             objective=p.objective,
             lower=p.lower,
             upper=p.upper,
-            constraints=p.constraints + ((a, float(a @ sol.x - 0.1)),),
+            constraints=np.vstack([p.constraints, a]),
+            rhs=np.append(p.rhs, a @ sol.x - 0.1),
         )
         sol2 = solve_lp(tightened)
         assert sol2.status == "optimal"
