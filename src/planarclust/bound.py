@@ -30,7 +30,7 @@ import numpy as np
 
 from .cut_oracle import min_cut_2color, split_into_basic_cuts
 from .graph import PlanarGraph
-from .lp import LpProblem, solve_lp
+from .lp import LpError, LpProblem, solve_lp
 
 
 class CutPool:
@@ -121,7 +121,7 @@ def _solve_restricted(theta: np.ndarray, neg: np.ndarray, pool: CutPool) -> np.n
         return lam
     sol = solve_lp(restricted_lp(theta, pool)[0])
     if sol.status != "optimal":
-        raise RuntimeError("restricted bound LP infeasible; this cannot happen")
+        raise LpError("restricted bound LP infeasible; this cannot happen")
     lam[neg] = sol.x
     return lam
 

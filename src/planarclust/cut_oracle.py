@@ -62,6 +62,8 @@ class _DualInfo:
         self.group_starts = starts
         self.group_lo = lo[order][starts]
         self.group_hi = hi[order][starts]
+        # groups are sorted by (lo, hi): CSR row pointers of the dual adjacency
+        self.indptr = np.searchsorted(self.group_lo, np.arange(graph.face_count + 1))
         # sorted face-pair key per group: lookup of the group joining two faces
         self.group_key = self.group_lo * graph.face_count + self.group_hi
         self.face_count = graph.face_count
@@ -110,7 +112,7 @@ def _solve_even_subgraph(graph: PlanarGraph, w: np.ndarray):
         rep_edges = info.sorted_edges[rep_pos]
 
         adj = csr_matrix(
-            (gmin, (info.group_lo, info.group_hi)),
+            (gmin, info.group_hi, info.indptr),
             shape=(info.face_count, info.face_count),
         )
         dist, pred = dijkstra(

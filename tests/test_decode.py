@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
+from planarclust import bound as bound_module, decode as decode_module
 from planarclust.bound import CutPool, lower_bound_value, optimize_lower_bound, restricted_lp
 from planarclust.decode import CERTIFICATE_TOL, best_decode, decode_recursive, decode_rounding
 from planarclust.graph import cut_energy, cut_from_partition, is_valid_multicut
 from planarclust.instances import gen_grid, gen_random_planar, UniformWeights
-from planarclust.lp import solve_lp
+from planarclust.lp import LpError, LpSolution, solve_lp
 from planarclust.oracle import all_bipartition_cuts, brute_cc, full_lp_bound
 
 
@@ -49,6 +50,19 @@ def test_rounding_triangle_isolating_cuts(triangle):
     assert res.energy == pytest.approx(-3.0)
     assert res.partition.max() == 2
     assert res.certificate  # LP value equals the tight bound -3
+
+
+def test_infeasible_restricted_lp_raises_lp_error(triangle, monkeypatch):
+    def infeasible(problem):
+        return LpSolution("infeasible", None, None, None)
+
+    monkeypatch.setattr(bound_module, "solve_lp", infeasible)
+    monkeypatch.setattr(decode_module, "solve_lp", infeasible)
+    theta = [-1.0, -1.0, -1.0]
+    with pytest.raises(LpError):
+        optimize_lower_bound(triangle, theta)
+    with pytest.raises(LpError):
+        decode_rounding(triangle, theta, CutPool([np.array([True, True, False])]))
 
 
 def test_rounding_positive_cut_unused(triangle):

@@ -2,8 +2,9 @@ import itertools
 
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
-from planarclust.lp import LpProblem, solve_lp
+from planarclust.lp import LpError, LpProblem, LpSolution, solve_lp
 
 
 def test_box_only():
@@ -80,6 +81,54 @@ def _random_problem(rng, n, m):
         a[i] = rng.normal(size=n)
         rhs[i] = a[i] @ mid - rng.uniform(0, 1)  # feasible at mid
     return LpProblem(objective=c, lower=lo, upper=hi, constraints=a, rhs=rhs)
+
+
+def test_unbounded_raises():
+    with pytest.raises(LpError):
+        solve_lp(LpProblem(objective=[1.0], lower=[0.0], upper=[np.inf]))
+
+
+def _linprog_reference(p):
+    """solve_lp through scipy's linprog wrapper, with the same options."""
+    res = linprog(
+        c=-p.objective,
+        A_ub=-p.constraints,
+        b_ub=-p.rhs,
+        bounds=list(zip(p.lower, p.upper)),
+        method="highs",
+        options={"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10},
+    )
+    if res.status == 2:
+        return LpSolution("infeasible", None, None, None)
+    assert res.status == 0, res.message
+    duals = -np.asarray(res.ineqlin.marginals, dtype=float)
+    duals = np.where(np.abs(duals) < 1e-11, 0.0, duals)
+    return LpSolution("optimal", np.asarray(res.x), duals, float(-res.fun))
+
+
+def test_matches_linprog_reference():
+    rng = np.random.default_rng(42)
+    infeasible = LpProblem(objective=[1.0], lower=[0.0], upper=[1.0], constraints=[[1.0]], rhs=[2.0])
+    problems = [infeasible]
+    for k in range(40):
+        n = int(rng.integers(2, 50))
+        p = _random_problem(rng, n, 0 if k % 4 == 0 else int(rng.integers(1, 100)))
+        # some upper bounds infinite; nonpositive costs keep the optimum finite
+        inf = rng.random(n) < 0.3
+        inf_upper = LpProblem(
+            objective=-np.abs(p.objective),
+            lower=p.lower,
+            upper=np.where(inf, np.inf, p.upper),
+            constraints=p.constraints,
+            rhs=p.rhs,
+        )
+        problems += [p, inf_upper]
+    for p in problems:
+        got, ref = solve_lp(p), _linprog_reference(p)
+        assert got.status == ref.status
+        assert got.objective_value == ref.objective_value
+        for a, b in ((got.x, ref.x), (got.duals, ref.duals)):
+            assert (a is None and b is None) or np.array_equal(a, b)
 
 
 def test_strong_duality_random():
