@@ -30,7 +30,7 @@ import numpy as np
 
 from .cut_oracle import min_cut_2color, split_into_basic_cuts
 from .graph import PlanarGraph
-from .lp import LpError, LpProblem, solve_lp
+from .lp import LpProblem, solve_lp
 
 
 class CutPool:
@@ -80,16 +80,6 @@ def lower_bound_value(theta, lam) -> float:
     return float(np.minimum(theta - lam, 0.0).sum())
 
 
-def omega_violation(graph: PlanarGraph, lam, tol: float):
-    """A cut of lambda-weight < -tol, or None if lambda is feasible."""
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    cut, value = min_cut_2color(graph, lam)
-    if value < -tol:
-        return cut
-    return None
-
-
 def restricted_lp(theta: np.ndarray, pool: CutPool) -> tuple[LpProblem, np.ndarray]:
     """The bound LP over the pooled cuts, and the mask of pool rows it keeps.
 
@@ -119,10 +109,7 @@ def _solve_restricted(theta: np.ndarray, neg: np.ndarray, pool: CutPool) -> np.n
     lam = theta.copy()
     if not len(pool) or not neg.any():
         return lam
-    sol = solve_lp(restricted_lp(theta, pool)[0])
-    if sol.status != "optimal":
-        raise LpError("restricted bound LP infeasible; this cannot happen")
-    lam[neg] = sol.x
+    lam[neg] = solve_lp(restricted_lp(theta, pool)[0]).x
     return lam
 
 

@@ -186,20 +186,34 @@ def cmd_bound(args) -> int:
 def _load_bound(path, edge_count):
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
-    lam = np.array([float(x) for x in doc["lambda"]], dtype=float)
+    for key in ("lambda", "pool", "bound", "batches", "oracle_calls", "converged"):
+        if not isinstance(doc, dict) or key not in doc:
+            raise ParseError(f"{path}: missing required field '{key}'")
+    try:
+        lam = np.array([float(x) for x in doc["lambda"]], dtype=float)
+        pool_ids = [np.asarray(ids) for ids in doc["pool"]]
+        bound = float(doc["bound"])
+        batches, oracle_calls = int(doc["batches"]), int(doc["oracle_calls"])
+    except (TypeError, ValueError) as exc:
+        raise ParseError(f"{path}: malformed field: {exc}") from exc
     if lam.shape != (edge_count,):
         raise ParseError(f"{path}: lambda length does not match the instance")
     pool = CutPool()
-    for ids in doc["pool"]:
+    for k, ids in enumerate(pool_ids):
+        # numpy would truncate float ids and wrap negative ones silently
+        if ids.ndim != 1 or (ids.size and ids.dtype.kind != "i"):
+            raise ParseError(f"{path}: pool cut {k} is not a list of integer edge ids")
+        if ids.size and (ids.min() < 0 or ids.max() >= edge_count):
+            raise ParseError(f"{path}: pool cut {k} names an edge outside 0..{edge_count - 1}")
         cut = np.zeros(edge_count, dtype=bool)
-        cut[np.asarray(ids, dtype=int)] = True
+        cut[ids.astype(np.int64)] = True
         pool.add(cut)
     return BoundResult(
         lam=lam,
-        bound=float(doc["bound"]),
+        bound=bound,
         pool=pool,
-        batches=int(doc["batches"]),
-        oracle_calls=int(doc["oracle_calls"]),
+        batches=batches,
+        oracle_calls=oracle_calls,
         converged=bool(doc["converged"]),
     )
 

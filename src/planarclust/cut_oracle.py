@@ -15,8 +15,9 @@ The cost of one oracle call therefore scales with the number of odd faces
 rather than with the graph, which is what makes the cutting-plane loop and
 the per-edge forced cuts affordable.
 
-Weights that scale to integers (short decimals) are solved in exact int64
-arithmetic; other weights in float64.  The independent reference route
+Weights that scale to integers (short decimals, `scale_to_int`) are solved
+in exact int64 arithmetic, other weights in float64; the matching solver
+only reads the dtype chosen here.  The independent reference route
 through an explicit matching gadget lives in `oracle.py`.
 """
 
@@ -29,7 +30,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
 
 from .graph import PlanarGraph, partition_from_cut
-from .matching import match_dense, scale_to_int
+from .matching import match_dense
 
 
 class OracleError(RuntimeError):
@@ -137,6 +138,32 @@ def _solve_even_subgraph(graph: PlanarGraph, w: np.ndarray):
         cut[rep_edges[odd]] ^= True
     value = w[cut].sum()
     return cut, value
+
+
+def scale_to_int(values, max_digits: int = 9):
+    """Return (int64 array, 10**digits) if all values are short decimals.
+
+    Tries scales 10**0 .. 10**max_digits and accepts the first one under
+    which every value is (numerically) an integer.  Returns None when the
+    inputs are not decimal-representable at that precision.
+    """
+    arr = np.asarray(values, dtype=float)
+    if arr.size == 0:
+        return np.zeros(0, dtype=np.int64), 1
+    if not np.all(np.isfinite(arr)):
+        return None
+    for digits in range(max_digits + 1):
+        scale = 10**digits
+        scaled = arr * scale
+        rounded = np.rint(scaled)
+        # a true decimal leaves only float64 representation error (~1e-16
+        # relative); anything larger means the value is not this decimal
+        tol = 1e-12 * np.maximum(1.0, np.abs(scaled))
+        if np.all(np.abs(scaled - rounded) <= tol):
+            if np.max(np.abs(rounded)) < 2**52:
+                return rounded.astype(np.int64), scale
+            return None
+    return None
 
 
 def _prepare_weights(w, edge_count: int):

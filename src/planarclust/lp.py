@@ -78,10 +78,9 @@ class LpSolution:
     box.
     """
 
-    status: str  # "optimal" | "infeasible"
-    x: np.ndarray | None
-    duals: np.ndarray | None
-    objective_value: float | None
+    x: np.ndarray
+    duals: np.ndarray
+    objective_value: float
 
 
 _HIGHS_OPTS = {
@@ -116,17 +115,15 @@ def _highs_model(problem: LpProblem) -> highs.HighsLp:
 
 
 def solve_lp(problem: LpProblem) -> LpSolution:
-    """Solve to optimality; feasibility ~1e-9, duality gap ~1e-8."""
+    """Solve to optimality (feasibility ~1e-9, duality gap ~1e-8), else raise LpError."""
     if problem.objective.size == 0:
-        return LpSolution("optimal", np.zeros(0), np.zeros(problem.rhs.size), 0.0)
+        return LpSolution(np.zeros(0), np.zeros(problem.rhs.size), 0.0)
     solver = highs._Highs()
     for name, value in _HIGHS_OPTS.items():
         solver.setOptionValue(name, value)
     solver.passModel(_highs_model(problem))
     solver.run()
     status = solver.getModelStatus()
-    if status == highs.HighsModelStatus.kInfeasible:
-        return LpSolution("infeasible", None, None, None)
     if status != highs.HighsModelStatus.kOptimal:
         raise LpError(f"LP solver failed: {solver.modelStatusToString(status)}")
     solution = solver.getSolution()
@@ -143,4 +140,4 @@ def solve_lp(problem: LpProblem) -> LpSolution:
         and np.all(slack >= -_CHECK_TOL)
     ):
         raise LpError("LP solver reported an optimum that violates the problem")
-    return LpSolution("optimal", x, duals, float(value))
+    return LpSolution(x, duals, float(value))

@@ -26,10 +26,8 @@ weight matrix plus a boolean mask of real edges in, the mate array out.
 The matrix's dtype selects the arithmetic: int64 is exact, float64 uses a
 relative tie tolerance of 1e-12.  Negation, doubling and sentinel padding
 happen inside the solver, so callers pass plain minimum-weight costs.
-`min_weight_perfect_matching` wraps it for edge-list problems and scales
-the weights to 64-bit integers whenever every input weight is a decimal
-with at most nine fractional digits, so matchings on instance weights are
-computed in exact arithmetic.
+Choosing the dtype is the caller's job: the cut oracle scales short
+decimal weights to int64 before it builds the matrix.
 
 The implementation keeps a dense weight matrix and performs the hot
 per-vertex scans (slack rows, best-edge tracking for dual updates) as
@@ -40,121 +38,11 @@ dual adjustments stay integral for integer weights.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 
 class MatchingError(ValueError):
     pass
-
-
-class OddVertexCount(MatchingError):
-    """Perfect matchings require an even number of vertices."""
-
-
-class NoPerfectMatching(MatchingError):
-    """The graph admits no perfect matching."""
-
-
-@dataclass(frozen=True)
-class MatchingProblem:
-    """A weighted undirected graph; weights may be negative."""
-
-    vertex_count: int
-    edges: tuple[tuple[int, int, float], ...]
-
-    def __post_init__(self):
-        object.__setattr__(
-            self,
-            "edges",
-            tuple((int(u), int(v), float(w)) for u, v, w in self.edges),
-        )
-        for u, v, w in self.edges:
-            if u == v:
-                raise MatchingError(f"self-loop at vertex {u}")
-            if not (0 <= u < self.vertex_count and 0 <= v < self.vertex_count):
-                raise MatchingError(f"edge ({u}, {v}) out of range")
-            if not np.isfinite(w):
-                raise MatchingError("edge weights must be finite")
-
-
-@dataclass(frozen=True)
-class Matching:
-    """A perfect matching: member edge indices and their total weight."""
-
-    matched_edges: frozenset[int]
-    total_weight: float
-    mate: tuple[int, ...]
-
-
-def scale_to_int(values, max_digits: int = 9):
-    """Return (int64 array, 10**digits) if all values are short decimals.
-
-    Tries scales 10**0 .. 10**max_digits and accepts the first one under
-    which every value is (numerically) an integer.  Returns None when the
-    inputs are not decimal-representable at that precision.
-    """
-    arr = np.asarray(values, dtype=float)
-    if arr.size == 0:
-        return np.zeros(0, dtype=np.int64), 1
-    if not np.all(np.isfinite(arr)):
-        return None
-    for digits in range(max_digits + 1):
-        scale = 10**digits
-        scaled = arr * scale
-        rounded = np.rint(scaled)
-        # a true decimal leaves only float64 representation error (~1e-16
-        # relative); anything larger means the value is not this decimal
-        tol = 1e-12 * np.maximum(1.0, np.abs(scaled))
-        if np.all(np.abs(scaled - rounded) <= tol):
-            if np.max(np.abs(rounded)) < 2**52:
-                return rounded.astype(np.int64), scale
-            return None
-    return None
-
-
-def min_weight_perfect_matching(problem: MatchingProblem) -> Matching:
-    """Exact minimum-weight perfect matching.
-
-    Raises OddVertexCount for odd vertex counts and NoPerfectMatching when
-    the graph has none.  Among co-optimal matchings the result is
-    deterministic (fixed scan order); only the total weight is contractual.
-    """
-    n = problem.vertex_count
-    if n <= 0:
-        raise MatchingError("vertex_count must be positive")
-    if n % 2 != 0:
-        raise OddVertexCount(f"vertex_count {n} is odd")
-
-    # Pick one representative per vertex pair: minimum weight, then lowest
-    # edge index, so parallel inputs behave deterministically.
-    uv = np.array([(u, v) for u, v, _ in problem.edges], dtype=np.int64).reshape(-1, 2)
-    weights = np.array([w for _, _, w in problem.edges], dtype=float)
-    lo, hi = uv.min(axis=1), uv.max(axis=1)
-    key = lo * n + hi
-    order = np.lexsort((np.arange(key.size), weights, key))
-    rep = order[np.unique(key[order], return_index=True)[1]]
-    rep_of = np.full((n, n), -1, dtype=np.int64)
-    rep_of[lo[rep], hi[rep]] = rep_of[hi[rep], lo[rep]] = rep
-
-    scaled = scale_to_int(weights)
-    wvals = weights if scaled is None else scaled[0]
-    w = np.zeros((n, n), dtype=wvals.dtype)
-    w[lo[rep], hi[rep]] = w[hi[rep], lo[rep]] = wvals[rep]
-    mate = match_dense(w, rep_of >= 0)
-    if (mate < 0).any():
-        raise NoPerfectMatching("maximum matching is not perfect")
-    v = np.flatnonzero(np.arange(n) < mate)
-    matched = rep_of[v, mate[v]]
-    if (matched < 0).any():
-        raise NoPerfectMatching("no perfect matching exists")
-    total = float(weights[matched].sum()) if matched.size else 0.0
-    return Matching(
-        matched_edges=frozenset(matched.tolist()),
-        total_weight=total,
-        mate=tuple(mate.tolist()),
-    )
 
 
 def match_dense(weights: np.ndarray, mask: np.ndarray) -> np.ndarray:

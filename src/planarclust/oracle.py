@@ -13,6 +13,13 @@ cuts; one general-graph matching on it is a reference route for the dual
 T-join oracle in `cut_oracle.py`.  Convention: an original edge is cut iff
 its gadget edge IS in the matching.
 
+The gadget is an edge-list graph, so it is matched through
+`min_weight_perfect_matching`, a wrapper around the dense solver
+`matching.match_dense`: it keeps the cheapest of parallel edges, masks
+missing ones, and scales the weights to 64-bit integers whenever every
+input weight is a decimal with at most nine fractional digits, so
+matchings on instance weights are computed in exact arithmetic.
+
 Guards are hard errors: an oracle must never silently approximate.
 """
 
@@ -23,10 +30,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cut_oracle import OracleError
+from .cut_oracle import OracleError, scale_to_int
 from .graph import PlanarGraph, canonical_labels, cut_energy
 from .lp import LpProblem, solve_lp
-from .matching import Matching, MatchingProblem, min_weight_perfect_matching
+from .matching import MatchingError, match_dense
 
 
 class TooLarge(ValueError):
@@ -264,13 +271,87 @@ def full_lp_bound(graph: PlanarGraph, theta, with_upper_bounds: bool) -> float:
         constraints=rows,
         rhs=np.zeros(rows.shape[0]),
     )
-    sol = solve_lp(problem)
-    if sol.status != "optimal":
-        raise RuntimeError(f"full bound LP unexpectedly {sol.status}")
-    return float(theta.sum() + sol.objective_value)
+    return float(theta.sum() + solve_lp(problem).objective_value)
 
 
 # -- explicit matching gadget (reference route) --------------------------
+
+
+class OddVertexCount(MatchingError):
+    """Perfect matchings require an even number of vertices."""
+
+
+class NoPerfectMatching(MatchingError):
+    """The graph admits no perfect matching."""
+
+
+@dataclass(frozen=True)
+class MatchingProblem:
+    """A weighted undirected graph; weights may be negative."""
+
+    vertex_count: int
+    edges: tuple[tuple[int, int, float], ...]
+
+    def __post_init__(self):
+        object.__setattr__(
+            self,
+            "edges",
+            tuple((int(u), int(v), float(w)) for u, v, w in self.edges),
+        )
+        for u, v, w in self.edges:
+            if u == v:
+                raise MatchingError(f"self-loop at vertex {u}")
+            if not (0 <= u < self.vertex_count and 0 <= v < self.vertex_count):
+                raise MatchingError(f"edge ({u}, {v}) out of range")
+            if not np.isfinite(w):
+                raise MatchingError("edge weights must be finite")
+
+
+@dataclass(frozen=True)
+class Matching:
+    """A perfect matching: member edge indices and their total weight."""
+
+    matched_edges: frozenset[int]
+    total_weight: float
+
+
+def min_weight_perfect_matching(problem: MatchingProblem) -> Matching:
+    """Exact minimum-weight perfect matching.
+
+    Raises OddVertexCount for odd vertex counts and NoPerfectMatching when
+    the graph has none.  Among co-optimal matchings the result is
+    deterministic (fixed scan order); only the total weight is contractual.
+    """
+    n = problem.vertex_count
+    if n <= 0:
+        raise MatchingError("vertex_count must be positive")
+    if n % 2 != 0:
+        raise OddVertexCount(f"vertex_count {n} is odd")
+
+    # Pick one representative per vertex pair: minimum weight, then lowest
+    # edge index, so parallel inputs behave deterministically.
+    uv = np.array([(u, v) for u, v, _ in problem.edges], dtype=np.int64).reshape(-1, 2)
+    weights = np.array([w for _, _, w in problem.edges], dtype=float)
+    lo, hi = uv.min(axis=1), uv.max(axis=1)
+    key = lo * n + hi
+    order = np.lexsort((np.arange(key.size), weights, key))
+    rep = order[np.unique(key[order], return_index=True)[1]]
+    rep_of = np.full((n, n), -1, dtype=np.int64)
+    rep_of[lo[rep], hi[rep]] = rep_of[hi[rep], lo[rep]] = rep
+
+    scaled = scale_to_int(weights)
+    wvals = weights if scaled is None else scaled[0]
+    w = np.zeros((n, n), dtype=wvals.dtype)
+    w[lo[rep], hi[rep]] = w[hi[rep], lo[rep]] = wvals[rep]
+    mate = match_dense(w, rep_of >= 0)
+    if (mate < 0).any():
+        raise NoPerfectMatching("maximum matching is not perfect")
+    v = np.flatnonzero(np.arange(n) < mate)
+    matched = rep_of[v, mate[v]]
+    if (matched < 0).any():
+        raise NoPerfectMatching("no perfect matching exists")
+    total = float(weights[matched].sum()) if matched.size else 0.0
+    return Matching(matched_edges=frozenset(matched.tolist()), total_weight=total)
 
 
 @dataclass(frozen=True)
@@ -279,12 +360,11 @@ class ExpandedDual:
 
     back_map[k] is the original edge id carried by gadget edge k, or None
     for gadget-internal (zero weight) edges.  A cut X maps to matchings of
-    total weight sum(w_e * X_e) + constant; here constant == 0.
+    total weight sum(w_e * X_e).
     """
 
     problem: MatchingProblem
     back_map: tuple
-    constant: float
     edge_ports: tuple[tuple[int, int], ...]
     face_ports: tuple[tuple[int, ...], ...]
     face_hub: tuple[int, ...]  # -1 when the face has even degree
@@ -344,7 +424,6 @@ def expand_dual(graph: PlanarGraph, w) -> ExpandedDual:
     return ExpandedDual(
         problem=MatchingProblem(n_gadget, tuple(edges)),
         back_map=tuple(back_map),
-        constant=0.0,
         edge_ports=tuple(edge_ports),
         face_ports=face_ports,
         face_hub=face_hub,
@@ -360,7 +439,7 @@ def min_cut_2color_via_gadget(graph: PlanarGraph, w) -> tuple[np.ndarray, float]
         e = xd.back_map[k]
         if e is not None:
             cut[e] = True
-    return cut, m.total_weight - xd.constant
+    return cut, m.total_weight
 
 
 def matching_for_cut(xd: ExpandedDual, x) -> Matching:
@@ -400,12 +479,4 @@ def matching_for_cut(xd: ExpandedDual, x) -> Matching:
     covered = sorted(v for k in chosen for v in xd.problem.edges[k][:2])
     if covered != list(range(xd.problem.vertex_count)):
         raise ValueError("construction failed to cover every gadget vertex")
-    mate = [-1] * xd.problem.vertex_count
-    for k in chosen:
-        u, v, _ = xd.problem.edges[k]
-        mate[u], mate[v] = v, u
-    return Matching(
-        matched_edges=frozenset(chosen),
-        total_weight=float(sum(weights)),
-        mate=tuple(mate),
-    )
+    return Matching(matched_edges=frozenset(chosen), total_weight=float(sum(weights)))

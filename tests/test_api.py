@@ -1,0 +1,66 @@
+"""The package's public surface and the module boundaries behind it."""
+
+import importlib.util
+from pathlib import Path
+
+import numpy as np
+
+import planarclust
+
+# names that the benchmark harness, the scripts and the README import from
+# the top-level package
+USED_AT_TOP_LEVEL = (
+    "BoundResult",
+    "GpbLikeWeights",
+    "Instance",
+    "best_decode",
+    "decode_recursive",
+    "gen_grid",
+    "gen_random_planar",
+    "optimize_lower_bound",
+    "cut_energy",
+    "cut_from_partition",
+    "min_cut_2color",
+)
+
+
+def test_all_names_resolve():
+    assert len(set(planarclust.__all__)) == len(planarclust.__all__)
+    for name in planarclust.__all__:
+        assert getattr(planarclust, name) is not None, name
+
+
+def test_all_holds_the_names_used_at_top_level():
+    assert set(USED_AT_TOP_LEVEL) <= set(planarclust.__all__)
+
+
+def test_reference_names_import_from_oracle():
+    from planarclust.oracle import (  # noqa: F401
+        ExpandedDual,
+        Matching,
+        MatchingProblem,
+        NoPerfectMatching,
+        OddVertexCount,
+        TooLarge,
+        brute_cc,
+        brute_cc2,
+        brute_cck,
+        check_coloring_chain,
+        exact_cc_value,
+        expand_dual,
+        full_lp_bound,
+        min_cut_2color_via_gadget,
+        min_weight_perfect_matching,
+    )
+
+
+def test_matching_module_loads_standalone():
+    # loaded by file path, as scripts/compare_matching_cost.py does, so it
+    # must not import from the package
+    path = Path(planarclust.__file__).with_name("matching.py")
+    spec = importlib.util.spec_from_file_location("matching_standalone", path)
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    w = np.array([[0, 3], [3, 0]], dtype=np.int64)
+    mate = mod.match_dense(w, ~np.eye(2, dtype=bool))
+    assert mate.tolist() == [1, 0]

@@ -1,12 +1,7 @@
 import numpy as np
 import pytest
 
-from planarclust.bound import (
-    CutPool,
-    lower_bound_value,
-    omega_violation,
-    optimize_lower_bound,
-)
+from planarclust.bound import CutPool, lower_bound_value, optimize_lower_bound
 from planarclust.cut_oracle import min_cut_2color
 from planarclust.instances import gen_grid, gen_random_planar, UniformWeights
 from planarclust.oracle import brute_cc, full_lp_bound
@@ -19,10 +14,11 @@ def test_lower_bound_value():
 
 
 def test_omega_violation(triangle):
-    assert omega_violation(triangle, [0.0, 0.0, 0.0], 1e-6) is None
-    assert omega_violation(triangle, [0.5, 1.0, 2.0], 1e-6) is None
-    cut = omega_violation(triangle, [-1.0, -1.0, -1.0], 1e-6)
-    assert cut is not None and cut.sum() == 2
+    # a feasible lambda has no cut below -tol; an infeasible one does
+    assert min_cut_2color(triangle, [0.0, 0.0, 0.0])[1] >= -1e-6
+    assert min_cut_2color(triangle, [0.5, 1.0, 2.0])[1] >= -1e-6
+    cut, value = min_cut_2color(triangle, [-1.0, -1.0, -1.0])
+    assert value < -1e-6 and cut.sum() == 2
 
 
 def test_cut_pool_dedup(triangle):

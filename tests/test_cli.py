@@ -80,6 +80,33 @@ def test_bound_then_decode(tmp_path, capsys):
     assert code in (0, 2)
 
 
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda doc, m: {**doc, "pool": [[0, m + 90]]}, "pool cut 0 names an edge outside"),
+        (lambda doc, m: {**doc, "pool": [[0, -1]]}, "pool cut 0 names an edge outside"),
+        (lambda doc, m: {**doc, "pool": [[0, 1.5]]}, "not a list of integer edge ids"),
+        (
+            lambda doc, m: {k: v for k, v in doc.items() if k != "batches"},
+            "missing required field 'batches'",
+        ),
+        (lambda doc, m: 5, "missing required field 'lambda'"),
+    ],
+    ids=["id-past-last-edge", "negative-id", "non-integer-id", "missing-field", "not-an-object"],
+)
+def test_decode_rejects_malformed_bound(tmp_path, capsys, edit, message):
+    inst = gen_random_planar(8, 5)
+    path = tmp_path / "p.json"
+    write_instance(inst, path)
+    bpath = tmp_path / "b.json"
+    run_cli(capsys, "bound", str(path), "--out", str(bpath))
+    bdoc = edit(json.loads(bpath.read_text()), inst.graph.edge_count)
+    bpath.write_text(json.dumps(bdoc))
+    code, out, err = run_cli(capsys, "decode", str(path), "--bound", str(bpath))
+    assert code == 1 and out == ""
+    assert err.count("\n") == 1 and message in err
+
+
 def test_oracle_queries(tmp_path, capsys):
     path = write_triangle(tmp_path, [-1.0, -1.0, -1.0])
     code, out, _ = run_cli(capsys, "oracle", str(path), "--cc")

@@ -6,16 +6,17 @@ from planarclust.cut_oracle import (
     OracleError,
     min_cut_2color,
     min_cut_forced,
+    scale_to_int,
     split_into_basic_cuts,
 )
 from planarclust.graph import cut_from_partition, is_valid_multicut, partition_from_cut
 from planarclust.instances import gen_random_planar
-from planarclust.matching import min_weight_perfect_matching, scale_to_int
 from planarclust.oracle import (
     brute_cc2,
     expand_dual,
     matching_for_cut,
     min_cut_2color_via_gadget,
+    min_weight_perfect_matching,
 )
 
 from conftest import embedded
@@ -129,7 +130,7 @@ def test_expanded_dual_structure(triangle):
     assert all(w == 0.0 for w in internal)
     # the empty cut is always representable
     m = matching_for_cut(xd, np.zeros(3, dtype=bool))
-    assert m.total_weight == xd.constant
+    assert m.total_weight == 0.0
 
 
 def test_gadget_four_cycle_minimum(four_cycle):
@@ -149,7 +150,7 @@ def test_matching_cut_correspondence():
             labels = rng.integers(0, 2, size=inst.graph.vertex_count)
             x = cut_from_partition(inst.graph, labels)
             m = matching_for_cut(xd, x)
-            expected = float(np.dot(inst.theta, x)) + xd.constant
+            expected = float(np.dot(inst.theta, x))
             assert m.total_weight == pytest.approx(expected, abs=1e-9)
             assert m.total_weight >= ref.total_weight - 1e-9
             checked += 1

@@ -6,7 +6,7 @@ from planarclust.bound import CutPool, lower_bound_value, optimize_lower_bound, 
 from planarclust.decode import CERTIFICATE_TOL, best_decode, decode_recursive, decode_rounding
 from planarclust.graph import cut_energy, cut_from_partition, is_valid_multicut
 from planarclust.instances import gen_grid, gen_random_planar, UniformWeights
-from planarclust.lp import LpError, LpSolution, solve_lp
+from planarclust.lp import LpError, LpProblem, solve_lp
 from planarclust.oracle import all_bipartition_cuts, brute_cc, full_lp_bound
 
 
@@ -53,11 +53,13 @@ def test_rounding_triangle_isolating_cuts(triangle):
 
 
 def test_infeasible_restricted_lp_raises_lp_error(triangle, monkeypatch):
-    def infeasible(problem):
-        return LpSolution("infeasible", None, None, None)
+    # x <= 1 and x >= 2 at once: the real solver finds no feasible point
+    def infeasible(theta, pool):
+        problem = LpProblem(objective=[1.0], lower=[0.0], upper=[1.0], constraints=[[1.0]], rhs=[2.0])
+        return problem, np.ones(len(pool), dtype=bool)
 
-    monkeypatch.setattr(bound_module, "solve_lp", infeasible)
-    monkeypatch.setattr(decode_module, "solve_lp", infeasible)
+    monkeypatch.setattr(bound_module, "restricted_lp", infeasible)
+    monkeypatch.setattr(decode_module, "restricted_lp", infeasible)
     theta = [-1.0, -1.0, -1.0]
     with pytest.raises(LpError):
         optimize_lower_bound(triangle, theta)

@@ -7,14 +7,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.sparse.csgraph import shortest_path
 
-from planarclust.matching import (
-    MatchingError,
+from planarclust.cut_oracle import scale_to_int
+from planarclust.matching import MatchingError, match_dense
+from planarclust.oracle import (
     MatchingProblem,
     NoPerfectMatching,
     OddVertexCount,
-    match_dense,
     min_weight_perfect_matching,
-    scale_to_int,
 )
 
 
