@@ -30,7 +30,7 @@ import numpy as np
 
 from .cut_oracle import min_cut_2color, split_into_basic_cuts
 from .graph import PlanarGraph
-from .lp import LpProblem, solve_lp
+from .lp import LpProblem, LpSolution, solve_lp
 
 
 class CutPool:
@@ -64,6 +64,15 @@ class CutPool:
 
 
 @dataclass(frozen=True)
+class PoolLp:
+    """A solved `restricted_lp`: its solution, kept-row mask and pool size then."""
+
+    solution: LpSolution
+    kept: np.ndarray
+    pool_rows: int
+
+
+@dataclass(frozen=True)
 class BoundResult:
     lam: np.ndarray
     bound: float
@@ -71,6 +80,8 @@ class BoundResult:
     batches: int
     oracle_calls: int
     converged: bool
+    # the LP the loop solved last, when it converged: the rounding decoder's LP
+    final_lp: PoolLp | None = None
 
 
 def lower_bound_value(theta, lam) -> float:
@@ -104,13 +115,16 @@ def restricted_lp(theta: np.ndarray, pool: CutPool) -> tuple[LpProblem, np.ndarr
     return problem, kept
 
 
-def _solve_restricted(theta: np.ndarray, neg: np.ndarray, pool: CutPool) -> np.ndarray:
-    """Pool-restricted bound LP; returns the full lambda vector (neg = theta < 0)."""
+def _solve_restricted(theta: np.ndarray, neg: np.ndarray, pool: CutPool):
+    """Pool-restricted bound LP (neg = theta < 0): the full lambda vector and
+    the solved LP, or None when the pool leaves nothing to solve."""
     lam = theta.copy()
     if not len(pool) or not neg.any():
-        return lam
-    lam[neg] = solve_lp(restricted_lp(theta, pool)[0]).x
-    return lam
+        return lam, None
+    problem, kept = restricted_lp(theta, pool)
+    solved = PoolLp(solve_lp(problem), kept, len(pool))
+    lam[neg] = solved.solution.x
+    return lam, solved
 
 
 def optimize_lower_bound(
@@ -136,7 +150,7 @@ def optimize_lower_bound(
     best_lam = np.maximum(theta, 0.0)
 
     while True:
-        lam = _solve_restricted(theta, neg, pool)
+        lam, lp = _solve_restricted(theta, neg, pool)
         cut, value = min_cut_2color(graph, lam)
         oracle_calls += 1
         if value >= -tol:
@@ -147,6 +161,7 @@ def optimize_lower_bound(
                 batches=batches,
                 oracle_calls=oracle_calls,
                 converged=True,
+                final_lp=lp,
             )
         certified = lower_bound_value(theta, lam) + 1.5 * min(0.0, value)
         if certified > best_bound:

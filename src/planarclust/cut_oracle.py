@@ -11,9 +11,10 @@ to perfect matching:
   absolute weights, which is solved as a minimum-weight perfect matching of
   the odd faces under shortest-path distances.
 
-The cost of one oracle call therefore scales with the number of odd faces
-rather than with the graph, which is what makes the cutting-plane loop and
-the per-edge forced cuts affordable.
+The distances come from one Dijkstra run per odd face over the whole dual,
+O(T·F) for T odd faces and F faces, on a directed CSR pattern that is built
+once per topology; a call only fills in the edge weights.  On small graphs
+the fixed cost per call dominates, which is why the pattern is cached.
 
 Weights that scale to integers (short decimals, `scale_to_int`) are solved
 in exact int64 arithmetic, other weights in float64; the matching solver
@@ -50,7 +51,6 @@ class _DualInfo:
         self.f1, self.f2 = f1, f2
         self.loop_mask = f1 == f2  # bridges: dual self-loops
         nl = np.flatnonzero(~self.loop_mask)
-        self.nonloop = nl
         lo = np.minimum(f1[nl], f2[nl])
         hi = np.maximum(f1[nl], f2[nl])
         order = np.lexsort((hi, lo))
@@ -61,13 +61,17 @@ class _DualInfo:
         else:
             starts = np.zeros(0, dtype=np.int64)
         self.group_starts = starts
-        self.group_lo = lo[order][starts]
-        self.group_hi = hi[order][starts]
-        # groups are sorted by (lo, hi): CSR row pointers of the dual adjacency
-        self.indptr = np.searchsorted(self.group_lo, np.arange(graph.face_count + 1))
+        group_lo, group_hi = lo[order][starts], hi[order][starts]
         # sorted face-pair key per group: lookup of the group joining two faces
-        self.group_key = self.group_lo * graph.face_count + self.group_hi
+        self.group_key = group_lo * graph.face_count + group_hi
         self.face_count = graph.face_count
+        # directed dual adjacency: both directions of every group, rows sorted
+        # by column; int32, which scipy keeps without a copy per call
+        rows, cols = np.r_[group_lo, group_hi], np.r_[group_hi, group_lo]
+        slots = np.lexsort((cols, rows))
+        self.slot_group = (slots % starts.size).astype(np.int32)
+        self.indices = cols[slots].astype(np.int32)
+        self.indptr = np.searchsorted(rows[slots], np.arange(graph.face_count + 1)).astype(np.int32)
 
 
 def _dual_info(graph: PlanarGraph) -> _DualInfo:
@@ -113,11 +117,11 @@ def _solve_even_subgraph(graph: PlanarGraph, w: np.ndarray):
         rep_edges = info.sorted_edges[rep_pos]
 
         adj = csr_matrix(
-            (gmin, info.group_hi, info.indptr),
+            (gmin[info.slot_group], info.indices, info.indptr),
             shape=(info.face_count, info.face_count),
         )
         dist, pred = dijkstra(
-            adj, directed=False, indices=terminals, return_predecessors=True
+            adj, directed=True, indices=terminals, return_predecessors=True
         )
         d_t = dist[:, terminals]
         if np.issubdtype(w.dtype, np.integer):
@@ -152,17 +156,14 @@ def scale_to_int(values, max_digits: int = 9):
         return np.zeros(0, dtype=np.int64), 1
     if not np.all(np.isfinite(arr)):
         return None
-    for digits in range(max_digits + 1):
-        scale = 10**digits
-        scaled = arr * scale
-        rounded = np.rint(scaled)
-        # a true decimal leaves only float64 representation error (~1e-16
-        # relative); anything larger means the value is not this decimal
-        tol = 1e-12 * np.maximum(1.0, np.abs(scaled))
-        if np.all(np.abs(scaled - rounded) <= tol):
-            if np.max(np.abs(rounded)) < 2**52:
-                return rounded.astype(np.int64), scale
-            return None
+    scaled = np.multiply.outer(10.0 ** np.arange(max_digits + 1), arr)
+    rounded = np.rint(scaled)
+    # a true decimal leaves only float64 representation error (~1e-16
+    # relative); anything larger means the value is not this decimal
+    tol = 1e-12 * np.maximum(1.0, np.abs(scaled))
+    passing = np.flatnonzero(np.all(np.abs(scaled - rounded) <= tol, axis=1))
+    if passing.size and np.max(np.abs(rounded[passing[0]])) < 2**52:
+        return rounded[passing[0]].astype(np.int64), 10 ** int(passing[0])
     return None
 
 

@@ -7,11 +7,13 @@ Two decoders:
   subproblem, and merge that cut into the solution whenever the original
   energy does not increase; accepted cut edges get lambda zeroed.
 
-* rounding: solve the bound LP restricted to the pooled cut rows C and
-  read its constraint multipliers alpha >= 0, which solve the dual LP
-  (minimize theta.z with a penalty that neutralizes cutting any negative
-  edge beyond one, over z = C^T alpha); threshold the relaxed indicator z
-  and repair.
+* rounding: read the constraint multipliers alpha >= 0 of the bound LP
+  restricted to the pooled cut rows C, which solve the dual LP (minimize
+  theta.z with a penalty that neutralizes cutting any negative edge beyond
+  one, over z = C^T alpha); threshold the relaxed indicator z and repair.
+  A converged bound run already solved that LP last, and `best_decode`
+  reuses its solution; the LP is solved again only when there is none or
+  the pool has grown since.
 
 Energies always refer to the repaired cut (connected components of the
 uncut subgraph), so every result is a feasible clustering.
@@ -23,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bound import BoundResult, CutPool, lower_bound_value, restricted_lp
+from .bound import BoundResult, CutPool, PoolLp, lower_bound_value, restricted_lp
 from .cut_oracle import min_cut_forced
 from .graph import PlanarGraph, cut_energy, cut_from_partition, partition_from_cut
 from .lp import solve_lp
@@ -90,6 +92,7 @@ def decode_rounding(
     pool: CutPool,
     threshold: float = 0.5,
     bound: float | None = None,
+    final_lp: PoolLp | None = None,
 ) -> DecodeResult:
     """Decode by thresholding the pool-restricted bound LP's cut multipliers.
 
@@ -97,7 +100,8 @@ def decode_rounding(
     minimize theta.z - sum_neg theta_e * max(z_e - 1, 0) over z = C^T alpha.
     Edges with z >= threshold are cut.  When `bound` is omitted the
     restricted LP's own value is used for the certificate, so it is only
-    meaningful for pools from a converged run.
+    meaningful for pools from a converged run.  `final_lp`, a converged
+    run's `BoundResult.final_lp`, is reused until the pool grows.
     """
     theta = np.asarray(theta, dtype=float)
     if not (0.0 < threshold < 1.0):
@@ -107,9 +111,11 @@ def decode_rounding(
         # no cuts or nothing to cut: alpha = 0 is optimal, the LP value is 0
         z, value = np.zeros(m), 0.0
     else:
-        problem, kept = restricted_lp(theta, pool)
-        sol = solve_lp(problem)
-        z = pool.matrix(m)[kept].T @ sol.duals
+        if final_lp is None or final_lp.pool_rows != len(pool):
+            problem, kept = restricted_lp(theta, pool)
+            final_lp = PoolLp(solve_lp(problem), kept, len(pool))
+        sol = final_lp.solution
+        z = pool.matrix(m)[final_lp.kept].T @ sol.duals
         value = float(np.minimum(theta, 0.0).sum() + sol.objective_value)
     return _result(graph, theta, z >= threshold, "rounding", value if bound is None else bound)
 
@@ -131,7 +137,9 @@ def best_decode(
         raise ValueError("restarts must be at least 1")
     theta = np.asarray(theta, dtype=float)
     bound = bound_result.bound
-    best = decode_rounding(graph, theta, bound_result.pool, threshold, bound=bound)
+    best = decode_rounding(
+        graph, theta, bound_result.pool, threshold, bound=bound, final_lp=bound_result.final_lp
+    )
     if best.certificate:
         return best
     for r in range(restarts):

@@ -10,6 +10,8 @@ no separate planarity test is needed.
 Cuts are represented as boolean vectors indexed by edge id, partitions as
 integer label vectors indexed by vertex id.  Labels are always canonicalized
 by first occurrence in vertex order so that equality tests are deterministic.
+Partitions of a cut come from a union-find over numpy arrays: the oracle
+and both decoders ask for many, and a sparse matrix per call cost more.
 """
 
 from __future__ import annotations
@@ -17,8 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
 
 
 class GraphError(ValueError):
@@ -209,14 +209,24 @@ def canonical_labels(labels: np.ndarray) -> np.ndarray:
 
 
 def partition_from_cut(graph: PlanarGraph, x: np.ndarray) -> np.ndarray:
-    """Connected components of the subgraph of uncut edges, canonical labels."""
-    x = np.asarray(x, dtype=bool)
-    keep = ~x
-    n = graph.vertex_count
-    data = np.ones(int(keep.sum()), dtype=np.int8)
-    adj = csr_matrix((data, (graph.tail[keep], graph.head[keep])), shape=(n, n))
-    _, labels = connected_components(adj, directed=False)
-    return canonical_labels(labels)
+    """Connected components of the subgraph of uncut edges, canonical labels.
+
+    A vectorized union-find: each root is hooked to the smaller root across
+    every uncut edge, then pointers jump until nothing changes.  Every
+    vertex ends up holding the smallest vertex id of its component, so the
+    rank of that id is already the first-occurrence label.
+    """
+    keep = ~np.asarray(x, dtype=bool)
+    u, v = graph.tail[keep], graph.head[keep]
+    root = np.arange(graph.vertex_count)
+    while True:
+        ru, rv = root[u], root[v]
+        if np.array_equal(ru, rv):
+            return np.unique(root, return_inverse=True)[1]
+        np.minimum.at(root, np.maximum(ru, rv), np.minimum(ru, rv))
+        jumped = root[root]
+        while not np.array_equal(jumped, root):
+            root, jumped = jumped, jumped[jumped]
 
 
 def cut_from_partition(graph: PlanarGraph, labels: np.ndarray) -> np.ndarray:

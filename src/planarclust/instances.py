@@ -239,6 +239,8 @@ def read_instance(path) -> Instance:
             doc = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ParseError(f"{path}: instance document is not a JSON object")
     for key in ("vertex_count", "edges", "rotation"):
         if key not in doc:
             raise ParseError(f"{path}: missing required field '{key}'")
@@ -249,10 +251,13 @@ def read_instance(path) -> Instance:
         vertex_count = int(doc["vertex_count"])
     except (TypeError, ValueError, KeyError) as exc:
         raise ParseError(f"{path}: malformed field: {exc}") from exc
+    metadata = doc.get("metadata", {})
+    if not isinstance(metadata, dict):
+        raise ParseError(f"{path}: field 'metadata' is not a JSON object")
     graph = build_graph(vertex_count, edges, rotation)
     return Instance(
         graph=graph,
         theta=theta,
         name=str(doc.get("name", "unnamed")),
-        metadata=dict(doc.get("metadata", {})),
+        metadata=metadata,
     )

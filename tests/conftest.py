@@ -1,14 +1,36 @@
 import numpy as np
 import pytest
-from hypothesis import settings
+from hypothesis import settings, strategies as st
 
 from planarclust.graph import build_graph
-from planarclust.instances import rotation_from_positions
+from planarclust.instances import GpbLikeWeights, gen_grid, gen_random_planar, rotation_from_positions
 
 
 # derandomized: every run draws the same examples, so a failure reproduces
 settings.register_profile("derandomized", derandomize=True, deadline=None, database=None)
 settings.load_profile("derandomized")
+
+
+# random planar graphs (sparsified down to trees at times, so with bridges)
+# and small GPB grids
+planar_graphs = st.one_of(
+    st.builds(gen_random_planar, st.integers(3, 20), st.integers(0, 2**32 - 1)),
+    st.builds(
+        gen_grid, st.integers(2, 6), st.integers(2, 6), st.just(GpbLikeWeights(0.27)),
+        st.integers(0, 2**32 - 1),
+    ),
+).map(lambda inst: inst.graph)
+
+
+def edge_masks(edge_count):
+    """Boolean per-edge vectors, with the all-false and all-true extremes."""
+    return st.one_of(
+        st.just(np.zeros(edge_count, dtype=bool)),
+        st.just(np.ones(edge_count, dtype=bool)),
+        st.lists(st.booleans(), min_size=edge_count, max_size=edge_count).map(
+            lambda bits: np.array(bits, dtype=bool)
+        ),
+    )
 
 
 def embedded(vertex_count, edges, pos):

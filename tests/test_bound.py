@@ -111,7 +111,7 @@ def test_lp_objective_monotone_across_batches():
         pool = CutPool()
         values = []
         for _ in range(50):
-            lam = _solve_restricted(theta, neg, pool)
+            lam, _ = _solve_restricted(theta, neg, pool)
             values.append(lower_bound_value(theta, lam))
             cut, value = min_cut_2color(inst.graph, lam)
             if value >= -1e-9:

@@ -195,3 +195,10 @@ def test_malformed_instance_fails(capsys, tmp_path):
     p.write_text("{}")
     code, _, err = run_cli(capsys, "solve", str(p))
     assert code == 1
+    # a document that is not an object, and metadata that is not an object
+    good = json.loads(write_triangle(tmp_path, [-1.0, 1.0, 1.0]).read_text())
+    for doc in (5, {**good, "metadata": 5}):
+        p.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "solve", str(p))
+        assert code == 1 and out == ""
+        assert err.startswith("planarclust: error: ") and err.count("\n") == 1

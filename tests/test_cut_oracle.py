@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import dijkstra
 
 from planarclust import cut_oracle
 from planarclust.cut_oracle import (
@@ -19,7 +22,7 @@ from planarclust.oracle import (
     min_weight_perfect_matching,
 )
 
-from conftest import embedded
+from conftest import edge_masks, embedded, planar_graphs
 
 
 def test_all_positive_gives_empty_cut(triangle):
@@ -189,3 +192,55 @@ def test_basic_cuts_cover_random():
             assert comp.max() + 1 >= 2
             merged |= c
         assert np.array_equal(merged, x)
+
+
+@given(st.data())
+def test_directed_dual_pattern_matches_undirected_dijkstra(data):
+    # the oracle's directed CSR holds both directions of every face pair;
+    # the reference holds each pair once (upper triangle), undirected
+    graph = data.draw(planar_graphs)
+    info = cut_oracle._dual_info(graph)
+    fc, groups = info.face_count, info.group_key.size
+    weights = st.one_of(st.sampled_from([0.0, 1.0, 2.0]), st.floats(0.0, 10.0))
+    gmin = np.array(data.draw(st.lists(weights, min_size=groups, max_size=groups)))
+    terminals = np.flatnonzero(data.draw(edge_masks(fc)))
+    lo, hi = info.group_key // fc, info.group_key % fc
+    upper = csr_matrix((gmin, hi, np.searchsorted(lo, np.arange(fc + 1))), shape=(fc, fc))
+    ref_dist, ref_pred = dijkstra(upper, directed=False, indices=terminals, return_predecessors=True)
+    adj = csr_matrix((gmin[info.slot_group], info.indices, info.indptr), shape=(fc, fc))
+    dist, pred = dijkstra(adj, directed=True, indices=terminals, return_predecessors=True)
+    assert np.array_equal(dist, ref_dist)
+    assert np.array_equal(pred, ref_pred)
+
+
+def _scale_to_int_loop(values, max_digits=9):
+    """The former one-scale-at-a-time search, kept as the reference."""
+    arr = np.asarray(values, dtype=float)
+    for digits in range(max_digits + 1):
+        scaled = arr * 10**digits
+        rounded = np.rint(scaled)
+        if np.all(np.abs(scaled - rounded) <= 1e-12 * np.maximum(1.0, np.abs(scaled))):
+            return (rounded.astype(np.int64), 10**digits) if np.max(np.abs(rounded)) < 2**52 else None
+    return None
+
+
+@given(
+    st.lists(
+        st.one_of(
+            st.integers(-(10**6), 10**6).flatmap(
+                lambda k: st.integers(0, 9).map(lambda d: k / 10**d)
+            ),
+            st.floats(-1e6, 1e6),
+            st.floats(-1e17, 1e17),
+        ),
+        min_size=1,
+        max_size=30,
+    )
+)
+def test_scale_to_int_matches_scale_by_scale_search(values):
+    got, ref = scale_to_int(values), _scale_to_int_loop(values)
+    if ref is None:
+        assert got is None
+    else:
+        assert np.array_equal(got[0], ref[0]) and got[0].dtype == ref[0].dtype
+        assert got[1] == ref[1] and type(got[1]) is int

@@ -198,3 +198,66 @@ def test_recursive_deterministic_given_seed():
     assert a.energy == b.energy
     c = decode_recursive(inst.graph, inst.theta, br.lam, seed=2, restart=0)
     assert c.energy <= 0.0
+
+
+def _counting_solve_lp(monkeypatch):
+    calls = []
+
+    def counted(problem):
+        calls.append(problem)
+        return solve_lp(problem)
+
+    monkeypatch.setattr(decode_module, "solve_lp", counted)
+    return calls
+
+
+def test_rounding_reuses_the_converged_lp(monkeypatch):
+    calls = _counting_solve_lp(monkeypatch)
+    reused = 0
+    for seed in range(40):
+        inst = gen_random_planar(8 + seed % 13, 1200 + seed)
+        theta = inst.theta
+        br = optimize_lower_bound(inst.graph, theta)
+        assert br.converged
+        if not len(br.pool) or not (theta < 0).any():
+            assert br.final_lp is None
+            continue
+        assert br.final_lp.pool_rows == len(br.pool)
+        assert br.final_lp.kept.shape == (len(br.pool),)
+        n_calls = len(calls)
+        res = decode_rounding(inst.graph, theta, br.pool, bound=br.bound, final_lp=br.final_lp)
+        assert len(calls) == n_calls
+        ref = decode_rounding(inst.graph, theta, br.pool, bound=br.bound)
+        assert len(calls) == n_calls + 1
+        assert np.array_equal(res.partition, ref.partition)
+        assert res.energy == ref.energy
+        assert res.certificate == ref.certificate
+        reused += 1
+    assert reused >= 30
+
+
+def test_rounding_resolves_without_a_current_lp(monkeypatch):
+    calls = _counting_solve_lp(monkeypatch)
+    # cut short: no final LP on the result, so best_decode solves one
+    inst = next(
+        inst
+        for inst in (gen_random_planar(12, 1300 + seed) for seed in range(20))
+        if not optimize_lower_bound(inst.graph, inst.theta, max_batches=1).converged
+    )
+    br = optimize_lower_bound(inst.graph, inst.theta, max_batches=1)
+    assert br.final_lp is None
+    best_decode(inst.graph, inst.theta, br, restarts=1)
+    assert len(calls) == 1
+
+    # converged, then the pool grows: the stored LP is stale and is not used
+    br = optimize_lower_bound(inst.graph, inst.theta)
+    assert br.converged and br.final_lp is not None
+    best_decode(inst.graph, inst.theta, br, restarts=1)
+    assert len(calls) == 1
+    g = inst.graph
+    # the isolating cut of some vertex is new to the pool
+    assert any(br.pool.add((g.tail == v) | (g.head == v)) for v in range(g.vertex_count))
+    res = decode_rounding(inst.graph, inst.theta, br.pool, final_lp=br.final_lp)
+    assert len(calls) == 2
+    ref = decode_rounding(inst.graph, inst.theta, br.pool)
+    assert np.array_equal(res.partition, ref.partition) and res.energy == ref.energy

@@ -2,6 +2,9 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components
 
 from planarclust.graph import (
     EulerViolation,
@@ -15,6 +18,8 @@ from planarclust.graph import (
     repair_cut,
     same_clustering,
 )
+
+from conftest import edge_masks, planar_graphs
 
 def test_triangle_faces(triangle):
     assert triangle.face_count == 2
@@ -126,3 +131,22 @@ def test_repair_is_below(k4):
         repaired = repair_cut(k4, x)
         assert not (repaired & ~x).any()
         assert is_valid_multicut(k4, repaired)
+
+
+def _partition_via_sparse(graph, x):
+    """The former route: scipy's connected components, then canonical labels."""
+    keep = ~x
+    n = graph.vertex_count
+    data = np.ones(int(keep.sum()), dtype=np.int8)
+    adj = csr_matrix((data, (graph.tail[keep], graph.head[keep])), shape=(n, n))
+    return canonical_labels(connected_components(adj, directed=False)[1])
+
+
+@given(st.data())
+def test_partition_from_cut_matches_sparse_components(data):
+    graph = data.draw(planar_graphs)
+    x = data.draw(edge_masks(graph.edge_count))
+    labels = partition_from_cut(graph, x)
+    ref = _partition_via_sparse(graph, x)
+    assert labels.dtype == ref.dtype
+    assert np.array_equal(labels, ref)
