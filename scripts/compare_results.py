@@ -1,4 +1,4 @@
-"""Check that two checkouts compute bit-identical results.
+"""Compare the results of two checkouts, instance by instance.
 
     python scripts/compare_results.py OLD_CHECKOUT NEW_CHECKOUT
 
@@ -19,10 +19,13 @@ pass.  The recursive pass is left out on `grid-gpb`, where it takes about
 2 s per instance; `decode-recursive` covers that path on smaller grids.
 An instance that raises hashes its exception instead.
 
-Prints one digest per instance set and checkout, and exits 1 at the first
-instance whose digest differs.  Both processes run at once, so the
-comparison takes about as long as one checkout's run: about a minute on a
-2-core x86-64 host.
+Every set runs to the end.  Per set it prints each checkout's digest and
+batch and oracle-call totals, how many instances differ, the largest
+bound difference, and the instances whose certificate or energy differ
+in any decode.  Exits 1 if any instance's digest differs, so a change
+that is not bit-identical shows how far its results moved.  Both
+processes run at once, so the comparison takes about as long as one
+checkout's run: about a minute on a 2-core x86-64 host.
 """
 
 from __future__ import annotations
@@ -43,32 +46,43 @@ SETS = (
 )
 
 
-def _hash_decode(h, res) -> None:
+def _decode_record(h, res) -> list:
+    """Hash a decode result; return its [energy, certificate]."""
     h.update(res.partition.astype("int64").tobytes())
     h.update(f"{res.energy!r} {res.certificate} {res.method};".encode())
+    return [res.energy, bool(res.certificate)]
 
 
-def _instance_digest(pc, decode, W, wl, spec, seed, max_batches, recursive) -> str:
+def _instance_record(pc, decode, W, wl, spec, seed, max_batches, recursive) -> dict:
+    """Digest, bound, counts and [energy, certificate] of each decode."""
     h = hashlib.sha256()
+    rec = {"bound": None, "batches": 0, "oracle_calls": 0, "decodes": []}
     try:
         inst = W.make_instance(spec)
         g, theta = inst.graph, inst.theta
         br = pc.optimize_lower_bound(g, theta, tol=W.TOL, max_batches=max_batches)
+        rec.update(bound=br.bound, batches=br.batches, oracle_calls=br.oracle_calls)
         h.update(f"{br.bound!r} {br.batches} {br.oracle_calls} {br.converged};".encode())
         h.update(br.lam.tobytes())
         h.update(br.pool.matrix(g.edge_count).tobytes())
+        decodes = rec["decodes"]
         if not wl.bound_in_setup:
-            _hash_decode(h, pc.best_decode(g, theta, br, restarts=W.RESTARTS, seed=seed))
-            _hash_decode(h, decode.decode_rounding(g, theta, br.pool, bound=br.bound))
+            res = pc.best_decode(g, theta, br, restarts=W.RESTARTS, seed=seed)
+            decodes.append(_decode_record(h, res))
+            res = decode.decode_rounding(g, theta, br.pool, bound=br.bound)
+            decodes.append(_decode_record(h, res))
         if recursive:
-            _hash_decode(h, decode.decode_recursive(g, theta, br.lam, seed=seed, bound=br.bound))
+            res = decode.decode_recursive(g, theta, br.lam, seed=seed, bound=br.bound)
+            decodes.append(_decode_record(h, res))
     except Exception as exc:  # both checkouts must fail alike
         h.update(f"{type(exc).__name__}: {exc}".encode())
-    return h.hexdigest()
+        rec["error"] = f"{type(exc).__name__}: {exc}"
+    rec["digest"] = h.hexdigest()
+    return rec
 
 
 def worker(checkout: str) -> None:
-    """Print one JSON line per instance set: its label and per-instance digests."""
+    """Print one JSON line per instance set: its label and per-instance records."""
     sys.dont_write_bytecode = True
     sys.path[:0] = [f"{checkout}/src", f"{checkout}/perfbench"]
     import planarclust as pc
@@ -77,11 +91,11 @@ def worker(checkout: str) -> None:
 
     for label, name, seed, max_batches, recursive in SETS:
         wl = W.WORKLOADS[name]
-        digests = [
-            _instance_digest(pc, decode, W, wl, spec, seed, max_batches, recursive)
+        records = [
+            _instance_record(pc, decode, W, wl, spec, seed, max_batches, recursive)
             for spec in W.instance_specs(wl, seed)
         ]
-        print(json.dumps({"set": label, "digests": digests}), flush=True)
+        print(json.dumps({"set": label, "records": records}), flush=True)
 
 
 def main() -> int:
@@ -108,18 +122,29 @@ def main() -> int:
         for out in outs:
             out.seek(0)
         old, new = ([json.loads(line) for line in out] for out in outs)
+    differs = False
     for a, b in zip(old, new):
-        for side, doc in (("old", a), ("new", b)):
-            total = hashlib.sha256("".join(doc["digests"]).encode()).hexdigest()
-            print(f"{doc['set']:32s} {side} {len(doc['digests']):5d} instances  {total}")
-        for i, (da, db) in enumerate(zip(a["digests"], b["digests"])):
-            if da != db:
-                print(f"DIFFERENT: {a['set']} instance {i}")
-                return 1
-        if len(a["digests"]) != len(b["digests"]):
-            print(f"DIFFERENT: {a['set']} instance count")
-            return 1
-    return 0
+        ra, rb = a["records"], b["records"]
+        for side, recs in (("old", ra), ("new", rb)):
+            total = hashlib.sha256("".join(r["digest"] for r in recs).encode()).hexdigest()
+            batches = sum(r["batches"] for r in recs)
+            calls = sum(r["oracle_calls"] for r in recs)
+            print(f"{a['set']:32s} {side} {len(recs):5d} instances  batches {batches:6d}  "
+                  f"oracle calls {calls:6d}  {total}")
+        diff = [i for i, (x, y) in enumerate(zip(ra, rb)) if x["digest"] != y["digest"]]
+        gaps = [abs(x["bound"] - y["bound"]) for x, y in zip(ra, rb)
+                if x["bound"] is not None and y["bound"] is not None]
+        print(f"{a['set']:32s} {len(diff)} instances differ; largest bound difference "
+              f"{max(gaps, default=0.0):.3g}")
+        for i, (x, y) in enumerate(zip(ra, rb)):
+            if x["decodes"] != y["decodes"] or x.get("error") != y.get("error"):
+                # [energy, certificate] of best_decode, rounding, recursive
+                print(f"  instance {i}: certificate or energy differs: old {x['decodes']} "
+                      f"{x.get('error', '')}  new {y['decodes']} {y.get('error', '')}")
+        if diff or len(ra) != len(rb):
+            differs = True
+            print(f"DIFFERENT: {a['set']}" + (" instance count" if len(ra) != len(rb) else ""))
+    return 1 if differs else 0
 
 
 if __name__ == "__main__":

@@ -18,8 +18,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .bound import BoundResult, CutPool, optimize_lower_bound
-from .decode import best_decode
+from .bound import BoundResult, CutPool, lower_bound_value, optimize_lower_bound
+from .cut_oracle import min_cut_2color
+from .decode import CERTIFICATE_TOL, best_decode
 from .graph import GraphError
 from .instances import (
     GpbLikeWeights,
@@ -183,7 +184,16 @@ def cmd_bound(args) -> int:
     return 0
 
 
-def _load_bound(path, edge_count):
+def _load_bound(path, graph, theta):
+    """The bound document at `path`, checked against the instance.
+
+    The bound must not exceed what the file's lambda certifies,
+    sum(min(theta - lambda, 0)) + 1.5 * min(0, oracle value), which holds
+    for any lambda by the two-versus-four-colour inequality.  A run that
+    converged at the default tolerance exceeds it by at most
+    1.5 * CERTIFICATE_TOL.
+    """
+    edge_count = graph.edge_count
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
     for key in ("lambda", "pool", "bound", "batches", "oracle_calls", "converged"):
@@ -198,6 +208,11 @@ def _load_bound(path, edge_count):
         raise ParseError(f"{path}: malformed field: {exc}") from exc
     if lam.shape != (edge_count,):
         raise ParseError(f"{path}: lambda length does not match the instance")
+    if not (np.isfinite(lam).all() and np.isfinite(bound)):
+        raise ParseError(f"{path}: lambda and bound must be finite")
+    certified = lower_bound_value(theta, lam) + 1.5 * min(0.0, min_cut_2color(graph, lam)[1])
+    if bound > certified + 1.5 * CERTIFICATE_TOL:
+        raise ParseError(f"{path}: bound {bound!r} exceeds the {certified!r} that its lambda certifies")
     pool = CutPool()
     for k, ids in enumerate(pool_ids):
         # numpy would truncate float ids and wrap negative ones silently
@@ -220,7 +235,7 @@ def _load_bound(path, edge_count):
 
 def cmd_decode(args) -> int:
     instance = read_instance(args.instance)
-    br = _load_bound(args.bound, instance.graph.edge_count)
+    br = _load_bound(args.bound, instance.graph, instance.theta)
     t0 = time.perf_counter()
     res = best_decode(
         instance.graph,

@@ -207,24 +207,18 @@ def min_cut_forced(graph: PlanarGraph, w, e: int) -> tuple[np.ndarray, float]:
 
 
 def split_into_basic_cuts(graph: PlanarGraph, x) -> list[np.ndarray]:
-    """Isolating cut of every component of the (repaired) multicut, deduped.
+    """Isolating cut of every component of the (repaired) multicut.
 
     The elementwise OR of the returned cuts equals the repaired input cut;
-    each returned cut is 2-colorable.
+    each returned cut is 2-colorable.  On a connected graph two components
+    share an isolating cut only when they make up the whole graph, so two
+    components give one cut and k > 2 components give k distinct cuts.
     """
     x = np.asarray(x, dtype=bool)
     labels = partition_from_cut(graph, x)
     k = int(labels.max()) + 1
     if k <= 1:
         return []
-    out = []
-    seen = set()
     lt = labels[graph.tail]
     lh = labels[graph.head]
-    for c in range(k):
-        b = (lt == c) ^ (lh == c)
-        key = b.tobytes()
-        if key not in seen:
-            seen.add(key)
-            out.append(b)
-    return out
+    return [(lt == c) ^ (lh == c) for c in range(1 if k == 2 else k)]

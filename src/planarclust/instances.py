@@ -251,6 +251,8 @@ def read_instance(path) -> Instance:
         vertex_count = int(doc["vertex_count"])
     except (TypeError, ValueError, KeyError) as exc:
         raise ParseError(f"{path}: malformed field: {exc}") from exc
+    if not np.isfinite(theta).all():
+        raise ParseError(f"{path}: edge weights must be finite")
     metadata = doc.get("metadata", {})
     if not isinstance(metadata, dict):
         raise ParseError(f"{path}: field 'metadata' is not a JSON object")

@@ -1,15 +1,15 @@
 """Exact minimum-weight perfect matching on general graphs.
 
-The solver is a primal-dual blossom algorithm (Edmonds' shrinking with the
-classic O(V^3) stage structure).  It maximizes weight in max-cardinality
-mode on the negated weights, which yields the minimum-weight perfect
-matching whenever one exists; missing edges are padded with a strongly
-negative sentinel so that a "perfect" matching through a sentinel edge is
-exactly the witness that no true perfect matching exists.  The sentinel,
--(1 + 2 n max|w|), outweighs any difference in real weight; int64 inputs
-whose sentinel leaves no head-room below the solver's infinity raise
-MatchingError.  An odd vertex count gets one dummy vertex joined to all at
-weight 0, so the solver always seeks a perfect matching.
+The solver is a primal-dual blossom algorithm with Edmonds' shrinking.  It
+maximizes weight in max-cardinality mode on the negated weights, which
+yields the minimum-weight perfect matching whenever one exists; missing
+edges are padded with a strongly negative sentinel so that a "perfect"
+matching through a sentinel edge is exactly the witness that no true
+perfect matching exists.  The sentinel, -(1 + 2 n max|w|), outweighs any
+difference in real weight; int64 inputs whose sentinel leaves no head-room
+below the solver's infinity raise MatchingError.  An odd vertex count gets
+one dummy vertex joined to all at weight 0, so the solver always seeks a
+perfect matching.
 
 Like Blossom V (Kolmogorov 2009), the solver does not start from an empty
 matching with uniform duals.  Each vertex dual starts at half the largest
@@ -19,7 +19,19 @@ minimum slack and is matched to the lowest-index free vertex on a now
 tight edge.  Every slack stays nonnegative, every matched edge is tight and
 there are no blossoms, so the primal-dual stages start from there.  On the
 cut oracle's metric-closure matrices this greedy start leaves few vertices
-free, and the stage count (one per augmentation) drops accordingly.
+free, and the augmentation count drops accordingly.
+
+A stage grows an alternating forest from the free vertices.  It ends at an
+augmentation, or when a dual update takes a T-blossom's dual to zero: that
+blossom is expanded and the next stage grows a new forest, where the
+classic algorithm relabels the forest in place.  So the classic O(V^3)
+bound per stage no longer holds; between two positive dual updates a stage
+may restart once per blossom.  Restarts are rare on the cut oracle's
+matrices.  On the oracle inputs of the benchmark's seed-0 rounds, 30 of
+312 grid-gpb solves restarted (74 restarts), 46 of 3876 planar-desk solves
+(49) and none of 3326 decode-recursive solves.  The oracle inputs of one
+bound run on a GPB grid (beta 0.27, seed 0) took 18 restarts at 50x50 and
+22 at 70x70.
 
 `match_dense(weights, mask)` is the one entry to the solver: a symmetric
 weight matrix plus a boolean mask of real edges in, the mate array out.
@@ -118,14 +130,8 @@ class _DenseBlossom:
         self._greedy_start()
 
     def _greedy_start(self):
-        """Dual-feasible duals and a greedy matching on tight edges.
-
-        Each vertex dual starts at half its largest W2 entry, so every
-        slack is >= 0.  Each free vertex in index order then lowers its
-        dual by its minimum slack and takes the lowest-index free vertex
-        whose edge became tight.  Matched edges are tight and no blossom
-        exists, which is a valid state for the primal-dual stages.
-        """
+        """Dual-feasible duals and a greedy matching on tight edges, as the
+        module docstring describes."""
         n = self.n
         if n == 0:
             return
@@ -168,10 +174,10 @@ class _DenseBlossom:
 
     def _assign_label(self, w: int, t: int, edge):
         b = int(self.inblossom[w])
-        if self.label[b] or self.label[w]:
+        if self.label[b]:
             raise MatchingError(f"vertex {w} is labeled twice in one stage")
-        self.label[w] = self.label[b] = t
-        self.labeledge[w] = self.labeledge[b] = edge
+        self.label[b] = t
+        self.labeledge[b] = edge
         leaves = self._leaves(b)
         self.vlabel[leaves] = t
         if t == 1:
@@ -259,103 +265,24 @@ class _DenseBlossom:
             self.inblossom[leaf] = b
             self.vlabel[leaf] = 1
 
-    def _expand_blossom(self, b: int, endstage: bool):
-        childs = self.childs[b]
-        cyc = self.cycedges[b]
-        for s in childs:
+    def _expand_blossom(self, b: int):
+        """Dissolve zero-dual top-level blossom b and its zero-dual children.
+
+        Children keep their inner matching; the stage then ends, so no tree
+        label needs repair."""
+        for s in self.childs[b]:
             self.parent[s] = -1
             if s < self.n:
                 self.inblossom[s] = s
-            elif endstage and self.y[s] == 0:
-                self._expand_blossom(s, True)
+            elif self.y[s] == 0:
+                self._expand_blossom(s)
             else:
-                for leaf in self._leaves(s):
-                    self.inblossom[leaf] = s
-        if not endstage:
-            for s in childs:
-                if s >= self.n:
-                    self.label[s] = 0
-                    self.labeledge[s] = None
-        if (not endstage) and self.label[b] == 2:
-            self._relabel_expanded(b, childs, cyc)
-        self.label[b] = 0
-        self.labeledge[b] = None
+                self.inblossom[self._leaves(s)] = s
         self.childs[b] = None
         self.cycedges[b] = None
         self.base[b] = -1
         self.active_blossoms.discard(b)
         self.free_ids.append(b)
-
-    def _relabel_expanded(self, b: int, childs: list, cyc: list):
-        """After expanding a T-blossom mid-stage, restore tree labels.
-
-        The alternating path from the entry vertex to the blossom base runs
-        along the even side of the odd cycle; children on it alternate T/S.
-        Children off the path become free unless an earlier tight edge left
-        a vertex-level T mark to relabel them through.
-        """
-        far0, near0 = self.labeledge[b]
-        L = len(childs)
-        entry = int(self.inblossom[near0])
-        j = childs.index(entry)
-        step = 1 if j % 2 == 1 else -1
-        p = (far0, near0)
-        jj = j
-        # reset labels of path children so _assign_label sees a clean slate
-        for s in childs:
-            self.vlabel[self._leaves(s)] = 0
-        while jj != 0:
-            # T-label the child containing p[1]; auto-labels its partner S
-            self.label[p[1]] = 0
-            bchild = int(self.inblossom[p[1]])
-            partner = int(self.mate[self.base[bchild]])
-            if partner >= 0:
-                self.label[partner] = 0
-            self._assign_label(p[1], 2, p)
-            if step == 1:
-                self._mark_allowed(*cyc[jj])
-                jj += 1
-                a, c = cyc[jj]
-                self._mark_allowed(a, c)
-                p = (a, c)
-                jj += 1
-                if jj == L:
-                    jj = 0
-            else:
-                self._mark_allowed(*cyc[jj - 1])
-                jj -= 1
-                a, c = cyc[jj - 1]
-                self._mark_allowed(a, c)
-                p = (c, a)
-                jj -= 1
-        # base child: T label without stepping to its (external) mate
-        bv = int(self.inblossom[p[1]])
-        self.label[bv] = 2
-        self.label[p[1]] = 2
-        self.labeledge[bv] = p
-        self.labeledge[p[1]] = p
-        self.vlabel[self._leaves(bv)] = 2
-        # walk the off-path side: free, unless a vertex-level T mark exists
-        jj = 0 + step
-        cur = childs[jj % L]
-        while cur != entry:
-            if self.label[cur] == 1:
-                jj += step
-                cur = childs[jj % L]
-                continue
-            marked_vertex = -1
-            for leaf in self._leaves(cur):
-                if self.label[leaf] != 0:
-                    marked_vertex = leaf
-                    break
-            if marked_vertex >= 0:
-                if self.label[marked_vertex] != 2:
-                    raise MatchingError(f"vertex {marked_vertex} holds a stale non-T mark")
-                self.label[marked_vertex] = 0
-                self.label[int(self.mate[self.base[cur]])] = 0
-                self._assign_label(marked_vertex, 2, self.labeledge[marked_vertex])
-            jj += step
-            cur = childs[jj % L]
 
     # -- augmenting -----------------------------------------------------
 
@@ -444,9 +371,6 @@ class _DenseBlossom:
                 else:
                     self._augment_matching(v, w)
                     return True
-            elif self.label[w] == 0:
-                self.label[w] = 2
-                self.labeledge[w] = (v, w)
         return False
 
     def _delta3(self):
@@ -502,17 +426,14 @@ class _DenseBlossom:
             for v in free:
                 if self.label[self.inblossom[v]] == 0:
                     self._assign_label(v, 1, None)
-            augmented = False
             while True:
+                augmented = False
                 while self.queue and not augmented:
-                    v = self.queue.pop()
-                    augmented = self._scan_vertex(v)
+                    augmented = self._scan_vertex(self.queue.pop())
                 if augmented:
                     break
                 # dual update
-                delta = None
-                d_edge = None
-                d_blossom = None
+                delta = d_edge = d_blossom = None
                 freemask = self.vlabel == 0
                 if freemask.any():
                     cand2 = np.where(freemask, self.s2val + self.y[:n], self.INF)
@@ -546,13 +467,21 @@ class _DenseBlossom:
                         elif lb == 2:
                             self.y[b] -= delta
                 if d_blossom is not None:
-                    # blossoms are checked last, so a chosen one has the minimum
-                    self._expand_blossom(d_blossom, endstage=False)
-                else:
-                    u, w = d_edge
-                    self._mark_allowed(u, w)
-                    self.queue.append(u)
-            # stage ended with augmentation
+                    # Blossoms are checked last, so the chosen one has the
+                    # minimum and its dual is now zero: expand it and start
+                    # a new stage.  Restarts terminate: each follows either a
+                    # positive dual update (delta = y_b > 0) or the expansion
+                    # of a zero-dual blossom that already existed, and
+                    # blossoms formed with zero dual during a stage are
+                    # expanded at that stage's end.  So between two positive
+                    # dual updates there are at most as many restarts as
+                    # blossoms.
+                    self._expand_blossom(d_blossom)
+                    break
+                u, w = d_edge
+                self._mark_allowed(u, w)
+                self.queue.append(u)
+            # the stage ended with an augmentation or a T-blossom expansion
             for b in list(self.active_blossoms):
                 if (
                     self.parent[b] == -1
@@ -560,4 +489,4 @@ class _DenseBlossom:
                     and self.label[b] & 3 == 1
                     and self.y[b] == 0
                 ):
-                    self._expand_blossom(b, endstage=True)
+                    self._expand_blossom(b)

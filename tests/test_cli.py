@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from planarclust.cli import main
-from planarclust.instances import Instance, gen_random_planar, write_instance
+from planarclust.instances import GpbLikeWeights, Instance, gen_grid, gen_random_planar, write_instance
 
 from conftest import embedded
 
@@ -107,6 +107,28 @@ def test_decode_rejects_malformed_bound(tmp_path, capsys, edit, message):
     assert err.count("\n") == 1 and message in err
 
 
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda doc: {**doc, "bound": doc["bound"] + 50},
+        lambda doc: {**doc, "lambda": [repr(float(x) + 1) for x in doc["lambda"]]},
+        lambda doc: {**doc, "lambda": ["nan"] * len(doc["lambda"])},
+    ],
+    ids=["raised-bound", "edited-lambda", "nan-lambda"],
+)
+def test_decode_rejects_an_uncertified_bound(tmp_path, capsys, edit):
+    # the bound must not exceed what the file's own lambda certifies
+    inst = gen_grid(8, 8, GpbLikeWeights(0.27), 3)
+    path = tmp_path / "g.json"
+    write_instance(inst, path)
+    bpath = tmp_path / "b.json"
+    run_cli(capsys, "bound", str(path), "--out", str(bpath))
+    bpath.write_text(json.dumps(edit(json.loads(bpath.read_text()))))
+    code, out, err = run_cli(capsys, "decode", str(path), "--bound", str(bpath))
+    assert code == 1 and out == ""
+    assert err.startswith("planarclust: error: ") and err.count("\n") == 1
+
+
 def test_oracle_queries(tmp_path, capsys):
     path = write_triangle(tmp_path, [-1.0, -1.0, -1.0])
     code, out, _ = run_cli(capsys, "oracle", str(path), "--cc")
@@ -195,10 +217,16 @@ def test_malformed_instance_fails(capsys, tmp_path):
     p.write_text("{}")
     code, _, err = run_cli(capsys, "solve", str(p))
     assert code == 1
-    # a document that is not an object, and metadata that is not an object
+    # a document that is not an object, metadata that is not an object, and
+    # non-finite edge weights
     good = json.loads(write_triangle(tmp_path, [-1.0, 1.0, 1.0]).read_text())
-    for doc in (5, {**good, "metadata": 5}):
+    cases = [(5, "not a JSON object"), ({**good, "metadata": 5}, "'metadata' is not a JSON object")]
+    for w in ("nan", "inf", "-inf"):
+        edges = [[*good["edges"][0][:2], w], *good["edges"][1:]]
+        cases.append(({**good, "edges": edges}, "edge weights must be finite"))
+    for doc, message in cases:
         p.write_text(json.dumps(doc))
         code, out, err = run_cli(capsys, "solve", str(p))
         assert code == 1 and out == ""
         assert err.startswith("planarclust: error: ") and err.count("\n") == 1
+        assert message in err

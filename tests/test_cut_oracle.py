@@ -178,6 +178,36 @@ def test_split_into_basic_cuts(triangle):
     assert split_into_basic_cuts(triangle, np.zeros(3, dtype=bool)) == []
 
 
+def deduplicated_basic_cuts(graph, x):
+    """The isolating cut of every component, keeping the first of equal cuts."""
+    labels = partition_from_cut(graph, x)
+    k = int(labels.max()) + 1
+    if k <= 1:
+        return []
+    out = []
+    seen = set()
+    lt = labels[graph.tail]
+    lh = labels[graph.head]
+    for c in range(k):
+        b = (lt == c) ^ (lh == c)
+        key = b.tobytes()
+        if key not in seen:
+            seen.add(key)
+            out.append(b)
+    return out
+
+
+@given(st.data())
+def test_split_into_basic_cuts_matches_deduplicated_loop(data):
+    # on a connected graph only two components share their isolating cut
+    graph = data.draw(planar_graphs)
+    x = data.draw(edge_masks(graph.edge_count))
+    got = split_into_basic_cuts(graph, x)
+    want = deduplicated_basic_cuts(graph, x)
+    assert len(got) == len(want)
+    assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
 def test_basic_cuts_cover_random():
     rng = np.random.default_rng(17)
     for seed in range(20):

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from scipy.sparse.csgraph import shortest_path
 
 from planarclust.cut_oracle import scale_to_int
-from planarclust.matching import MatchingError, match_dense
+from planarclust.matching import MatchingError, _DenseBlossom, match_dense
 from planarclust.oracle import (
     MatchingProblem,
     NoPerfectMatching,
@@ -304,14 +304,38 @@ def test_match_dense_non_decimal_floats(problem):
     check_against_brute_force(*problem)
 
 
-def test_match_dense_euclidean_metric_vs_networkx():
-    # the production shape: a complete metric matrix over ~100 terminals
+def euclidean_metric(rng, t):
+    pts = rng.random((t, 2)) * 1000
+    d = np.rint(np.hypot(*(pts[:, None, :] - pts[None, :, :]).transpose(2, 0, 1)))
+    return shortest_path(d, directed=False).astype(np.int64)  # exact metric
+
+
+def test_match_dense_euclidean_metric_vs_networkx(monkeypatch):
+    # the production shape: complete metric matrices over 60-100 terminals.
+    # At this size a T-blossom's dual often reaches zero mid-stage; the
+    # solver then expands it and starts a new stage.
+    expand = _DenseBlossom._expand_blossom
+    restarts = nested = 0
+
+    def counting_expand(self, b):
+        nonlocal restarts, nested
+        # zero-dual children are expanded by nested calls
+        restarts += nested == 0 and self.label[b] & 3 == 2
+        nested += 1
+        try:
+            expand(self, b)
+        finally:
+            nested -= 1
+
+    monkeypatch.setattr(_DenseBlossom, "_expand_blossom", counting_expand)
     rng = np.random.default_rng(13)
-    for t in (98, 100):
-        pts = rng.random((t, 2)) * 1000
-        d = np.rint(np.hypot(*(pts[:, None, :] - pts[None, :, :]).transpose(2, 0, 1)))
-        d = shortest_path(d, directed=False).astype(np.int64)  # exact metric
+    restarted = 0
+    for k in range(32):
+        t = (98, 100)[k] if k < 2 else 2 * int(rng.integers(30, 41))
+        d = euclidean_metric(rng, t)
+        before = restarts
         mate = match_dense(d, ~np.eye(t, dtype=bool))
+        restarted += restarts > before
         assert sorted(mate[mate]) == list(range(t))
         g = nx.Graph()
         for u, v in itertools.combinations(range(t), 2):
@@ -321,3 +345,4 @@ def test_match_dense_euclidean_metric_vs_networkx():
         assert sum(int(d[v, mate[v]]) for v in range(t) if v < mate[v]) == -sum(
             g[u][v]["weight"] for u, v in ref
         )
+    assert restarted >= 5
