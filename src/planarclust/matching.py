@@ -13,13 +13,14 @@ perfect matching.
 
 Like Blossom V (Kolmogorov 2009), the solver does not start from an empty
 matching with uniform duals.  Each vertex dual starts at half the largest
-entry of its (negated, doubled) weight row, which makes every slack
-nonnegative; then each free vertex in index order lowers its dual by its
-minimum slack and is matched to the lowest-index free vertex on a now
-tight edge.  Every slack stays nonnegative, every matched edge is tight and
-there are no blossoms, so the primal-dual stages start from there.  On the
-cut oracle's metric-closure matrices this greedy start leaves few vertices
-free, and the augmentation count drops accordingly.
+entry of its (negated, doubled) weight row, rounded up to an even integer
+in int64 mode, which makes every slack nonnegative; then each free vertex
+in index order lowers its dual by its minimum slack and is matched to the
+lowest-index free vertex on a now tight edge.  Every slack stays
+nonnegative, every matched edge is tight and there are no blossoms, so the
+primal-dual stages start from there.  On the cut oracle's metric-closure
+matrices this greedy start leaves few vertices free, and the augmentation
+count drops accordingly.
 
 A stage grows an alternating forest from the free vertices.  It ends at an
 augmentation, or when a dual update takes a T-blossom's dual to zero: that
@@ -28,8 +29,8 @@ classic algorithm relabels the forest in place.  So the classic O(V^3)
 bound per stage no longer holds; between two positive dual updates a stage
 may restart once per blossom.  Restarts are rare on the cut oracle's
 matrices.  On the oracle inputs of the benchmark's seed-0 rounds, 30 of
-312 grid-gpb solves restarted (74 restarts), 46 of 3876 planar-desk solves
-(49) and none of 3326 decode-recursive solves.  The oracle inputs of one
+307 grid-gpb solves restarted (74 restarts), 50 of 3872 planar-desk solves
+(53) and none of 3326 decode-recursive solves.  The oracle inputs of one
 bound run on a GPB grid (beta 0.27, seed 0) took 18 restarts at 50x50 and
 22 at 70x70.
 
@@ -42,10 +43,19 @@ Choosing the dtype is the caller's job: the cut oracle scales short
 decimal weights to int64 before it builds the matrix.
 
 The implementation keeps a dense weight matrix and performs the hot
-per-vertex scans (slack rows, best-edge tracking for dual updates) as
-vectorized numpy operations; blossom bookkeeping stays in plain Python.
+per-vertex scans as vectorized numpy operations; blossom bookkeeping stays
+in plain Python.  A dual update takes the least of three steps: the slack
+from an S-vertex to a free vertex, read from a cache of each vertex's best
+slack to the S-vertices scanned so far; half the least slack between
+S-vertices of different top-level blossoms, from one dense block over the
+S-vertices; and the dual of a T-blossom.  The edge that sets the step is
+tight afterwards and is used at once to grow, shrink or augment.
+
 Duals follow the doubled convention: vertex duals are stored as 2*y so all
-dual adjustments stay integral for integer weights.
+dual adjustments stay integral for integer weights.  As in Galil (1986),
+this needs every S-S slack to be even: the duals start even, so the free
+vertices that root each stage's forest share one parity, and tight edges
+pass it on to every labeled vertex.  An odd S-S slack raises MatchingError.
 """
 
 from __future__ import annotations
@@ -122,11 +132,9 @@ class _DenseBlossom:
         self.cycedges: list = [None] * (2 * n)
         self.free_ids = list(range(2 * n - 1, n - 1, -1))
         self.active_blossoms: set[int] = set()
-        self.vlabel = np.zeros(n, dtype=np.int8)
         self.s2val = np.full(n, self.INF, dtype=self.dtype)
         self.s2arg = np.full(n, -1, dtype=np.int64)
         self.queue: list[int] = []
-        self.allowed: set[tuple[int, int]] = set()
         self._greedy_start()
 
     def _greedy_start(self):
@@ -137,7 +145,9 @@ class _DenseBlossom:
             return
         # the diagonal holds the sentinel, the smallest entry of each row
         top = self.W2.max(axis=1)
-        self.y[:n] = top // 2 if self.integer else top / 2
+        # integer duals start even (top / 2 rounded up), and the greedy
+        # steps below subtract even slacks, so they stay even
+        self.y[:n] = 2 * -(-top // 4) if self.integer else top / 2
         for v in range(n):
             if self.mate[v] >= 0:
                 continue
@@ -167,9 +177,6 @@ class _DenseBlossom:
     def _slack_row(self, v: int):
         return self.y[v] + self.y[: self.n] - self.W2[v]
 
-    def _slack(self, u: int, v: int):
-        return self.y[u] + self.y[v] - self.W2[u, v]
-
     # -- labeling -------------------------------------------------------
 
     def _assign_label(self, w: int, t: int, edge):
@@ -178,10 +185,8 @@ class _DenseBlossom:
             raise MatchingError(f"vertex {w} is labeled twice in one stage")
         self.label[b] = t
         self.labeledge[b] = edge
-        leaves = self._leaves(b)
-        self.vlabel[leaves] = t
         if t == 1:
-            self.queue.extend(leaves)
+            self.queue.extend(self._leaves(b))
         else:
             bb = int(self.base[b])
             m = int(self.mate[bb])
@@ -263,7 +268,6 @@ class _DenseBlossom:
                 # former T-vertex becomes S; it must be scanned
                 self.queue.append(leaf)
             self.inblossom[leaf] = b
-            self.vlabel[leaf] = 1
 
     def _expand_blossom(self, b: int):
         """Dissolve zero-dual top-level blossom b and its zero-dual children.
@@ -334,78 +338,68 @@ class _DenseBlossom:
                 self.mate[near] = far
                 s, p = far, near
 
-    # -- dual machinery ---------------------------------------------------
+    # -- stage ------------------------------------------------------------
 
-    def _mark_allowed(self, u: int, v: int):
-        self.allowed.add((u, v) if u < v else (v, u))
+    def _use_edge(self, v: int, w: int) -> bool:
+        """Grow, shrink or augment along tight edge (v, w) from S-vertex v.
+        Returns True on augmentation."""
+        bw = int(self.inblossom[w])
+        if bw == self.inblossom[v]:
+            return False
+        lb = self.label[bw] & 3
+        if lb == 0:
+            self._assign_label(w, 2, (v, w))
+        elif lb == 1:
+            bse = self._scan_blossom(v, w)
+            if bse < 0:
+                self._augment_matching(v, w)
+                return True
+            self._add_blossom(bse, v, w)
+        return False
 
     def _scan_vertex(self, v: int) -> bool:
-        """Process tight edges at S-vertex v. Returns True on augmentation."""
-        n = self.n
+        """Use the tight edges at S-vertex v. Returns True on augmentation."""
         row = self._slack_row(v)
         s2row = self.y[v] - self.W2[v]
         improved = s2row < self.s2val
-        if improved.any():
-            self.s2val[improved] = s2row[improved]
-            self.s2arg[improved] = v
-        tight = np.flatnonzero(row <= self.tol)
-        cand = list(tight)
-        if self.allowed:
-            for (a, c) in self.allowed:
-                if a == v and row[c] > self.tol:
-                    cand.append(c)
-                elif c == v and row[a] > self.tol:
-                    cand.append(a)
-        for w in cand:
-            w = int(w)
-            if w == v or self.inblossom[w] == self.inblossom[v]:
-                continue
-            bw = int(self.inblossom[w])
-            lb = self.label[bw] & 3
-            if lb == 0:
-                self._assign_label(w, 2, (v, w))
-            elif lb == 1:
-                bse = self._scan_blossom(v, w)
-                if bse >= 0:
-                    self._add_blossom(bse, v, w)
-                else:
-                    self._augment_matching(v, w)
-                    return True
+        self.s2val[improved] = s2row[improved]
+        self.s2arg[improved] = v
+        outside = self.inblossom != self.inblossom[v]
+        for w in np.flatnonzero((row <= self.tol) & outside):
+            if self._use_edge(v, int(w)):
+                return True
         return False
 
-    def _delta3(self):
-        """Min half-slack over S-S edges between different top blossoms."""
-        sv = np.flatnonzero(self.vlabel == 1)
-        if sv.size < 2:
-            return None, None
-        cand = self.s2val[sv] + self.y[sv]
-        args = self.s2arg[sv]
-        has = args >= 0
-        if not has.any():
-            return None, None
+    def _dual_update(self, lab):
+        """The least dual step, as (delta, edge, blossom): `edge` (S-vertex
+        first) is tight after the step, or T-blossom `blossom` has dual 0.
+        `lab` holds each vertex's top-level label (0 free, 1 S, 2 T)."""
+        n = self.n
+        delta, edge, blossom = self.INF, None, None
+        slack = np.where(lab == 0, self.s2val + self.y[:n], self.INF)
+        i = int(np.argmin(slack))
+        if slack[i] < self.INF:
+            delta, edge = slack[i], (int(self.s2arg[i]), i)
+        sv = np.flatnonzero(lab == 1)
         tops = self.inblossom[sv]
-        argtops = np.where(has, self.inblossom[np.maximum(args, 0)], -1)
-        valid = has & (argtops != tops)
-        best_val = None
-        best_pair = None
-        if valid.any():
-            i = int(np.argmin(np.where(valid, cand, self.INF)))
-            best_val = cand[i]
-            best_pair = (int(args[i]), int(sv[i]))
-        # vertices whose stored best partner sits in their own blossom may
-        # hide a valid cross-blossom edge at larger slack
-        rows = sv[has & ~valid]
-        if rows.size:
-            sub = self.y[rows, None] + self.y[None, sv] - self.W2[np.ix_(rows, sv)]
-            sub = np.where(self.inblossom[rows, None] == tops[None, :], self.INF, sub)
-            r, c = divmod(int(np.argmin(sub)), sv.size)
-            if sub[r, c] < (self.INF if best_val is None else best_val):
-                best_val = sub[r, c]
-                best_pair = (int(sv[c]), int(rows[r]))
-        if best_val is None or best_val >= self.INF:
-            return None, None
-        half = best_val // 2 if self.integer else best_val / 2
-        return half, best_pair
+        ss = self.y[sv, None] + self.y[None, sv] - self.W2[np.ix_(sv, sv)]
+        ss[tops[:, None] == tops[None, :]] = self.INF
+        if ss.size:
+            r, c = divmod(int(np.argmin(ss)), sv.size)
+            if ss[r, c] < self.INF:
+                if self.integer and ss[r, c] % 2:
+                    raise MatchingError(f"odd slack between S-vertices {sv[r]} and {sv[c]}")
+                half = ss[r, c] // 2 if self.integer else ss[r, c] / 2
+                if half < delta:
+                    delta, edge = half, (int(sv[r]), int(sv[c]))
+        for b in self.active_blossoms:
+            if self.parent[b] == -1 and self.label[b] & 3 == 2 and self.y[b] < delta:
+                delta, edge, blossom = self.y[b], None, b
+        if delta >= self.INF:
+            # n is even and missing edges hold the sentinel, so a perfect
+            # matching exists and some tree can always grow
+            raise MatchingError("no dual update with free vertices left")
+        return delta, edge, blossom
 
     def solve(self):
         self._init_state()
@@ -414,11 +408,9 @@ class _DenseBlossom:
             # new stage
             self.label[:] = 0
             self.labeledge = [None] * (2 * n)
-            self.vlabel[:] = 0
             self.s2val[:] = self.INF
             self.s2arg[:] = -1
             self.queue = []
-            self.allowed = set()
             free = [v for v in range(n) if self.mate[v] == -1]
             if not free:
                 mate = self.mate[: self.size]
@@ -432,32 +424,12 @@ class _DenseBlossom:
                     augmented = self._scan_vertex(self.queue.pop())
                 if augmented:
                     break
-                # dual update
-                delta = d_edge = d_blossom = None
-                freemask = self.vlabel == 0
-                if freemask.any():
-                    cand2 = np.where(freemask, self.s2val + self.y[:n], self.INF)
-                    i = int(np.argmin(cand2))
-                    if cand2[i] < self.INF and self.s2arg[i] >= 0:
-                        delta = cand2[i]
-                        d_edge = (int(self.s2arg[i]), i)
-                d3, pair3 = self._delta3()
-                if d3 is not None and (delta is None or d3 < delta):
-                    delta = d3
-                    d_edge = pair3
-                for b in self.active_blossoms:
-                    if self.parent[b] == -1 and self.label[b] & 3 == 2:
-                        if delta is None or self.y[b] < delta:
-                            delta = self.y[b]
-                            d_blossom = b
-                if delta is None:
-                    # n is even and missing edges hold the sentinel, so a
-                    # perfect matching exists and some tree can always grow
-                    raise MatchingError("no dual update with free vertices left")
+                lab = self.label[self.inblossom] & 3
+                delta, edge, blossom = self._dual_update(lab)
                 if not self.integer:
                     delta = max(delta, 0.0)
-                self.y[:n][self.vlabel == 1] -= delta
-                self.y[:n][self.vlabel == 2] += delta
+                self.y[:n][lab == 1] -= delta
+                self.y[:n][lab == 2] += delta
                 self.s2val -= delta
                 for b in self.active_blossoms:
                     if self.parent[b] == -1:
@@ -466,7 +438,7 @@ class _DenseBlossom:
                             self.y[b] += delta
                         elif lb == 2:
                             self.y[b] -= delta
-                if d_blossom is not None:
+                if blossom is not None:
                     # Blossoms are checked last, so the chosen one has the
                     # minimum and its dual is now zero: expand it and start
                     # a new stage.  Restarts terminate: each follows either a
@@ -476,11 +448,10 @@ class _DenseBlossom:
                     # expanded at that stage's end.  So between two positive
                     # dual updates there are at most as many restarts as
                     # blossoms.
-                    self._expand_blossom(d_blossom)
+                    self._expand_blossom(blossom)
                     break
-                u, w = d_edge
-                self._mark_allowed(u, w)
-                self.queue.append(u)
+                if self._use_edge(*edge):
+                    break
             # the stage ended with an augmentation or a T-blossom expansion
             for b in list(self.active_blossoms):
                 if (

@@ -1,6 +1,9 @@
 """The package's public surface and the module boundaries behind it."""
 
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -64,3 +67,14 @@ def test_matching_module_loads_standalone():
     w = np.array([[0, 3], [3, 0]], dtype=np.int64)
     mate = mod.match_dense(w, ~np.eye(2, dtype=bool))
     assert mate.tolist() == [1, 0]
+
+
+def test_package_import_leaves_the_reference_module_unloaded():
+    # importing the package loads every production module, so this catches
+    # an import of `oracle` from any of them, in any form; only cli.py, which
+    # the package does not import, may use the reference solvers
+    src = str(Path(planarclust.__file__).parents[1])
+    code = "import sys, planarclust; print('planarclust.oracle' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"

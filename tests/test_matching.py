@@ -289,19 +289,69 @@ def dense_problems(draw, values):
     return symmetric(n, upper, dtype), symmetric(n, present, bool)
 
 
+def match_with_dual_check(w, mask):
+    """`match_dense`'s mate array, after checking that the solver's final
+    duals certify it: the LP dual of the (padded, negated, doubled) problem
+    is feasible and complementary to the matching."""
+    solver = _DenseBlossom(w, mask)
+    result = solver.solve()
+    n, y, mate = solver.n, solver.y, solver.mate
+    tol = 0 if solver.integer else 1e-9 * max(1.0, float(np.abs(solver.W2).max()))
+    slack = y[:n, None] + y[None, :n] - solver.W2
+    for b in solver.active_blossoms:
+        leaves = solver._leaves(b)
+        slack[np.ix_(leaves, leaves)] += 2 * y[b]
+        assert y[b] >= -tol, f"blossom {b} has dual {y[b]}"
+        if y[b] > tol:
+            inside = np.isin(mate[leaves], leaves).sum()
+            assert inside == len(leaves) - 1, f"blossom {b} has a positive dual and is not full"
+    off = ~np.eye(n, dtype=bool)
+    assert slack[off].min(initial=0) >= -tol
+    assert (np.abs(slack[np.arange(n), mate]) <= tol).all()
+    return result
+
+
 @given(dense_problems(st.integers(-2, 2)))
 def test_match_dense_ties(problem):
     check_against_brute_force(*problem)
+    match_with_dual_check(*problem)
 
 
 @given(dense_problems(st.integers(-10**9, 10**9)))
 def test_match_dense_signed_ints(problem):
     check_against_brute_force(*problem)
+    match_with_dual_check(*problem)
 
 
 @given(dense_problems(st.floats(-100, 100).map(lambda x: x * np.pi)))
 def test_match_dense_non_decimal_floats(problem):
     check_against_brute_force(*problem)
+    match_with_dual_check(*problem)
+
+
+def test_int_duals_stay_even():
+    # Integer duals once started at top // 2, of mixed parity.  An S-S
+    # slack could then be odd, the halved dual step was floored, and an
+    # edge at slack 1 joined the matching: this problem cost -34, not -35.
+    w = np.array([
+        [0, 3, 0, -1, -9, 6, -2, 7, 0, 10, 2, 4],
+        [3, 0, 4, -3, -8, 8, -1, -5, -8, -4, -8, 5],
+        [0, 4, 0, -1, -8, -3, -7, 10, 9, 1, -2, 8],
+        [-1, -3, -1, 0, 8, 0, -7, -2, -6, 5, 5, 1],
+        [-9, -8, -8, 8, 0, -6, -2, -8, 4, -1, -5, 2],
+        [6, 8, -3, 0, -6, 0, 5, 8, -2, -4, 10, 9],
+        [-2, -1, -7, -7, -2, 5, 0, -2, 8, -8, 7, -5],
+        [7, -5, 10, -2, -8, 8, -2, 0, -7, -4, 6, 8],
+        [0, -8, 9, -6, 4, -2, 8, -7, 0, 2, 1, -2],
+        [10, -4, 1, 5, -1, -4, -8, -4, 2, 0, 2, 0],
+        [2, -8, -2, 5, -5, 10, 7, 6, 1, 2, 0, 3],
+        [4, 5, 8, 1, 2, 9, -5, 8, -2, 0, 3, 0],
+    ], dtype=np.int64)
+    mask = ~np.eye(12, dtype=bool)
+    for x in (w, w.astype(np.float64)):
+        mate = match_with_dual_check(x, mask)
+        assert sum(x[v, mate[v]] for v in range(12) if v < mate[v]) == -35
+    check_against_brute_force(w, mask)
 
 
 def euclidean_metric(rng, t):
@@ -334,7 +384,7 @@ def test_match_dense_euclidean_metric_vs_networkx(monkeypatch):
         t = (98, 100)[k] if k < 2 else 2 * int(rng.integers(30, 41))
         d = euclidean_metric(rng, t)
         before = restarts
-        mate = match_dense(d, ~np.eye(t, dtype=bool))
+        mate = match_with_dual_check(d, ~np.eye(t, dtype=bool))
         restarted += restarts > before
         assert sorted(mate[mate]) == list(range(t))
         g = nx.Graph()
