@@ -78,10 +78,13 @@ class BoundResult:
     bound: float
     pool: CutPool
     batches: int
-    oracle_calls: int
     converged: bool
     # the LP the loop solved last, when it converged: the rounding decoder's LP
     final_lp: PoolLp | None = None
+
+    @property
+    def oracle_calls(self) -> int:
+        return self.batches + 1  # one per finished batch, one that ended the loop
 
 
 def lower_bound_value(theta, lam) -> float:
@@ -143,7 +146,6 @@ def optimize_lower_bound(
     neg = theta < 0
     pool = CutPool()
     batches = 0
-    oracle_calls = 0
 
     # trivially certified starting point
     best_bound = float(np.minimum(theta, 0.0).sum())
@@ -152,14 +154,12 @@ def optimize_lower_bound(
     while True:
         lam, lp = _solve_restricted(theta, neg, pool)
         cut, value = min_cut_2color(graph, lam)
-        oracle_calls += 1
         if value >= -tol:
             return BoundResult(
                 lam=lam,
                 bound=lower_bound_value(theta, lam),
                 pool=pool,
                 batches=batches,
-                oracle_calls=oracle_calls,
                 converged=True,
                 final_lp=lp,
             )
@@ -178,7 +178,6 @@ def optimize_lower_bound(
                 bound=best_bound,
                 pool=pool,
                 batches=batches,
-                oracle_calls=oracle_calls,
                 converged=False,
             )
         batches += 1

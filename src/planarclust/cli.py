@@ -196,14 +196,14 @@ def _load_bound(path, graph, theta):
     edge_count = graph.edge_count
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
-    for key in ("lambda", "pool", "bound", "batches", "oracle_calls", "converged"):
+    for key in ("lambda", "pool", "bound", "batches", "converged"):
         if not isinstance(doc, dict) or key not in doc:
             raise ParseError(f"{path}: missing required field '{key}'")
     try:
         lam = np.array([float(x) for x in doc["lambda"]], dtype=float)
         pool_ids = [np.asarray(ids) for ids in doc["pool"]]
         bound = float(doc["bound"])
-        batches, oracle_calls = int(doc["batches"]), int(doc["oracle_calls"])
+        batches = int(doc["batches"])
     except (TypeError, ValueError) as exc:
         raise ParseError(f"{path}: malformed field: {exc}") from exc
     if lam.shape != (edge_count,):
@@ -228,7 +228,6 @@ def _load_bound(path, graph, theta):
         bound=bound,
         pool=pool,
         batches=batches,
-        oracle_calls=oracle_calls,
         converged=bool(doc["converged"]),
     )
 

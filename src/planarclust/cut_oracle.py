@@ -144,10 +144,13 @@ def _solve_even_subgraph(graph: PlanarGraph, w: np.ndarray):
     return cut, value
 
 
-def scale_to_int(values, max_digits: int = 9):
+MAX_DIGITS = 9  # the largest power of ten `scale_to_int` tries
+
+
+def scale_to_int(values):
     """Return (int64 array, 10**digits) if all values are short decimals.
 
-    Tries scales 10**0 .. 10**max_digits and accepts the first one under
+    Tries scales 10**0 .. 10**MAX_DIGITS and accepts the first one under
     which every value is (numerically) an integer.  Returns None when the
     inputs are not decimal-representable at that precision.
     """
@@ -156,7 +159,7 @@ def scale_to_int(values, max_digits: int = 9):
         return np.zeros(0, dtype=np.int64), 1
     if not np.all(np.isfinite(arr)):
         return None
-    scaled = np.multiply.outer(10.0 ** np.arange(max_digits + 1), arr)
+    scaled = np.multiply.outer(10.0 ** np.arange(MAX_DIGITS + 1), arr)
     rounded = np.rint(scaled)
     # a true decimal leaves only float64 representation error (~1e-16
     # relative); anything larger means the value is not this decimal

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bound import BoundResult, CutPool, PoolLp, lower_bound_value, restricted_lp
+from .bound import BoundResult, CutPool, PoolLp, restricted_lp
 from .cut_oracle import min_cut_forced
 from .graph import PlanarGraph, cut_energy, cut_from_partition, partition_from_cut
 from .lp import solve_lp
@@ -38,7 +38,7 @@ class DecodeResult:
     partition: np.ndarray
     energy: float
     method: str  # "recursive" | "rounding"
-    certificate: bool
+    certificate: bool  # energy meets a given lower bound to CERTIFICATE_TOL
 
 
 def _result(graph, theta, cut, method, bound):
@@ -58,13 +58,11 @@ def decode_recursive(
 ) -> DecodeResult:
     """One pass of recursive bipartitioning with a seeded edge order.
 
-    `lam` should come from a converged bound run; `bound` defaults to its
-    implied value sum(min(theta - lam, 0)).
+    `lam` should come from a bound run; the result is certified only
+    against `bound`, that run's lower bound, and never when it is None.
     """
     theta = np.asarray(theta, dtype=float)
     lam = np.array(lam, dtype=float, copy=True)
-    if bound is None:
-        bound = lower_bound_value(theta, lam)
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence([seed, restart])))
     must_cut = np.flatnonzero(theta - lam < 0.0)
     order = rng.permutation(must_cut)
@@ -98,26 +96,24 @@ def decode_rounding(
 
     The multipliers alpha >= 0 of the pooled cut rows solve the LP dual:
     minimize theta.z - sum_neg theta_e * max(z_e - 1, 0) over z = C^T alpha.
-    Edges with z >= threshold are cut.  When `bound` is omitted the
-    restricted LP's own value is used for the certificate, so it is only
-    meaningful for pools from a converged run.  `final_lp`, a converged
-    run's `BoundResult.final_lp`, is reused until the pool grows.
+    Edges with z >= threshold are cut.  Only a given `bound` certifies:
+    over an incomplete pool the restricted LP's own value can exceed the
+    optimum.  `final_lp`, a converged run's `BoundResult.final_lp`, is
+    reused until the pool grows.
     """
     theta = np.asarray(theta, dtype=float)
     if not (0.0 < threshold < 1.0):
         raise ValueError("threshold must lie strictly between 0 and 1")
     m = graph.edge_count
     if not len(pool) or not (theta < 0).any():
-        # no cuts or nothing to cut: alpha = 0 is optimal, the LP value is 0
-        z, value = np.zeros(m), 0.0
+        # no cuts or nothing to cut: alpha = 0 is optimal
+        z = np.zeros(m)
     else:
         if final_lp is None or final_lp.pool_rows != len(pool):
             problem, kept = restricted_lp(theta, pool)
             final_lp = PoolLp(solve_lp(problem), kept, len(pool))
-        sol = final_lp.solution
-        z = pool.matrix(m)[final_lp.kept].T @ sol.duals
-        value = float(np.minimum(theta, 0.0).sum() + sol.objective_value)
-    return _result(graph, theta, z >= threshold, "rounding", value if bound is None else bound)
+        z = pool.matrix(m)[final_lp.kept].T @ final_lp.solution.duals
+    return _result(graph, theta, z >= threshold, "rounding", bound)
 
 
 def best_decode(

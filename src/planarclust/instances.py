@@ -87,7 +87,7 @@ class UniformWeights:
     a: float = -1.0
     b: float = 1.0
 
-    def sample(self, rng, graph, midpoints, regions) -> np.ndarray:
+    def sample(self, rng, graph, regions) -> np.ndarray:
         return rng.uniform(self.a, self.b, size=graph.edge_count)
 
 
@@ -104,7 +104,7 @@ class GpbLikeWeights:
     beta: float
     clutter: float = 0.05
 
-    def sample(self, rng, graph, midpoints, regions) -> np.ndarray:
+    def sample(self, rng, graph, regions) -> np.ndarray:
         m = graph.edge_count
         tail, head = graph.tail, graph.head
         cross = regions[tail] != regions[head]
@@ -148,8 +148,7 @@ def gen_grid(width: int, height: int, weight_model, seed: int) -> Instance:
     d2 = ((coords[:, None, :] - seeds[None, :, :]) ** 2).sum(axis=2)
     regions = np.argmin(d2, axis=1)
 
-    midpoints = (coords[graph.tail] + coords[graph.head]) / 2.0
-    theta = round_theta(weight_model.sample(rng, graph, midpoints, regions))
+    theta = round_theta(weight_model.sample(rng, graph, regions))
     name = f"grid{width}x{height}-{_model_tag(weight_model)}-s{seed}"
     meta = {
         "generator": "grid",
@@ -245,18 +244,21 @@ def read_instance(path) -> Instance:
         if key not in doc:
             raise ParseError(f"{path}: missing required field '{key}'")
     try:
-        edges = [(int(u), int(v)) for u, v, _ in doc["edges"]]
+        edges = [(u, v) for u, v, _ in doc["edges"]]
         theta = np.array([float(t) for _, _, t in doc["edges"]], dtype=float)
-        rotation = tuple(tuple(int(e) for e in r) for r in doc["rotation"])
-        vertex_count = int(doc["vertex_count"])
+        rotation = tuple(tuple(r) for r in doc["rotation"])
     except (TypeError, ValueError, KeyError) as exc:
         raise ParseError(f"{path}: malformed field: {exc}") from exc
+    ids = [doc["vertex_count"], *(x for e in edges for x in e), *(x for r in rotation for x in r)]
+    # the type, not isinstance: JSON true and false are Python ints too
+    if any(type(x) is not int for x in ids):
+        raise ParseError(f"{path}: vertex_count, edge endpoints and rotation entries must be integers")
     if not np.isfinite(theta).all():
         raise ParseError(f"{path}: edge weights must be finite")
     metadata = doc.get("metadata", {})
     if not isinstance(metadata, dict):
         raise ParseError(f"{path}: field 'metadata' is not a JSON object")
-    graph = build_graph(vertex_count, edges, rotation)
+    graph = build_graph(doc["vertex_count"], edges, rotation)
     return Instance(
         graph=graph,
         theta=theta,

@@ -1,5 +1,6 @@
 """The package's public surface and the module boundaries behind it."""
 
+import ast
 import importlib.util
 import os
 import subprocess
@@ -78,3 +79,13 @@ def test_package_import_leaves_the_reference_module_unloaded():
     env = {**os.environ, "PYTHONPATH": src}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "False"
+
+
+def test_package_has_no_assert_statements():
+    # `python -O` strips asserts, so none may carry a check; parsing finds
+    # them in any position, also after a colon on one line
+    found = []
+    for path in sorted(Path(planarclust.__file__).parent.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found += [f"{path.name}:{n.lineno}" for n in ast.walk(tree) if isinstance(n, ast.Assert)]
+    assert found == []

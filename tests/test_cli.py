@@ -217,13 +217,22 @@ def test_malformed_instance_fails(capsys, tmp_path):
     p.write_text("{}")
     code, _, err = run_cli(capsys, "solve", str(p))
     assert code == 1
-    # a document that is not an object, metadata that is not an object, and
-    # non-finite edge weights
+    # a document that is not an object, metadata that is not an object,
+    # non-finite edge weights, and ids that are not JSON integers
     good = json.loads(write_triangle(tmp_path, [-1.0, 1.0, 1.0]).read_text())
     cases = [(5, "not a JSON object"), ({**good, "metadata": 5}, "'metadata' is not a JSON object")]
     for w in ("nan", "inf", "-inf"):
         edges = [[*good["edges"][0][:2], w], *good["edges"][1:]]
         cases.append(({**good, "edges": edges}, "edge weights must be finite"))
+    # each one, truncated or read as an int, is the triangle again
+    e0, e1, e2 = good["edges"]
+    not_integers = [
+        {**good, "vertex_count": 3.9},
+        {**good, "edges": [[0.7, *e0[1:]], e1, e2]},
+        {**good, "edges": [e0, [True, *e1[1:]], e2]},
+        {**good, "rotation": [[e + 0.2 for e in r] for r in good["rotation"]]},
+    ]
+    cases += [(doc, "must be integers") for doc in not_integers]
     for doc, message in cases:
         p.write_text(json.dumps(doc))
         code, out, err = run_cli(capsys, "solve", str(p))

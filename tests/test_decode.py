@@ -1,31 +1,37 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from planarclust import bound as bound_module, decode as decode_module
 from planarclust.bound import CutPool, lower_bound_value, optimize_lower_bound, restricted_lp
 from planarclust.decode import CERTIFICATE_TOL, best_decode, decode_recursive, decode_rounding
 from planarclust.graph import cut_energy, cut_from_partition, is_valid_multicut
-from planarclust.instances import gen_grid, gen_random_planar, UniformWeights
+from planarclust.instances import GpbLikeWeights, gen_grid, gen_random_planar, UniformWeights
 from planarclust.lp import LpError, LpProblem, solve_lp
-from planarclust.oracle import all_bipartition_cuts, brute_cc, full_lp_bound
+from planarclust.oracle import all_bipartition_cuts, brute_cc, exact_cc_value, full_lp_bound
 
 
 def test_recursive_no_negative_edges(triangle):
-    res = decode_recursive(triangle, [1.0, 2.0, 0.5], [1.0, 2.0, 0.5])
+    theta = [1.0, 2.0, 0.5]
+    res = decode_recursive(triangle, theta, theta, bound=full_lp_bound(triangle, theta, True))
     assert res.energy == 0.0
     assert res.partition.max() == 0
     assert res.certificate
 
 
 def test_recursive_triangle(triangle):
-    res = decode_recursive(triangle, [-1.0, -1.0, -1.0], [0.0, 0.0, 0.0])
+    theta = [-1.0, -1.0, -1.0]
+    bound = full_lp_bound(triangle, theta, True)
+    assert bound == pytest.approx(-3.0)
+    res = decode_recursive(triangle, theta, [0.0, 0.0, 0.0], bound=bound)
     assert res.energy == pytest.approx(-3.0)
     assert res.partition.max() == 2
-    assert res.certificate  # bound implied by lambda is -3
+    assert res.certificate
 
 
 def test_recursive_tight_zero(triangle):
-    res = decode_recursive(triangle, [-1.0, 2.0, 2.0], [-1.0, 2.0, 2.0])
+    theta = [-1.0, 2.0, 2.0]
+    res = decode_recursive(triangle, theta, theta, bound=full_lp_bound(triangle, theta, True))
     assert res.energy == 0.0
     assert res.partition.max() == 0
     assert res.certificate
@@ -46,10 +52,61 @@ def test_rounding_triangle_isolating_cuts(triangle):
             np.array([False, True, True]),  # isolate vertex 2
         ]
     )
-    res = decode_rounding(triangle, [-1.0, -1.0, -1.0], pool)
+    theta = [-1.0, -1.0, -1.0]
+    res = decode_rounding(triangle, theta, pool, bound=full_lp_bound(triangle, theta, True))
     assert res.energy == pytest.approx(-3.0)
     assert res.partition.max() == 2
-    assert res.certificate  # LP value equals the tight bound -3
+    assert res.certificate
+
+
+def test_no_certificate_from_an_empty_pool():
+    # the one-cluster clustering, energy 0, against an optimum of -13.96
+    inst = gen_grid(6, 6, GpbLikeWeights(0.27), seed=3)
+    res = decode_rounding(inst.graph, inst.theta, CutPool())
+    assert res.energy == 0.0 and exact_cc_value(inst.graph, inst.theta) < -13.0
+    assert not res.certificate
+
+
+@pytest.mark.parametrize("max_batches", [0, 1])
+def test_no_certificate_from_a_cut_short_run_without_its_bound(max_batches):
+    # cut short, lambda is infeasible and the pool incomplete: neither
+    # sum(min(theta - lambda, 0)) nor the restricted LP's value is a bound
+    inst = gen_random_planar(10, 299)
+    optimum = exact_cc_value(inst.graph, inst.theta)
+    br = optimize_lower_bound(inst.graph, inst.theta, max_batches=max_batches)
+    assert not br.converged and br.bound < optimum
+    rounded = decode_rounding(inst.graph, inst.theta, br.pool)
+    assert rounded.energy > optimum + 0.1
+    assert not rounded.certificate
+    assert not decode_recursive(inst.graph, inst.theta, br.lam).certificate
+
+
+# small enough for exact_cc_value to take well under a second
+small_instances = st.one_of(
+    st.builds(gen_random_planar, st.integers(3, 10), st.integers(0, 2**32 - 1)),
+    st.builds(
+        gen_grid, st.integers(2, 4), st.integers(2, 4), st.just(GpbLikeWeights(0.27)),
+        st.integers(0, 2**32 - 1),
+    ),
+)
+
+
+@settings(max_examples=400)
+@given(small_instances, st.sampled_from([0, 1, 2, 1000]))
+def test_certificates_are_sound_at_every_batch_budget(inst, max_batches):
+    graph, theta, tol = inst.graph, inst.theta, 1e-6
+    optimum = exact_cc_value(graph, theta)
+    br = optimize_lower_bound(graph, theta, tol=tol, max_batches=max_batches)
+    assert br.bound <= optimum + 1.5 * tol
+    for res in (
+        best_decode(graph, theta, br),
+        decode_rounding(graph, theta, br.pool, bound=br.bound, final_lp=br.final_lp),
+        decode_recursive(graph, theta, br.lam, bound=br.bound),
+    ):
+        assert not res.certificate or res.energy <= optimum + CERTIFICATE_TOL + 1.5 * tol
+    # without a bound, neither decoder certifies
+    assert not decode_rounding(graph, theta, br.pool, final_lp=br.final_lp).certificate
+    assert not decode_recursive(graph, theta, br.lam).certificate
 
 
 def test_infeasible_restricted_lp_raises_lp_error(triangle, monkeypatch):
@@ -161,10 +218,7 @@ def test_rounding_multipliers_solve_the_dual(max_batches):
         assert dual == pytest.approx(lower_bound_value(theta, lam), abs=1e-9)
         if br.converged:
             assert lower_bound_value(theta, lam) == pytest.approx(br.bound, abs=1e-9)
-            res = decode_rounding(inst.graph, theta, br.pool)  # the LP's own value
-            ref = decode_rounding(inst.graph, theta, br.pool, bound=br.bound)
-            assert np.array_equal(res.partition, ref.partition)
-            assert res.certificate == ref.certificate
+            res = decode_rounding(inst.graph, theta, br.pool, bound=br.bound)
             assert res.certificate == (res.energy - br.bound <= CERTIFICATE_TOL)
             certified += res.certificate
     assert pools >= 30
