@@ -3,13 +3,16 @@
     python scripts/compare_matching_cost.py OLD_CHECKOUT NEW_CHECKOUT [--seed 0]
 
 Runs one round of every benchmark workload (perfbench/workloads.py) with
-OLD_CHECKOUT's library and records each metric-closure matrix passed to
-`cut_oracle._match_terminals`.  Then both checkouts' `match_dense` solve
-every recorded matrix, in its recorded dtype and, for int64 inputs, once
-more cast to float64.  Prints, per workload and mode, how many inputs give
-equal costs; int64 costs must be equal exactly, float64 costs may differ by
-summation rounding when the two solvers pick different tied matchings.
-Exits 1 if any int64 cost differs.
+OLD_CHECKOUT's library and records each terminal distance matrix passed to
+`cut_oracle._match_terminals`, with its mask of the pairs the oracle's
+search found (all pairs for a library whose `_match_terminals` takes the
+matrix alone).  Then both checkouts' `match_dense` solve every recorded
+matrix under its mask, in its recorded dtype and, for int64 inputs, once
+more cast to float64.  A cost is the number of matched pairs outside the
+mask, then the summed distance of the others.  Prints, per workload and
+mode, how many inputs give equal costs; int64 costs must be equal
+exactly, float64 costs may differ by summation rounding when the two
+solvers pick different tied matchings.  Exits 1 if any int64 cost differs.
 """
 
 from __future__ import annotations
@@ -23,14 +26,21 @@ import numpy as np
 
 
 def load_match_dense(checkout: str, name: str):
+    """The checkout's `match_dense`, returning the mate array alone."""
     spec = importlib.util.spec_from_file_location(name, f"{checkout}/src/planarclust/matching.py")
     mod = importlib.util.module_from_spec(spec)
     sys.modules[name] = mod
     spec.loader.exec_module(mod)
-    return mod.match_dense
+
+    def mate(d, mask):
+        out = mod.match_dense(d, mask)
+        # later versions also return the vertex potentials
+        return out[0] if isinstance(out, tuple) else out
+
+    return mate
 
 
-def record_inputs(checkout: str, seed: int) -> list[tuple[str, np.ndarray]]:
+def record_inputs(checkout: str, seed: int) -> list[tuple[str, np.ndarray, np.ndarray]]:
     sys.path[:0] = [f"{checkout}/src", f"{checkout}/perfbench"]
     import planarclust as pc
     import workloads as W
@@ -40,9 +50,11 @@ def record_inputs(checkout: str, seed: int) -> list[tuple[str, np.ndarray]]:
     name = ""
     match = cut_oracle._match_terminals
 
-    def hook(dist):
-        recorded.append((name, np.array(dist)))
-        return match(dist)
+    def hook(dist, *mask):
+        # older libraries pass the matrix alone and match over all pairs
+        full = ~np.eye(len(dist), dtype=bool)
+        recorded.append((name, np.array(dist), np.array(mask[0]) if mask else full))
+        return match(dist, *mask)
 
     cut_oracle._match_terminals = hook
     for name, wl in W.WORKLOADS.items():
@@ -58,11 +70,11 @@ def record_inputs(checkout: str, seed: int) -> list[tuple[str, np.ndarray]]:
     return recorded
 
 
-def cost(match_dense, d: np.ndarray):
-    t = d.shape[0]
-    mate = match_dense(d, ~np.eye(t, dtype=bool))
-    v = np.flatnonzero(np.arange(t) < mate)
-    return d[v, mate[v]].sum()
+def cost(match_dense, d: np.ndarray, mask: np.ndarray):
+    mate = match_dense(d, mask)
+    v = np.flatnonzero(np.arange(d.shape[0]) < mate)
+    found = mask[v, mate[v]]
+    return int((~found).sum()), d[v[found], mate[v[found]]].sum()
 
 
 def main() -> int:
@@ -76,16 +88,18 @@ def main() -> int:
     inputs = record_inputs(args.old, args.seed)
     total, equal = collections.Counter(), collections.Counter()
     worst = 0.0
-    for workload, d in inputs:
+    for workload, d, mask in inputs:
         for x in [d] if d.dtype != np.int64 else [d, d.astype(np.float64)]:
             key = (workload, "int64" if x.dtype == np.int64 else "float64",
                    "cast" if x is not d else "recorded")
-            a, b = cost(old, x), cost(new, x)
+            a, b = cost(old, x, mask), cost(new, x, mask)
             total[key] += 1
             if a == b:
                 equal[key] += 1
+            elif a[0] == b[0]:
+                worst = max(worst, abs(a[1] - b[1]) / max(1.0, abs(a[1])))
             else:
-                worst = max(worst, abs(a - b) / max(1.0, abs(a)))
+                worst = np.inf
     for key in sorted(total):
         print(*key, f"{equal[key]}/{total[key]} equal")
     print(f"largest relative float64 difference: {worst:.3g}")

@@ -203,9 +203,14 @@ def _load_bound(path, graph, theta):
         lam = np.array([float(x) for x in doc["lambda"]], dtype=float)
         pool_ids = [np.asarray(ids) for ids in doc["pool"]]
         bound = float(doc["bound"])
-        batches = int(doc["batches"])
     except (TypeError, ValueError) as exc:
         raise ParseError(f"{path}: malformed field: {exc}") from exc
+    batches, converged = doc["batches"], doc["converged"]
+    # the type, not isinstance: JSON true and false are Python ints too
+    if type(batches) is not int or batches < 0:
+        raise ParseError(f"{path}: batches must be a non-negative integer")
+    if type(converged) is not bool:
+        raise ParseError(f"{path}: converged must be true or false")
     if lam.shape != (edge_count,):
         raise ParseError(f"{path}: lambda length does not match the instance")
     if not (np.isfinite(lam).all() and np.isfinite(bound)):
@@ -228,7 +233,7 @@ def _load_bound(path, graph, theta):
         bound=bound,
         pool=pool,
         batches=batches,
-        converged=bool(doc["converged"]),
+        converged=converged,
     )
 
 

@@ -11,15 +11,32 @@ to perfect matching:
   absolute weights, which is solved as a minimum-weight perfect matching of
   the odd faces under shortest-path distances.
 
-The distances come from one Dijkstra run per odd face over the whole dual,
-O(T·F) for T odd faces and F faces, on a directed CSR pattern that is built
-once per topology; a call only fills in the edge weights.  On small graphs
-the fixed cost per call dominates, which is why the pattern is cached.
+The distances come from one Dijkstra run per odd face on a directed CSR
+pattern of the dual that is built once per topology; a call only fills in
+the edge weights.  On small graphs the fixed cost per call dominates,
+which is why the pattern is cached.
+
+The matching only uses short terminal pairs, so each search stops at a
+distance limit L instead of covering all F faces.  L starts at
+LIMIT_FACTOR times the largest distance from a terminal to its nearest
+other terminal, which one multi-source run gives exactly through the dual
+edges between Voronoi cells.  The matching then runs over the pairs found
+within L, and its vertex potentials pi (`matching.match_dense`) price the
+pairs left out: each of those is longer than L, so when the matching uses
+found pairs only and every left-out pair has pi_i + pi_j <= L, the
+matching's dual is feasible for the full metric and the matching is
+optimal.  Otherwise the call searches again, once with L raised to the
+largest such pi_i + pi_j and then without a limit.  Below SMALL_T
+terminals the first search has no limit: on small graphs the multi-source
+run and the pricing cost more than the limit saves.
 
 Weights that scale to integers (short decimals, `scale_to_int`) are solved
 in exact int64 arithmetic, other weights in float64; the matching solver
-only reads the dtype chosen here.  The independent reference route
-through an explicit matching gadget lives in `oracle.py`.
+only reads the dtype chosen here.  int64 mode is chosen only while every
+path sum stays below 2**53, so float Dijkstra distances are exact
+integers, and while the matching's sentinel has head-room for any
+distance.  The independent reference route through an explicit matching
+gadget lives in `oracle.py`.
 """
 
 from __future__ import annotations
@@ -36,6 +53,15 @@ from .matching import match_dense
 
 class OracleError(RuntimeError):
     """The oracle's result violates a condition it guarantees."""
+
+
+# below this many terminals the search starts without a limit.  Measured on
+# the benchmark's oracle inputs: on planar graphs of up to 36 faces (at most
+# 22 terminals) the limit lost at every terminal count; on 14x14 and 28x28
+# grids it won from 8 terminals up.
+SMALL_T = 24
+# the first limit, in multiples of the largest nearest-other-terminal distance
+LIMIT_FACTOR = 2.0
 
 
 _dual_cache: "weakref.WeakKeyDictionary[PlanarGraph, _DualInfo]" = weakref.WeakKeyDictionary()
@@ -61,7 +87,8 @@ class _DualInfo:
         else:
             starts = np.zeros(0, dtype=np.int64)
         self.group_starts = starts
-        group_lo, group_hi = lo[order][starts], hi[order][starts]
+        self.group_sizes = np.diff(np.r_[starts, nl.size])
+        self.group_lo, self.group_hi = group_lo, group_hi = lo[order][starts], hi[order][starts]
         # sorted face-pair key per group: lookup of the group joining two faces
         self.group_key = group_lo * graph.face_count + group_hi
         self.face_count = graph.face_count
@@ -82,13 +109,31 @@ def _dual_info(graph: PlanarGraph) -> _DualInfo:
     return info
 
 
-def _match_terminals(dist: np.ndarray):
-    """Pairs of terminal indices forming a min-weight perfect matching."""
+def _match_terminals(dist: np.ndarray, mask: np.ndarray):
+    """Min-weight perfect matching of the terminals over the pairs in `mask`
+    (its diagonal is ignored): (pairs of terminal indices, potentials)."""
     t = dist.shape[0]
     if t == 2:
-        return [(0, 1)]
-    mate = match_dense(dist, ~np.eye(t, dtype=bool))
-    return [(v, int(mate[v])) for v in range(t) if v < mate[v]]
+        return [(0, 1)], np.full(2, dist[0, 1] / 2)
+    mate, pi = match_dense(dist, mask)
+    return [(v, int(mate[v])) for v in range(t) if v < mate[v]], pi
+
+
+def _first_limit(info: _DualInfo, adj, gmin: np.ndarray, terminals: np.ndarray) -> float:
+    """LIMIT_FACTOR times the largest distance from a terminal to its nearest
+    other terminal.  A shortest path between two terminals leaves the first
+    one's Voronoi cell through a dual edge whose endpoints lie in different
+    cells, so the least such crossing per cell is that distance exactly."""
+    dist, _, source = dijkstra(
+        adj, directed=True, indices=terminals, min_only=True, return_predecessors=True
+    )
+    lo, hi = info.group_lo, info.group_hi
+    cross = np.flatnonzero(source[lo] != source[hi])
+    via = dist[lo[cross]] + gmin[cross] + dist[hi[cross]]
+    nearest = np.full(info.face_count, np.inf)
+    np.minimum.at(nearest, source[lo[cross]], via)
+    np.minimum.at(nearest, source[hi[cross]], via)
+    return LIMIT_FACTOR * float(nearest[terminals].max())
 
 
 def _solve_even_subgraph(graph: PlanarGraph, w: np.ndarray):
@@ -106,11 +151,12 @@ def _solve_even_subgraph(graph: PlanarGraph, w: np.ndarray):
         info.f2[neg_nl], minlength=info.face_count
     )
     terminals = np.flatnonzero(deg % 2 == 1)
-    if terminals.size:
+    t = terminals.size
+    if t:
         wa = np.abs(w[info.sorted_edges]).astype(float)
         gmin = np.minimum.reduceat(wa, info.group_starts)
         # representative edge per face pair: first group member achieving gmin
-        reach = np.repeat(gmin, np.diff(np.r_[info.group_starts, wa.size]))
+        reach = np.repeat(gmin, info.group_sizes)
         is_min = wa <= reach
         pos = np.where(is_min, np.arange(wa.size), wa.size)
         rep_pos = np.minimum.reduceat(pos, info.group_starts)
@@ -120,17 +166,34 @@ def _solve_even_subgraph(graph: PlanarGraph, w: np.ndarray):
             (gmin[info.slot_group], info.indices, info.indptr),
             shape=(info.face_count, info.face_count),
         )
-        dist, pred = dijkstra(
-            adj, directed=True, indices=terminals, return_predecessors=True
-        )
-        d_t = dist[:, terminals]
-        if np.issubdtype(w.dtype, np.integer):
-            d_t = np.rint(d_t).astype(np.int64)
+        limit = np.inf if t < SMALL_T else _first_limit(info, adj, gmin, terminals)
+        retried = False
+        while True:
+            dist, pred = dijkstra(
+                adj, directed=True, indices=terminals, limit=limit, return_predecessors=True
+            )
+            d_t = dist[:, terminals]
+            found = d_t <= limit
+            # distances are exact integers in int64 mode (`_prepare_weights`)
+            d_t = np.where(found, d_t, 0).astype(w.dtype)
+            pairs, pi = _match_terminals(d_t, found)
+            if limit == np.inf:
+                break
+            # each left-out pair is longer than the limit, so a price
+            # pi_i + pi_j at most the limit keeps the dual feasible for it;
+            # int64 potentials are exact half-integers below 2**51
+            need = (pi[:, None] + pi[None, :])[~found].max(initial=-np.inf)
+            exact = w.dtype != np.int64 or np.abs(pi).max() < 2**51
+            if exact and need <= limit and all(found[i, j] for i, j in pairs):
+                break
+            limit = need if not retried and need > limit else np.inf
+            retried = True
+            del dist, pred  # free the T x F matrices before the next search
 
         # walk each matched path; a dual edge used an odd number of times flips
         fc = info.face_count
         steps = []
-        for i, j in _match_terminals(d_t):
+        for i, j in pairs:
             src = int(terminals[i])
             p = int(terminals[j])
             while p != src:
@@ -170,13 +233,22 @@ def scale_to_int(values):
     return None
 
 
-def _prepare_weights(w, edge_count: int):
-    """(int64 weights, scale) when w * scale is integral, else (w, 1.0)."""
+def _prepare_weights(w, graph: PlanarGraph):
+    """(int64 weights, scale) when w * scale is integral and exact int64
+    arithmetic has room for every call on it, else (w, 1.0)."""
     w = np.asarray(w, dtype=float)
-    if w.shape != (edge_count,):
+    if w.shape != (graph.edge_count,):
         raise ValueError("weight vector must have one entry per edge")
     scaled = scale_to_int(w)
-    return scaled if scaled is not None else (w, 1.0)
+    if scaled is not None:
+        # no shortest path is longer than the sum of |w|, which
+        # min_cut_forced's M = 1 + sum|w| at most doubles
+        longest = 2 * sum(np.abs(scaled[0]).tolist()) + 1
+        # the matching's sentinel 1 + 2 n max|d| over n <= F + 1 terminals
+        # needs 16 times its size below 2**62 (`matching.match_dense`)
+        if longest < 2**53 and 16 * (1 + 2 * (graph.face_count + 1) * longest) < 2**62:
+            return scaled
+    return w, 1.0
 
 
 def min_cut_2color(graph: PlanarGraph, w) -> tuple[np.ndarray, float]:
@@ -185,7 +257,7 @@ def min_cut_2color(graph: PlanarGraph, w) -> tuple[np.ndarray, float]:
     Exact in integer arithmetic whenever the weights are short decimals.
     The returned value is always <= 0.
     """
-    w, scale = _prepare_weights(w, graph.edge_count)
+    w, scale = _prepare_weights(w, graph)
     cut, val = _solve_even_subgraph(graph, w)
     return cut, float(val) / scale
 
@@ -197,7 +269,7 @@ def min_cut_forced(graph: PlanarGraph, w, e: int) -> tuple[np.ndarray, float]:
     (subtract M = 1 + sum|w|), solving the unconstrained problem, and
     adding M back.  Raises OracleError if the solution misses `e`.
     """
-    w, scale = _prepare_weights(w, graph.edge_count)
+    w, scale = _prepare_weights(w, graph)
     if not (0 <= e < graph.edge_count):
         raise ValueError(f"edge id {e} out of range")
     big = 1 + np.abs(w).sum()

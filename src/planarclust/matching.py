@@ -35,12 +35,24 @@ bound run on a GPB grid (beta 0.27, seed 0) took 18 restarts at 50x50 and
 22 at 70x70.
 
 `match_dense(weights, mask)` is the one entry to the solver: a symmetric
-weight matrix plus a boolean mask of real edges in, the mate array out.
-The matrix's dtype selects the arithmetic: int64 is exact, float64 uses a
-relative tie tolerance of 1e-12.  Negation, doubling and sentinel padding
-happen inside the solver, so callers pass plain minimum-weight costs.
-Choosing the dtype is the caller's job: the cut oracle scales short
-decimal weights to int64 before it builds the matrix.
+weight matrix plus a boolean mask of real edges in, the mate array and the
+final vertex potentials out.  The matrix's dtype selects the arithmetic:
+int64 is exact, float64 uses a relative tie tolerance of 1e-12.  Negation,
+doubling and sentinel padding happen inside the solver, so callers pass
+plain minimum-weight costs.  Choosing the dtype is the caller's job: the
+cut oracle scales short decimal weights to int64 before it builds the
+matrix.
+
+The potentials are the vertex part of the solver's final LP dual, in the
+caller's units: pi = -y / 2 for the stored (negated, doubled) duals y.
+Every real pair (i, j) has w_ij >= pi_i + pi_j - z_ij and every matched
+pair w_ij = pi_i + pi_j - z_ij, where z_ij >= 0 sums the duals of the
+final blossoms that hold both i and j; pairs in no common blossom have
+z_ij = 0.  So when the result uses real edges only and every pair the
+mask left out weighs at least pi_i + pi_j, the dual stays feasible with
+those pairs added, and the matching is optimal over all pairs.  The cut
+oracle prices the terminal pairs its bounded search did not reach this
+way.  int64 potentials are half-integers, exact while |y| < 2**53.
 
 The implementation keeps a dense weight matrix and performs the hot
 per-vertex scans as vectorized numpy operations; blossom bookkeeping stays
@@ -67,16 +79,17 @@ class MatchingError(ValueError):
     pass
 
 
-def match_dense(weights: np.ndarray, mask: np.ndarray) -> np.ndarray:
+def match_dense(weights: np.ndarray, mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Minimum-weight maximum-cardinality matching on a dense matrix.
 
     `weights` is a symmetric n x n matrix, read only where the symmetric
-    boolean `mask` is True (the real edges).  An int64 matrix is solved in
-    exact integer arithmetic, a float64 one with a relative tie tolerance.
-    Returns the mate array: mate[v] is v's partner, or -1 for the one
-    vertex left unmatched when n is odd.  A pair outside `mask` in the
-    result means the real edges admit no perfect matching; the result
-    has the most real edges possible, and among those the least weight.
+    boolean `mask` is True (the real edges; its diagonal is ignored).  An
+    int64 matrix is solved in exact integer arithmetic, a float64 one with
+    a relative tie tolerance.  Returns (mate, pi).  mate[v] is v's partner, or -1 for the one vertex
+    left unmatched when n is odd.  A pair outside `mask` in the result
+    means the real edges admit no perfect matching; the result has the
+    most real edges possible, and among those the least weight.  pi is
+    the float64 vertex potential array described in the module docstring.
     """
     return _DenseBlossom(weights, mask).solve()
 
@@ -414,7 +427,7 @@ class _DenseBlossom:
             free = [v for v in range(n) if self.mate[v] == -1]
             if not free:
                 mate = self.mate[: self.size]
-                return np.where(mate < self.size, mate, -1)
+                return np.where(mate < self.size, mate, -1), self.y[: self.size] / -2
             for v in free:
                 if self.label[self.inblossom[v]] == 0:
                     self._assign_label(v, 1, None)

@@ -343,7 +343,7 @@ def min_weight_perfect_matching(problem: MatchingProblem) -> Matching:
     wvals = weights if scaled is None else scaled[0]
     w = np.zeros((n, n), dtype=wvals.dtype)
     w[lo[rep], hi[rep]] = w[hi[rep], lo[rep]] = wvals[rep]
-    mate = match_dense(w, rep_of >= 0)
+    mate, _ = match_dense(w, rep_of >= 0)
     if (mate < 0).any():
         raise NoPerfectMatching("maximum matching is not perfect")
     v = np.flatnonzero(np.arange(n) < mate)

@@ -66,8 +66,8 @@ def test_matching_module_loads_standalone():
     mod = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(mod)
     w = np.array([[0, 3], [3, 0]], dtype=np.int64)
-    mate = mod.match_dense(w, ~np.eye(2, dtype=bool))
-    assert mate.tolist() == [1, 0]
+    mate, pi = mod.match_dense(w, ~np.eye(2, dtype=bool))
+    assert mate.tolist() == [1, 0] and pi.sum() == 3
 
 
 def test_package_import_leaves_the_reference_module_unloaded():

@@ -91,8 +91,18 @@ def test_bound_then_decode(tmp_path, capsys):
             "missing required field 'batches'",
         ),
         (lambda doc, m: 5, "missing required field 'lambda'"),
+        (lambda doc, m: {**doc, "batches": 2.7}, "batches must be a non-negative integer"),
+        (lambda doc, m: {**doc, "batches": -1}, "batches must be a non-negative integer"),
+        (lambda doc, m: {**doc, "batches": True}, "batches must be a non-negative integer"),
+        (lambda doc, m: {**doc, "batches": "2"}, "batches must be a non-negative integer"),
+        (lambda doc, m: {**doc, "converged": "false"}, "converged must be true or false"),
+        (lambda doc, m: {**doc, "converged": 0}, "converged must be true or false"),
     ],
-    ids=["id-past-last-edge", "negative-id", "non-integer-id", "missing-field", "not-an-object"],
+    ids=[
+        "id-past-last-edge", "negative-id", "non-integer-id", "missing-field", "not-an-object",
+        "float-batches", "negative-batches", "bool-batches", "string-batches",
+        "string-converged", "int-converged",
+    ],
 )
 def test_decode_rejects_malformed_bound(tmp_path, capsys, edit, message):
     inst = gen_random_planar(8, 5)

@@ -5,6 +5,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
 
 from planarclust import cut_oracle
+from planarclust.bound import optimize_lower_bound
 from planarclust.cut_oracle import (
     OracleError,
     min_cut_2color,
@@ -13,7 +14,7 @@ from planarclust.cut_oracle import (
     split_into_basic_cuts,
 )
 from planarclust.graph import cut_from_partition, is_valid_multicut, partition_from_cut
-from planarclust.instances import gen_random_planar
+from planarclust.instances import GpbLikeWeights, gen_grid, gen_random_planar
 from planarclust.oracle import (
     brute_cc2,
     expand_dual,
@@ -274,3 +275,92 @@ def test_scale_to_int_matches_scale_by_scale_search(values):
     else:
         assert np.array_equal(got[0], ref[0]) and got[0].dtype == ref[0].dtype
         assert got[1] == ref[1] and type(got[1]) is int
+
+
+@pytest.fixture
+def search_limits(monkeypatch):
+    """The limit of every per-terminal search, with the bounded search on
+    from two terminals up."""
+    limits = []
+
+    def counting(*args, **kwargs):
+        if not kwargs.get("min_only"):
+            limits.append(kwargs.get("limit", np.inf))
+        return dijkstra(*args, **kwargs)
+
+    monkeypatch.setattr(cut_oracle, "dijkstra", counting)
+    monkeypatch.setattr(cut_oracle, "SMALL_T", 0)
+    return limits
+
+
+oracle_instances = st.one_of(
+    st.builds(gen_random_planar, st.integers(3, 10), st.integers(0, 2**32 - 1)),
+    st.builds(
+        gen_grid, st.integers(2, 6), st.integers(2, 6),
+        st.sampled_from([GpbLikeWeights(0.27), GpbLikeWeights(0.12)]), st.integers(0, 2**32 - 1),
+    ),
+)
+
+
+def oracle_results(graph, theta, small_t, limit_factor=cut_oracle.LIMIT_FACTOR):
+    """The oracle's free cut and the forced cuts of the first and last edge,
+    with the bounded search from `small_t` terminals up."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cut_oracle, "SMALL_T", small_t)
+        mp.setattr(cut_oracle, "LIMIT_FACTOR", limit_factor)
+        forced = [min_cut_forced(graph, theta, e) for e in (0, graph.edge_count - 1)]
+        return [min_cut_2color(graph, theta), *forced]
+
+
+@given(oracle_instances, st.sampled_from([1.0, np.pi]), st.sampled_from([2.0, 1.0, 0.5]))
+def test_bounded_search_matches_unlimited_search(inst, factor, limit_factor):
+    # factor pi makes the weights non-decimal: the float arithmetic path.
+    # Smaller first limits leave out more pairs, so pricing decides more.
+    theta = inst.theta * factor
+    got = oracle_results(inst.graph, theta, 0, limit_factor)
+    want = oracle_results(inst.graph, theta, np.inf)
+    for (cut, val), (ref_cut, ref_val) in zip(got, want):
+        assert val == ref_val and np.array_equal(cut, ref_cut)
+    if inst.graph.vertex_count <= 16:
+        assert got[0][1] == pytest.approx(brute_cc2(inst.graph, theta)[1], abs=1e-9)
+
+
+@pytest.mark.parametrize("factor", [1.0, np.pi])
+def test_bounded_search_retries_with_the_priced_limit(search_limits, factor):
+    # the first limit leaves out a pair that the matching's potentials price
+    # above it; the second search, at that price, certifies the matching
+    inst = gen_random_planar(7, 136)
+    theta = inst.theta * factor
+    _, val = min_cut_2color(inst.graph, theta)
+    assert len(search_limits) == 2 and search_limits[0] < search_limits[1] < np.inf
+    assert val == pytest.approx(brute_cc2(inst.graph, theta)[1], abs=1e-9)
+
+
+@pytest.mark.parametrize("factor", [1.0, np.pi])
+def test_bounded_search_falls_back_to_no_limit(search_limits, factor):
+    inst = gen_random_planar(11, 1141)
+    theta = factor * np.array([
+        -0.6, 0.0, 0.7, 0.6, -0.8, -0.4, -0.6, 0.6, 0.0, 0.0, 0.6, -0.5, -0.8, 0.0, -0.2, 0.5, -0.3,
+    ])
+    _, val = min_cut_2color(inst.graph, theta)
+    assert len(search_limits) == 3 and search_limits[1] < search_limits[2] == np.inf
+    assert val == pytest.approx(brute_cc2(inst.graph, theta)[1], abs=1e-9)
+
+
+def test_large_decimal_weights_fall_back_to_float():
+    # integral weights near 1e15: scale_to_int accepts them, but path sums
+    # pass 2**53 and the matching's sentinel would have no head-room
+    inst = gen_grid(20, 20, GpbLikeWeights(0.27), seed=0)
+    w = np.rint(inst.theta / np.abs(inst.theta).max() * 1e15)
+    assert scale_to_int(w) is not None
+    cut, val = min_cut_2color(inst.graph, w)
+    ref_cut, ref_val = cut_oracle._solve_even_subgraph(inst.graph, w)
+    assert val == ref_val == pytest.approx(-2.71368e16, rel=1e-5)
+    assert np.array_equal(cut, ref_cut)
+    e = int(np.flatnonzero(~cut)[0])
+    forced, forced_val = min_cut_forced(inst.graph, w, e)
+    assert forced[e] and forced_val >= val
+    assert forced_val == pytest.approx(float(w @ forced), rel=1e-12)
+    # the 2-colorable minimum cut is a clustering, so it bounds from above
+    res = optimize_lower_bound(inst.graph, w, max_batches=2)
+    assert np.minimum(w, 0).sum() <= res.bound <= val

@@ -221,7 +221,7 @@ def brute_force_dense(w, mask):
 
 def check_against_brute_force(w, mask):
     n = w.shape[0]
-    mate = match_dense(w, mask)
+    mate, _ = match_dense(w, mask)
     matched = np.flatnonzero(mate >= 0)
     assert (mate[mate[matched]] == matched).all()
     assert (mate[matched] != matched).all()
@@ -294,7 +294,7 @@ def match_with_dual_check(w, mask):
     duals certify it: the LP dual of the (padded, negated, doubled) problem
     is feasible and complementary to the matching."""
     solver = _DenseBlossom(w, mask)
-    result = solver.solve()
+    result, _ = solver.solve()
     n, y, mate = solver.n, solver.y, solver.mate
     tol = 0 if solver.integer else 1e-9 * max(1.0, float(np.abs(solver.W2).max()))
     slack = y[:n, None] + y[None, :n] - solver.W2
@@ -309,6 +309,65 @@ def match_with_dual_check(w, mask):
     assert slack[off].min(initial=0) >= -tol
     assert (np.abs(slack[np.arange(n), mate]) <= tol).all()
     return result
+
+
+def check_potentials(w, mask):
+    """`match_dense`'s potentials price every real pair: w_ij >= pi_i + pi_j,
+    with equality on matched pairs, up to z_ij >= 0, the summed duals of the
+    final blossoms that hold both i and j (0 for pairs in no common one)."""
+    n = w.shape[0]
+    solver = _DenseBlossom(w, mask)  # what match_dense runs
+    mate, pi = solver.solve()
+    assert np.array_equal(pi, solver.y[:n] / -2)
+    z = np.zeros((n, n))
+    for b in solver.active_blossoms:
+        leaves = [v for v in solver._leaves(b) if v < n]
+        z[np.ix_(leaves, leaves)] += solver.y[b]
+    assert (z >= 0).all()
+    tol = 0 if solver.integer else 1e-9 * max(1.0, float(np.abs(w).max(initial=0)))
+    slack = w - pi[:, None] - pi[None, :] + z
+    real = mask & ~np.eye(n, dtype=bool)
+    assert slack[real].min(initial=0) >= -tol
+    v = np.flatnonzero(mate >= 0)
+    v = v[real[v, mate[v]]]
+    assert (np.abs(slack[v, mate[v]]) <= tol).all()
+
+
+@pytest.mark.parametrize(
+    "values",
+    [st.integers(-2, 2), st.integers(-10**9, 10**9), st.floats(-100, 100).map(lambda x: x * np.pi)],
+    ids=["ties", "signed-ints", "non-decimal-floats"],
+)
+@given(data=st.data())
+def test_match_dense_potentials(values, data):
+    check_potentials(*data.draw(dense_problems(values)))
+
+
+@pytest.mark.parametrize("dtype", [np.int64, np.float64])
+def test_potentials_certify_left_out_pairs(dtype):
+    # the cut oracle's pricing: solve over the pairs up to a limit; when the
+    # matching uses none of the others and the potentials price each of
+    # them at or below its weight, the matching is optimal over all pairs
+    rng = np.random.default_rng(23)
+    certified = 0
+    for _ in range(200):
+        n = 2 * int(rng.integers(2, 6))
+        d = euclidean_metric(rng, n).astype(dtype)
+        if dtype is np.float64:
+            d *= np.pi
+        off = ~np.eye(n, dtype=bool)
+        limit = np.quantile(d[off], rng.uniform(0.2, 1.0))
+        mask = off & (d <= limit)
+        mate, pi = match_dense(d, mask)
+        left_out = off & ~mask
+        if not mask[np.arange(n), mate].all():
+            continue
+        if ((pi[:, None] + pi[None, :])[left_out] > d[left_out]).any():
+            continue
+        certified += 1
+        got = sum(d[v, mate[v]] for v in range(n) if v < mate[v])
+        assert got == pytest.approx(brute_force_dense(d, off)[1], rel=1e-12)
+    assert certified > 100
 
 
 @given(dense_problems(st.integers(-2, 2)))
