@@ -10,9 +10,11 @@ matrix alone).  Then both checkouts' `match_dense` solve every recorded
 matrix under its mask, in its recorded dtype and, for int64 inputs, once
 more cast to float64.  A cost is the number of matched pairs outside the
 mask, then the summed distance of the others.  Prints, per workload and
-mode, how many inputs give equal costs; int64 costs must be equal
-exactly, float64 costs may differ by summation rounding when the two
-solvers pick different tied matchings.  Exits 1 if any int64 cost differs.
+mode, how many inputs give equal costs and how many give identical mate
+arrays, so a refactor of the solver can show that it is bit-identical;
+int64 costs must be equal exactly, float64 costs may differ by summation
+rounding when the two solvers pick different tied matchings.  Exits 1 if
+any int64 cost differs.
 """
 
 from __future__ import annotations
@@ -70,8 +72,7 @@ def record_inputs(checkout: str, seed: int) -> list[tuple[str, np.ndarray, np.nd
     return recorded
 
 
-def cost(match_dense, d: np.ndarray, mask: np.ndarray):
-    mate = match_dense(d, mask)
+def cost(d: np.ndarray, mask: np.ndarray, mate: np.ndarray):
     v = np.flatnonzero(np.arange(d.shape[0]) < mate)
     found = mask[v, mate[v]]
     return int((~found).sum()), d[v[found], mate[v[found]]].sum()
@@ -86,14 +87,16 @@ def main() -> int:
     old = load_match_dense(args.old, "matching_old")
     new = load_match_dense(args.new, "matching_new")
     inputs = record_inputs(args.old, args.seed)
-    total, equal = collections.Counter(), collections.Counter()
+    total, equal, same = collections.Counter(), collections.Counter(), collections.Counter()
     worst = 0.0
     for workload, d, mask in inputs:
         for x in [d] if d.dtype != np.int64 else [d, d.astype(np.float64)]:
             key = (workload, "int64" if x.dtype == np.int64 else "float64",
                    "cast" if x is not d else "recorded")
-            a, b = cost(old, x, mask), cost(new, x, mask)
+            mate_a, mate_b = old(x, mask), new(x, mask)
+            a, b = cost(x, mask, mate_a), cost(x, mask, mate_b)
             total[key] += 1
+            same[key] += np.array_equal(mate_a, mate_b)
             if a == b:
                 equal[key] += 1
             elif a[0] == b[0]:
@@ -101,7 +104,7 @@ def main() -> int:
             else:
                 worst = np.inf
     for key in sorted(total):
-        print(*key, f"{equal[key]}/{total[key]} equal")
+        print(*key, f"{equal[key]}/{total[key]} equal costs, {same[key]}/{total[key]} identical mates")
     print(f"largest relative float64 difference: {worst:.3g}")
     int_diff = sum(total[k] - equal[k] for k in total if k[1] == "int64")
     return 1 if int_diff else 0

@@ -11,15 +11,18 @@ Edges with theta >= 0 have a degenerate box and are fixed at lambda =
 theta outside the LP; their contribution moves into each constraint's
 right-hand side.
 
-While the loop has not converged, intermediate lambdas are not members of
-the constraint polytope, so sum(theta - lambda) is not yet a valid bound.
-A valid one is still available at every iteration: the clustering
+A lambda is a member of the constraint polytope only when the oracle
+finds no violated cut, so sum(theta - lambda) alone is not a valid bound,
+not even at convergence, where the oracle value may still be as low as
+-tol.  A valid one is available for every lambda: the clustering
 subproblem's optimum is at least 1.5x the oracle's 2-coloring optimum
 (the two-versus-four-color inequality), so
 
     sum_e min(theta_e - lambda_e, 0) + 1.5 * min(0, oracle value)
 
-is certified.  On iteration-limit exit the best such bound is returned.
+is certified (`certified_bound`).  Every exit returns such a certificate:
+at convergence the last lambda's, on a stall or iteration-limit exit the
+best seen.  So `tol` only decides when the loop stops.
 """
 
 from __future__ import annotations
@@ -65,11 +68,11 @@ class CutPool:
 
 @dataclass(frozen=True)
 class PoolLp:
-    """A solved `restricted_lp`: its solution, kept-row mask and pool size then."""
+    """A solved `restricted_lp`: its solution and kept-row mask, one entry
+    per pool row at solve time."""
 
     solution: LpSolution
     kept: np.ndarray
-    pool_rows: int
 
 
 @dataclass(frozen=True)
@@ -92,6 +95,13 @@ def lower_bound_value(theta, lam) -> float:
     theta = np.asarray(theta, dtype=float)
     lam = np.asarray(lam, dtype=float)
     return float(np.minimum(theta - lam, 0.0).sum())
+
+
+def certified_bound(graph: PlanarGraph, theta, lam) -> tuple[float, np.ndarray, float]:
+    """The bound that `lam` certifies, sum_e min(theta_e - lambda_e, 0) +
+    1.5 * min(0, value), with the oracle's most violated cut and its value."""
+    cut, value = min_cut_2color(graph, lam)
+    return lower_bound_value(theta, lam) + 1.5 * min(0.0, value), cut, value
 
 
 def restricted_lp(theta: np.ndarray, pool: CutPool) -> tuple[LpProblem, np.ndarray]:
@@ -125,7 +135,7 @@ def _solve_restricted(theta: np.ndarray, neg: np.ndarray, pool: CutPool):
     if not len(pool) or not neg.any():
         return lam, None
     problem, kept = restricted_lp(theta, pool)
-    solved = PoolLp(solve_lp(problem), kept, len(pool))
+    solved = PoolLp(solve_lp(problem), kept)
     lam[neg] = solved.solution.x
     return lam, solved
 
@@ -136,11 +146,13 @@ def optimize_lower_bound(
     tol: float = 1e-6,
     max_batches: int = 1000,
 ) -> BoundResult:
-    """Cutting-plane loop; at convergence bound == sum(theta - lambda).
+    """Cutting-plane loop; the bound is certified at every exit.
 
     Starts from the trivially feasible lambda = max(0, theta) and
     alternates LP solves with oracle separation until no cut is violated
-    by more than tol.
+    by more than tol.  At convergence the bound is `certified_bound` of
+    the last lambda, sum(min(theta - lambda, 0)) when the oracle value is
+    zero.
     """
     theta = np.asarray(theta, dtype=float)
     neg = theta < 0
@@ -153,17 +165,16 @@ def optimize_lower_bound(
 
     while True:
         lam, lp = _solve_restricted(theta, neg, pool)
-        cut, value = min_cut_2color(graph, lam)
+        certified, cut, value = certified_bound(graph, theta, lam)
         if value >= -tol:
             return BoundResult(
                 lam=lam,
-                bound=lower_bound_value(theta, lam),
+                bound=certified,
                 pool=pool,
                 batches=batches,
                 converged=True,
                 final_lp=lp,
             )
-        certified = lower_bound_value(theta, lam) + 1.5 * min(0.0, value)
         if certified > best_bound:
             best_bound = certified
             best_lam = lam

@@ -109,9 +109,9 @@ def decode_rounding(
         # no cuts or nothing to cut: alpha = 0 is optimal
         z = np.zeros(m)
     else:
-        if final_lp is None or final_lp.pool_rows != len(pool):
+        if final_lp is None or final_lp.kept.size != len(pool):
             problem, kept = restricted_lp(theta, pool)
-            final_lp = PoolLp(solve_lp(problem), kept, len(pool))
+            final_lp = PoolLp(solve_lp(problem), kept)
         z = pool.matrix(m)[final_lp.kept].T @ final_lp.solution.duals
     return _result(graph, theta, z >= threshold, "rounding", bound)
 

@@ -3,13 +3,13 @@
 The solver is a primal-dual blossom algorithm with Edmonds' shrinking.  It
 maximizes weight in max-cardinality mode on the negated weights, which
 yields the minimum-weight perfect matching whenever one exists; missing
-edges are padded with a strongly negative sentinel so that a "perfect"
+edges hold a strongly negative sentinel weight so that a "perfect"
 matching through a sentinel edge is exactly the witness that no true
 perfect matching exists.  The sentinel, -(1 + 2 n max|w|), outweighs any
 difference in real weight; int64 inputs whose sentinel leaves no head-room
-below the solver's infinity raise MatchingError.  An odd vertex count gets
-one dummy vertex joined to all at weight 0, so the solver always seeks a
-perfect matching.
+below the solver's infinity raise MatchingError.  The vertex count must be
+even, as it always is for the cut oracle's odd-degree faces (handshake
+lemma); an odd count raises MatchingError.
 
 Like Blossom V (Kolmogorov 2009), the solver does not start from an empty
 matching with uniform duals.  Each vertex dual starts at half the largest
@@ -22,10 +22,11 @@ primal-dual stages start from there.  On the cut oracle's metric-closure
 matrices this greedy start leaves few vertices free, and the augmentation
 count drops accordingly.
 
-A stage grows an alternating forest from the free vertices.  It ends at an
-augmentation, or when a dual update takes a T-blossom's dual to zero: that
-blossom is expanded and the next stage grows a new forest, where the
-classic algorithm relabels the forest in place.  So the classic O(V^3)
+A stage grows an alternating forest from the free vertices, labelling each
+top-level blossom 0 (free), 1 (S) or 2 (T).  It ends at an augmentation,
+or when a dual update takes a T-blossom's dual to zero: that blossom is
+expanded and the next stage grows a new forest, where the classic
+algorithm relabels the forest in place.  So the classic O(V^3)
 bound per stage no longer holds; between two positive dual updates a stage
 may restart once per blossom.  Restarts are rare on the cut oracle's
 matrices.  On the oracle inputs of the benchmark's seed-0 rounds, 30 of
@@ -38,7 +39,7 @@ bound run on a GPB grid (beta 0.27, seed 0) took 18 restarts at 50x50 and
 weight matrix plus a boolean mask of real edges in, the mate array and the
 final vertex potentials out.  The matrix's dtype selects the arithmetic:
 int64 is exact, float64 uses a relative tie tolerance of 1e-12.  Negation,
-doubling and sentinel padding happen inside the solver, so callers pass
+doubling and the sentinel are applied inside the solver, so callers pass
 plain minimum-weight costs.  Choosing the dtype is the caller's job: the
 cut oracle scales short decimal weights to int64 before it builds the
 matrix.
@@ -82,14 +83,15 @@ class MatchingError(ValueError):
 def match_dense(weights: np.ndarray, mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Minimum-weight maximum-cardinality matching on a dense matrix.
 
-    `weights` is a symmetric n x n matrix, read only where the symmetric
-    boolean `mask` is True (the real edges; its diagonal is ignored).  An
-    int64 matrix is solved in exact integer arithmetic, a float64 one with
-    a relative tie tolerance.  Returns (mate, pi).  mate[v] is v's partner, or -1 for the one vertex
-    left unmatched when n is odd.  A pair outside `mask` in the result
-    means the real edges admit no perfect matching; the result has the
-    most real edges possible, and among those the least weight.  pi is
-    the float64 vertex potential array described in the module docstring.
+    `weights` is a symmetric n x n matrix with n even, read only where the
+    symmetric boolean `mask` is True (the real edges; its diagonal is
+    ignored).  An int64 matrix is solved in exact integer arithmetic, a
+    float64 one with a relative tie tolerance.  Returns (mate, pi).
+    mate[v] is v's partner.  A pair outside `mask` in the result means the
+    real edges admit no perfect matching; the result has the most real
+    edges possible, and among those the least weight.  pi is the float64
+    vertex potential array described in the module docstring.  An odd n
+    raises MatchingError.
     """
     return _DenseBlossom(weights, mask).solve()
 
@@ -97,7 +99,8 @@ def match_dense(weights: np.ndarray, mask: np.ndarray) -> tuple[np.ndarray, np.n
 class _DenseBlossom:
     """Max-weight matching in max-cardinality mode on a dense matrix.
 
-    Vertex ids 0..n-1; blossom ids n..2n-1.  Missing edges hold a strongly
+    Vertex ids 0..n-1; blossom ids n..2n-1, unused while their base is -1
+    (a new blossom takes the lowest such id).  Missing edges hold a strongly
     negative sentinel weight, which max-cardinality mode will only match
     when no real perfect matching exists.
     """
@@ -105,13 +108,9 @@ class _DenseBlossom:
     def __init__(self, weights: np.ndarray, mask: np.ndarray):
         weights = np.asarray(weights)
         mask = np.asarray(mask, dtype=bool)
-        self.size = weights.shape[0]
-        if self.size % 2:
-            # a dummy vertex joined to all at weight 0 turns a maximum
-            # matching of an odd vertex set into a perfect one
-            weights = np.pad(weights, (0, 1))
-            mask = np.pad(mask, (0, 1), constant_values=True)
         self.n = n = weights.shape[0]
+        if n % 2:
+            raise MatchingError(f"vertex count {n} is odd")
         self.integer = np.issubdtype(weights.dtype, np.integer)
         self.dtype = np.int64 if self.integer else np.float64
         self.INF = 2**62 if self.integer else np.inf
@@ -135,19 +134,13 @@ class _DenseBlossom:
         n = self.n
         self.y = np.zeros(2 * n, dtype=self.dtype)
         self.mate = np.full(n, -1, dtype=np.int64)
-        self.label = np.zeros(2 * n, dtype=np.int8)
-        self.labeledge: list = [None] * (2 * n)
         self.inblossom = np.arange(n, dtype=np.int64)
         self.parent = np.full(2 * n, -1, dtype=np.int64)
         self.base = np.full(2 * n, -1, dtype=np.int64)
         self.base[:n] = np.arange(n)
         self.childs: list = [None] * (2 * n)
         self.cycedges: list = [None] * (2 * n)
-        self.free_ids = list(range(2 * n - 1, n - 1, -1))
         self.active_blossoms: set[int] = set()
-        self.s2val = np.full(n, self.INF, dtype=self.dtype)
-        self.s2arg = np.full(n, -1, dtype=np.int64)
-        self.queue: list[int] = []
         self._greedy_start()
 
     def _greedy_start(self):
@@ -209,32 +202,27 @@ class _DenseBlossom:
 
     def _scan_blossom(self, v: int, w: int) -> int:
         """Common base of the trees of v and w, or -1 for distinct trees."""
-        marked = []
-        found = -1
+        marked = set()
         vv, ww = v, w
         while vv != -1 or ww != -1:
             if vv != -1:
                 b = int(self.inblossom[vv])
-                if self.label[b] & 4:
-                    found = int(self.base[b])
-                    break
-                if self.label[b] & 3 != 1:
+                if b in marked:
+                    return int(self.base[b])
+                if self.label[b] != 1:
                     raise MatchingError(f"tree walk reached non-S blossom {b}")
-                marked.append(b)
-                self.label[b] |= 4
+                marked.add(b)
                 if self.labeledge[b] is None:
                     vv = -1  # tree root
                 else:
                     far = self.labeledge[b][0]
                     bt = int(self.inblossom[far])
-                    if self.label[bt] & 3 != 2:
+                    if self.label[bt] != 2:
                         raise MatchingError(f"tree walk reached non-T blossom {bt}")
                     vv = self.labeledge[bt][0]
             if ww != -1:
                 vv, ww = ww, vv
-        for b in marked:
-            self.label[b] &= ~4
-        return found
+        return -1
 
     # -- blossom surgery ------------------------------------------------
 
@@ -242,7 +230,7 @@ class _DenseBlossom:
         bb = int(self.inblossom[base_vertex])
         bv = int(self.inblossom[v])
         bw = int(self.inblossom[w])
-        b = self.free_ids.pop()
+        b = self.n + int(np.argmax(self.base[self.n :] < 0))
 
         def chain_up(btop):
             out = []
@@ -299,7 +287,6 @@ class _DenseBlossom:
         self.cycedges[b] = None
         self.base[b] = -1
         self.active_blossoms.discard(b)
-        self.free_ids.append(b)
 
     # -- augmenting -----------------------------------------------------
 
@@ -359,7 +346,7 @@ class _DenseBlossom:
         bw = int(self.inblossom[w])
         if bw == self.inblossom[v]:
             return False
-        lb = self.label[bw] & 3
+        lb = self.label[bw]
         if lb == 0:
             self._assign_label(w, 2, (v, w))
         elif lb == 1:
@@ -406,7 +393,7 @@ class _DenseBlossom:
                 if half < delta:
                     delta, edge = half, (int(sv[r]), int(sv[c]))
         for b in self.active_blossoms:
-            if self.parent[b] == -1 and self.label[b] & 3 == 2 and self.y[b] < delta:
+            if self.parent[b] == -1 and self.label[b] == 2 and self.y[b] < delta:
                 delta, edge, blossom = self.y[b], None, b
         if delta >= self.INF:
             # n is even and missing edges hold the sentinel, so a perfect
@@ -419,15 +406,14 @@ class _DenseBlossom:
         n = self.n
         while True:
             # new stage
-            self.label[:] = 0
-            self.labeledge = [None] * (2 * n)
-            self.s2val[:] = self.INF
-            self.s2arg[:] = -1
-            self.queue = []
             free = [v for v in range(n) if self.mate[v] == -1]
             if not free:
-                mate = self.mate[: self.size]
-                return np.where(mate < self.size, mate, -1), self.y[: self.size] / -2
+                return self.mate, self.y[:n] / -2
+            self.label = np.zeros(2 * n, dtype=np.int8)
+            self.labeledge: list = [None] * (2 * n)
+            self.s2val = np.full(n, self.INF, dtype=self.dtype)
+            self.s2arg = np.full(n, -1, dtype=np.int64)
+            self.queue: list[int] = []
             for v in free:
                 if self.label[self.inblossom[v]] == 0:
                     self._assign_label(v, 1, None)
@@ -437,7 +423,7 @@ class _DenseBlossom:
                     augmented = self._scan_vertex(self.queue.pop())
                 if augmented:
                     break
-                lab = self.label[self.inblossom] & 3
+                lab = self.label[self.inblossom]
                 delta, edge, blossom = self._dual_update(lab)
                 if not self.integer:
                     delta = max(delta, 0.0)
@@ -446,7 +432,7 @@ class _DenseBlossom:
                 self.s2val -= delta
                 for b in self.active_blossoms:
                     if self.parent[b] == -1:
-                        lb = self.label[b] & 3
+                        lb = self.label[b]
                         if lb == 1:
                             self.y[b] += delta
                         elif lb == 2:
@@ -470,7 +456,7 @@ class _DenseBlossom:
                 if (
                     self.parent[b] == -1
                     and self.base[b] >= 0
-                    and self.label[b] & 3 == 1
+                    and self.label[b] == 1
                     and self.y[b] == 0
                 ):
                     self._expand_blossom(b)

@@ -344,8 +344,6 @@ def min_weight_perfect_matching(problem: MatchingProblem) -> Matching:
     w = np.zeros((n, n), dtype=wvals.dtype)
     w[lo[rep], hi[rep]] = w[hi[rep], lo[rep]] = wvals[rep]
     mate, _ = match_dense(w, rep_of >= 0)
-    if (mate < 0).any():
-        raise NoPerfectMatching("maximum matching is not perfect")
     v = np.flatnonzero(np.arange(n) < mate)
     matched = rep_of[v, mate[v]]
     if (matched < 0).any():

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from planarclust.bound import CutPool, lower_bound_value, optimize_lower_bound
 from planarclust.cut_oracle import min_cut_2color
-from planarclust.instances import gen_grid, gen_random_planar, UniformWeights
-from planarclust.oracle import brute_cc, full_lp_bound
+from planarclust.instances import GpbLikeWeights, gen_grid, gen_random_planar, UniformWeights
+from planarclust.oracle import brute_cc, exact_cc_value, full_lp_bound
 
 
 def test_lower_bound_value():
@@ -71,6 +72,16 @@ def test_soundness_against_brute_force():
         res = optimize_lower_bound(inst.graph, inst.theta)
         _, cc = brute_cc(inst.graph, inst.theta)
         assert res.bound <= cc + 1e-6
+
+
+@given(st.integers(1, 119), st.sampled_from([0.1, 0.5]))
+def test_bound_is_sound_at_a_loose_tol(s, tol):
+    # at convergence the oracle value may still be as low as -tol, which
+    # the bound must count: sum(min(theta - lambda, 0)) alone overshot the
+    # optimum on 26 of these instances at tol 0.5
+    inst = gen_random_planar(10, s) if s % 2 else gen_grid(4, 4, GpbLikeWeights(0.27), s)
+    res = optimize_lower_bound(inst.graph, inst.theta, tol=tol)
+    assert res.bound <= exact_cc_value(inst.graph, inst.theta) + 1e-9
 
 
 def test_matches_full_lp():

@@ -139,6 +139,18 @@ def test_decode_rejects_an_uncertified_bound(tmp_path, capsys, edit):
     assert err.startswith("planarclust: error: ") and err.count("\n") == 1
 
 
+def test_decode_accepts_a_bound_saved_at_a_loose_tol(tmp_path, capsys):
+    # the saved bound is what its lambda certifies, whatever --tol was
+    path = tmp_path / "r.json"
+    write_instance(gen_random_planar(10, 5), path)
+    bpath = tmp_path / "b.json"
+    code, _, _ = run_cli(capsys, "bound", str(path), "--tol", "0.5", "--out", str(bpath))
+    assert code == 0
+    code, out, err = run_cli(capsys, "decode", str(path), "--bound", str(bpath))
+    assert code in (0, 2) and err == ""
+    assert json.loads(out)["bound"] == json.loads(bpath.read_text())["bound"]
+
+
 def test_oracle_queries(tmp_path, capsys):
     path = write_triangle(tmp_path, [-1.0, -1.0, -1.0])
     code, out, _ = run_cli(capsys, "oracle", str(path), "--cc")

@@ -276,7 +276,6 @@ def test_rounding_reuses_the_converged_lp(monkeypatch):
         if not len(br.pool) or not (theta < 0).any():
             assert br.final_lp is None
             continue
-        assert br.final_lp.pool_rows == len(br.pool)
         assert br.final_lp.kept.shape == (len(br.pool),)
         n_calls = len(calls)
         res = decode_rounding(inst.graph, theta, br.pool, bound=br.bound, final_lp=br.final_lp)

@@ -193,20 +193,17 @@ def brute_force_dense(w, mask):
     """(real-edge count, cost) of the best maximum matching of all pairs.
 
     Pairs outside `mask` may be matched but count as missing: the best
-    matching has the most real edges, then the least real cost.  With an
-    odd vertex count one vertex stays unmatched.
+    matching has the most real edges, then the least real cost.
     """
     best = None
 
     def rec(rest, count, cost):
         nonlocal best
-        if len(rest) <= 1:
+        if not rest:
             if best is None or (-count, cost) < (-best[0], best[1]):
                 best = (count, cost)
             return
         u = rest[0]
-        if len(rest) % 2 == 1:
-            rec(rest[1:], count, cost)
         for i in range(1, len(rest)):
             v = rest[i]
             left = rest[1:i] + rest[i + 1:]
@@ -222,10 +219,8 @@ def brute_force_dense(w, mask):
 def check_against_brute_force(w, mask):
     n = w.shape[0]
     mate, _ = match_dense(w, mask)
-    matched = np.flatnonzero(mate >= 0)
-    assert (mate[mate[matched]] == matched).all()
-    assert (mate[matched] != matched).all()
-    assert n - matched.size == n % 2
+    assert (mate[mate] == np.arange(n)).all()
+    assert (mate != np.arange(n)).all()
     pairs = [(v, int(mate[v])) for v in range(n) if v < mate[v] and mask[v, mate[v]]]
     count, cost = brute_force_dense(w, mask)
     assert len(pairs) == count
@@ -249,7 +244,7 @@ def test_match_dense_sparse_masks(dtype):
     rng = np.random.default_rng(5)
     unmatched = 0
     for _ in range(400):
-        n = int(rng.integers(2, 11))
+        n = 2 * int(rng.integers(1, 6))
         k = n * (n - 1) // 2
         if dtype is np.int64:
             upper = rng.integers(-10**6, 10**6, k)
@@ -260,6 +255,15 @@ def test_match_dense_sparse_masks(dtype):
         check_against_brute_force(w, mask)
         unmatched += brute_force_dense(w, mask)[0] < n // 2
     assert unmatched > 100
+
+
+@pytest.mark.parametrize("dtype", [np.int64, np.float64])
+@pytest.mark.parametrize("n", [1, 3, 9])
+def test_match_dense_rejects_odd_size(n, dtype):
+    # the cut oracle matches odd-degree faces, always an even number of them
+    w = symmetric(n, np.arange(n * (n - 1) // 2), dtype)
+    with pytest.raises(MatchingError, match="odd"):
+        match_dense(w, ~np.eye(n, dtype=bool))
 
 
 def test_sentinel_head_room():
@@ -281,7 +285,7 @@ def test_sentinel_head_room():
 
 @st.composite
 def dense_problems(draw, values):
-    n = draw(st.integers(1, 10))
+    n = 2 * draw(st.integers(1, 5))
     k = n * (n - 1) // 2
     upper = draw(st.lists(values, min_size=k, max_size=k))
     present = draw(st.one_of(st.just([True] * k), st.lists(st.booleans(), min_size=k, max_size=k)))
@@ -291,7 +295,7 @@ def dense_problems(draw, values):
 
 def match_with_dual_check(w, mask):
     """`match_dense`'s mate array, after checking that the solver's final
-    duals certify it: the LP dual of the (padded, negated, doubled) problem
+    duals certify it: the LP dual of the (negated, doubled) problem
     is feasible and complementary to the matching."""
     solver = _DenseBlossom(w, mask)
     result, _ = solver.solve()
@@ -321,15 +325,14 @@ def check_potentials(w, mask):
     assert np.array_equal(pi, solver.y[:n] / -2)
     z = np.zeros((n, n))
     for b in solver.active_blossoms:
-        leaves = [v for v in solver._leaves(b) if v < n]
+        leaves = solver._leaves(b)
         z[np.ix_(leaves, leaves)] += solver.y[b]
     assert (z >= 0).all()
     tol = 0 if solver.integer else 1e-9 * max(1.0, float(np.abs(w).max(initial=0)))
     slack = w - pi[:, None] - pi[None, :] + z
     real = mask & ~np.eye(n, dtype=bool)
     assert slack[real].min(initial=0) >= -tol
-    v = np.flatnonzero(mate >= 0)
-    v = v[real[v, mate[v]]]
+    v = np.flatnonzero(real[np.arange(n), mate])
     assert (np.abs(slack[v, mate[v]]) <= tol).all()
 
 
@@ -429,7 +432,7 @@ def test_match_dense_euclidean_metric_vs_networkx(monkeypatch):
     def counting_expand(self, b):
         nonlocal restarts, nested
         # zero-dual children are expanded by nested calls
-        restarts += nested == 0 and self.label[b] & 3 == 2
+        restarts += nested == 0 and self.label[b] == 2
         nested += 1
         try:
             expand(self, b)
