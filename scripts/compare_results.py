@@ -19,11 +19,13 @@ pass.  The recursive pass is left out on `grid-gpb`, where it takes about
 2 s per instance; `decode-recursive` covers that path on smaller grids.
 An instance that raises hashes its exception instead.
 
-Every set runs to the end.  Per set it prints each checkout's digest and
-batch and oracle-call totals, how many instances differ, the largest
-bound difference, and the instances whose certificate or energy differ
-in any decode.  Exits 1 if any instance's digest differs, so a change
-that is not bit-identical shows how far its results moved.  Both
+Every set runs to the end.  Per set it prints each checkout's digest,
+batch and oracle-call totals and number of certified results per decode,
+then how many instances differ, the largest bound difference, how many
+instances changed an energy but no certificate, and one line per
+instance whose certificate flips in some decode.  Exits 1 if any
+instance's digest differs, so a change that is not bit-identical shows
+how far its results moved.  Both
 processes run at once, so the comparison takes about as long as one
 checkout's run: about a minute on a 2-core x86-64 host.
 """
@@ -46,6 +48,9 @@ SETS = (
 )
 
 
+DECODES = ("best_decode", "rounding", "recursive")
+
+
 def _decode_record(h, res) -> list:
     """Hash a decode result; return its [energy, certificate]."""
     h.update(res.partition.astype("int64").tobytes())
@@ -54,9 +59,9 @@ def _decode_record(h, res) -> list:
 
 
 def _instance_record(pc, decode, W, wl, spec, seed, max_batches, recursive) -> dict:
-    """Digest, bound, counts and [energy, certificate] of each decode."""
+    """Digest, bound, counts and [energy, certificate] of each decode, by name."""
     h = hashlib.sha256()
-    rec = {"bound": None, "batches": 0, "oracle_calls": 0, "decodes": []}
+    rec = {"bound": None, "batches": 0, "oracle_calls": 0, "decodes": {}}
     try:
         inst = W.make_instance(spec)
         g, theta = inst.graph, inst.theta
@@ -68,12 +73,12 @@ def _instance_record(pc, decode, W, wl, spec, seed, max_batches, recursive) -> d
         decodes = rec["decodes"]
         if not wl.bound_in_setup:
             res = pc.best_decode(g, theta, br, restarts=W.RESTARTS, seed=seed)
-            decodes.append(_decode_record(h, res))
+            decodes["best_decode"] = _decode_record(h, res)
             res = decode.decode_rounding(g, theta, br.pool, bound=br.bound)
-            decodes.append(_decode_record(h, res))
+            decodes["rounding"] = _decode_record(h, res)
         if recursive:
             res = decode.decode_recursive(g, theta, br.lam, seed=seed, bound=br.bound)
-            decodes.append(_decode_record(h, res))
+            decodes["recursive"] = _decode_record(h, res)
     except Exception as exc:  # both checkouts must fail alike
         h.update(f"{type(exc).__name__}: {exc}".encode())
         rec["error"] = f"{type(exc).__name__}: {exc}"
@@ -129,18 +134,33 @@ def main() -> int:
             total = hashlib.sha256("".join(r["digest"] for r in recs).encode()).hexdigest()
             batches = sum(r["batches"] for r in recs)
             calls = sum(r["oracle_calls"] for r in recs)
+            certified = "  ".join(
+                f"{name} {sum(r['decodes'][name][1] for r in recs if name in r['decodes'])}"
+                for name in DECODES if any(name in r["decodes"] for r in recs)
+            )
             print(f"{a['set']:32s} {side} {len(recs):5d} instances  batches {batches:6d}  "
-                  f"oracle calls {calls:6d}  {total}")
+                  f"oracle calls {calls:6d}  certified: {certified}  {total}")
         diff = [i for i, (x, y) in enumerate(zip(ra, rb)) if x["digest"] != y["digest"]]
         gaps = [abs(x["bound"] - y["bound"]) for x, y in zip(ra, rb)
                 if x["bound"] is not None and y["bound"] is not None]
-        print(f"{a['set']:32s} {len(diff)} instances differ; largest bound difference "
-              f"{max(gaps, default=0.0):.3g}")
+        flips, energy_only = [], 0
         for i, (x, y) in enumerate(zip(ra, rb)):
-            if x["decodes"] != y["decodes"] or x.get("error") != y.get("error"):
-                # [energy, certificate] of best_decode, rounding, recursive
-                print(f"  instance {i}: certificate or energy differs: old {x['decodes']} "
-                      f"{x.get('error', '')}  new {y['decodes']} {y.get('error', '')}")
+            dx, dy = x["decodes"], y["decodes"]
+            flipped = [n for n in DECODES if n in dx and n in dy and dx[n][1] != dy[n][1]]
+            if flipped or x.get("error") != y.get("error") or dx.keys() != dy.keys():
+                flips.append((i, flipped))
+            elif dx != dy:
+                energy_only += 1
+        print(f"{a['set']:32s} {len(diff)} instances differ; largest bound difference "
+              f"{max(gaps, default=0.0):.3g}; {energy_only} change an energy only")
+        for i, flipped in flips:
+            x, y = ra[i], rb[i]
+            what = "  ".join(
+                f"{n} {x['decodes'][n][1]} -> {y['decodes'][n][1]} "
+                f"(energy {x['decodes'][n][0]!r} -> {y['decodes'][n][0]!r})" for n in flipped
+            )
+            print(f"  instance {i}: certificate flips: {what} "
+                  f"{x.get('error', '')} {y.get('error', '')}".rstrip())
         if diff or len(ra) != len(rb):
             differs = True
             print(f"DIFFERENT: {a['set']}" + (" instance count" if len(ra) != len(rb) else ""))

@@ -23,6 +23,12 @@ subproblem's optimum is at least 1.5x the oracle's 2-coloring optimum
 is certified (`certified_bound`).  Every exit returns such a certificate:
 at convergence the last lambda's, on a stall or iteration-limit exit the
 best seen.  So `tol` only decides when the loop stops.
+
+Each batch only adds rows to the pool-restricted LP, so one run keeps one
+`lp.LpModel`: a solve passes it only the rows of the cuts pooled since
+the last one and re-solves from the previous optimal basis.  On a
+degenerate LP the warm solve may return another optimal lambda than a
+cold solve of the same `restricted_lp`; the value is the same.
 """
 
 from __future__ import annotations
@@ -33,7 +39,7 @@ import numpy as np
 
 from .cut_oracle import min_cut_2color, split_into_basic_cuts
 from .graph import PlanarGraph
-from .lp import LpProblem, LpSolution, solve_lp
+from .lp import LpModel, LpProblem, LpSolution, solve_lp
 
 
 class CutPool:
@@ -104,6 +110,18 @@ def certified_bound(graph: PlanarGraph, theta, lam) -> tuple[float, np.ndarray, 
     return lower_bound_value(theta, lam) + 1.5 * min(0.0, value), cut, value
 
 
+def _cut_rows(theta: np.ndarray, cuts: np.ndarray):
+    """The bound LP's constraint rows and right-hand sides for the cut rows
+    `cuts`, and the mask of the cuts they keep."""
+    neg = theta < 0
+    rows = cuts[:, neg]
+    kept = rows.any(axis=1)
+    # a row sum, not a matrix product: each right-hand side is then the same
+    # whether its cut's rows are built alone or with the whole pool
+    rhs = -np.where(cuts[kept], np.where(neg, 0.0, theta), 0.0).sum(axis=1)
+    return rows[kept], rhs, kept
+
+
 def restricted_lp(theta: np.ndarray, pool: CutPool) -> tuple[LpProblem, np.ndarray]:
     """The bound LP over the pooled cuts, and the mask of pool rows it keeps.
 
@@ -114,30 +132,38 @@ def restricted_lp(theta: np.ndarray, pool: CutPool) -> tuple[LpProblem, np.ndarr
     multipliers are the rounding decoder's cut weights.
     """
     theta = np.asarray(theta, dtype=float)
-    neg = theta < 0
-    cuts = pool.matrix(theta.size)
-    rows = cuts[:, neg]
-    kept = rows.any(axis=1)
+    lower = theta[theta < 0]
+    constraints, rhs, kept = _cut_rows(theta, pool.matrix(theta.size))
     problem = LpProblem(
-        objective=-np.ones(rows.shape[1]),
-        lower=theta[neg],
-        upper=np.zeros(rows.shape[1]),
-        constraints=rows[kept],
-        rhs=-(cuts[kept] @ np.where(neg, 0.0, theta)),
+        objective=-np.ones(lower.size), lower=lower, upper=np.zeros(lower.size),
+        constraints=constraints, rhs=rhs,
     )
     return problem, kept
 
 
-def _solve_restricted(theta: np.ndarray, neg: np.ndarray, pool: CutPool):
-    """Pool-restricted bound LP (neg = theta < 0): the full lambda vector and
-    the solved LP, or None when the pool leaves nothing to solve."""
-    lam = theta.copy()
-    if not len(pool) or not neg.any():
-        return lam, None
-    problem, kept = restricted_lp(theta, pool)
-    solved = PoolLp(solve_lp(problem), kept)
-    lam[neg] = solved.solution.x
-    return lam, solved
+class _PoolModel:
+    """`restricted_lp` of a growing pool, solved warm from one `LpModel`.
+
+    Each solve first appends the rows of the cuts pooled since the last
+    one to `problem`.
+    """
+
+    def __init__(self, theta: np.ndarray, pool: CutPool):
+        self.theta, self.pool = theta, pool
+        self.problem, self.kept = restricted_lp(theta, pool)
+        self.model = LpModel()
+
+    def solve(self) -> PoolLp:
+        added = self.pool.cuts[self.kept.size :]
+        if added:
+            constraints, rhs, kept = _cut_rows(self.theta, np.vstack(added))
+            p = self.problem
+            self.problem = LpProblem(
+                p.objective, p.lower, p.upper,
+                np.vstack([p.constraints, constraints]), np.r_[p.rhs, rhs],
+            )
+            self.kept = np.r_[self.kept, kept]
+        return PoolLp(solve_lp(self.problem, self.model), self.kept)
 
 
 def optimize_lower_bound(
@@ -154,9 +180,14 @@ def optimize_lower_bound(
     the last lambda, sum(min(theta - lambda, 0)) when the oracle value is
     zero.
     """
+    if not tol >= 0:  # NaN fails this too
+        raise ValueError(f"tol must be a nonnegative number, got {tol!r}")
+    if max_batches < 0:
+        raise ValueError(f"max_batches must be nonnegative, got {max_batches!r}")
     theta = np.asarray(theta, dtype=float)
     neg = theta < 0
     pool = CutPool()
+    model = _PoolModel(theta, pool)
     batches = 0
 
     # trivially certified starting point
@@ -164,7 +195,10 @@ def optimize_lower_bound(
     best_lam = np.maximum(theta, 0.0)
 
     while True:
-        lam, lp = _solve_restricted(theta, neg, pool)
+        lam, lp = theta.copy(), None
+        if len(pool):
+            lp = model.solve()
+            lam[neg] = lp.solution.x
         certified, cut, value = certified_bound(graph, theta, lam)
         if value >= -tol:
             return BoundResult(

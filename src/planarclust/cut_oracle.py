@@ -41,6 +41,7 @@ gadget lives in `oracle.py`.
 
 from __future__ import annotations
 
+import threading
 import weakref
 
 import numpy as np
@@ -97,8 +98,14 @@ class _DualInfo:
         rows, cols = np.r_[group_lo, group_hi], np.r_[group_hi, group_lo]
         slots = np.lexsort((cols, rows))
         self.slot_group = (slots % starts.size).astype(np.int32)
-        self.indices = cols[slots].astype(np.int32)
-        self.indptr = np.searchsorted(rows[slots], np.arange(graph.face_count + 1)).astype(np.int32)
+        indices = cols[slots].astype(np.int32)
+        indptr = np.searchsorted(rows[slots], np.arange(graph.face_count + 1)).astype(np.int32)
+        # a call refills `adj.data` in place: building a csr_matrix costs
+        # more than a small graph's searches.  `lock` guards it while in use.
+        self.adj = csr_matrix(
+            (np.zeros(indices.size), indices, indptr), shape=(graph.face_count, graph.face_count)
+        )
+        self.lock = threading.Lock()
 
 
 def _dual_info(graph: PlanarGraph) -> _DualInfo:
@@ -119,13 +126,13 @@ def _match_terminals(dist: np.ndarray, mask: np.ndarray):
     return [(v, int(mate[v])) for v in range(t) if v < mate[v]], pi
 
 
-def _first_limit(info: _DualInfo, adj, gmin: np.ndarray, terminals: np.ndarray) -> float:
+def _first_limit(info: _DualInfo, gmin: np.ndarray, terminals: np.ndarray) -> float:
     """LIMIT_FACTOR times the largest distance from a terminal to its nearest
     other terminal.  A shortest path between two terminals leaves the first
     one's Voronoi cell through a dual edge whose endpoints lie in different
     cells, so the least such crossing per cell is that distance exactly."""
     dist, _, source = dijkstra(
-        adj, directed=True, indices=terminals, min_only=True, return_predecessors=True
+        info.adj, directed=True, indices=terminals, min_only=True, return_predecessors=True
     )
     lo, hi = info.group_lo, info.group_hi
     cross = np.flatnonzero(source[lo] != source[hi])
@@ -134,6 +141,34 @@ def _first_limit(info: _DualInfo, adj, gmin: np.ndarray, terminals: np.ndarray) 
     np.minimum.at(nearest, source[lo[cross]], via)
     np.minimum.at(nearest, source[hi[cross]], via)
     return LIMIT_FACTOR * float(nearest[terminals].max())
+
+
+def _search_and_match(info: _DualInfo, gmin: np.ndarray, terminals: np.ndarray, dtype):
+    """Min-weight perfect matching of the terminals under shortest-path
+    distances over `info.adj`: (matched pairs, Dijkstra predecessors)."""
+    limit = np.inf if terminals.size < SMALL_T else _first_limit(info, gmin, terminals)
+    retried = False
+    while True:
+        dist, pred = dijkstra(
+            info.adj, directed=True, indices=terminals, limit=limit, return_predecessors=True
+        )
+        d_t = dist[:, terminals]
+        found = d_t <= limit
+        # distances are exact integers in int64 mode (`_prepare_weights`)
+        d_t = np.where(found, d_t, 0).astype(dtype)
+        pairs, pi = _match_terminals(d_t, found)
+        if limit == np.inf:
+            return pairs, pred
+        # each left-out pair is longer than the limit, so a price
+        # pi_i + pi_j at most the limit keeps the dual feasible for it;
+        # int64 potentials are exact half-integers below 2**51
+        need = (pi[:, None] + pi[None, :])[~found].max(initial=-np.inf)
+        exact = dtype != np.int64 or np.abs(pi).max() < 2**51
+        if exact and need <= limit and all(found[i, j] for i, j in pairs):
+            return pairs, pred
+        limit = need if not retried and need > limit else np.inf
+        retried = True
+        del dist, pred  # free the T x F matrices before the next search
 
 
 def _solve_even_subgraph(graph: PlanarGraph, w: np.ndarray):
@@ -151,8 +186,7 @@ def _solve_even_subgraph(graph: PlanarGraph, w: np.ndarray):
         info.f2[neg_nl], minlength=info.face_count
     )
     terminals = np.flatnonzero(deg % 2 == 1)
-    t = terminals.size
-    if t:
+    if terminals.size:
         wa = np.abs(w[info.sorted_edges]).astype(float)
         gmin = np.minimum.reduceat(wa, info.group_starts)
         # representative edge per face pair: first group member achieving gmin
@@ -162,33 +196,9 @@ def _solve_even_subgraph(graph: PlanarGraph, w: np.ndarray):
         rep_pos = np.minimum.reduceat(pos, info.group_starts)
         rep_edges = info.sorted_edges[rep_pos]
 
-        adj = csr_matrix(
-            (gmin[info.slot_group], info.indices, info.indptr),
-            shape=(info.face_count, info.face_count),
-        )
-        limit = np.inf if t < SMALL_T else _first_limit(info, adj, gmin, terminals)
-        retried = False
-        while True:
-            dist, pred = dijkstra(
-                adj, directed=True, indices=terminals, limit=limit, return_predecessors=True
-            )
-            d_t = dist[:, terminals]
-            found = d_t <= limit
-            # distances are exact integers in int64 mode (`_prepare_weights`)
-            d_t = np.where(found, d_t, 0).astype(w.dtype)
-            pairs, pi = _match_terminals(d_t, found)
-            if limit == np.inf:
-                break
-            # each left-out pair is longer than the limit, so a price
-            # pi_i + pi_j at most the limit keeps the dual feasible for it;
-            # int64 potentials are exact half-integers below 2**51
-            need = (pi[:, None] + pi[None, :])[~found].max(initial=-np.inf)
-            exact = w.dtype != np.int64 or np.abs(pi).max() < 2**51
-            if exact and need <= limit and all(found[i, j] for i, j in pairs):
-                break
-            limit = need if not retried and need > limit else np.inf
-            retried = True
-            del dist, pred  # free the T x F matrices before the next search
+        with info.lock:
+            np.take(gmin, info.slot_group, out=info.adj.data)
+            pairs, pred = _search_and_match(info, gmin, terminals, w.dtype)
 
         # walk each matched path; a dual edge used an odd number of times flips
         fc = info.face_count

@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from planarclust.bound import CutPool, lower_bound_value, optimize_lower_bound
-from planarclust.cut_oracle import min_cut_2color
+from planarclust.bound import (
+    CutPool, _PoolModel, lower_bound_value, optimize_lower_bound, restricted_lp,
+)
+from planarclust.cut_oracle import min_cut_2color, split_into_basic_cuts
 from planarclust.instances import GpbLikeWeights, gen_grid, gen_random_planar, UniformWeights
+from planarclust.lp import solve_lp
 from planarclust.oracle import brute_cc, exact_cc_value, full_lp_bound
 
 
@@ -102,6 +105,17 @@ def test_iteration_limit_still_sound():
             assert res.batches <= 1
 
 
+@pytest.mark.parametrize(
+    "kwargs", [{"tol": float("nan")}, {"tol": -1.0}, {"max_batches": -1}]
+)
+def test_invalid_loop_parameters_raise(kwargs):
+    # these used to stop after one batch, unconverged, where the defaults converge
+    inst = gen_grid(8, 8, GpbLikeWeights(0.27), 0)
+    assert optimize_lower_bound(inst.graph, inst.theta).converged
+    with pytest.raises(ValueError):
+        optimize_lower_bound(inst.graph, inst.theta, **kwargs)
+
+
 def test_small_grid():
     inst = gen_grid(4, 4, UniformWeights(), 5)
     res = optimize_lower_bound(inst.graph, inst.theta)
@@ -109,24 +123,63 @@ def test_small_grid():
     assert res.bound <= 1e-12
 
 
-def test_lp_objective_monotone_across_batches():
-    # replay the cutting-plane loop by hand: every added batch tightens a
-    # maximization, so the restricted LP value must never increase
-    from planarclust.bound import CutPool, _solve_restricted, lower_bound_value
-    from planarclust.cut_oracle import min_cut_2color, split_into_basic_cuts
+def _replay(graph, theta, max_batches=50):
+    """The cutting-plane loop by hand, through the loop's own warm LP model:
+    yields the model and its solve after each batch."""
+    pool = CutPool()
+    model = _PoolModel(theta, pool)
+    lam = theta.copy()
+    for _ in range(max_batches):
+        cut, value = min_cut_2color(graph, lam)
+        if value >= -1e-9:
+            return
+        for b in split_into_basic_cuts(graph, cut):
+            pool.add(b)
+        lp = model.solve()
+        lam = theta.copy()
+        lam[theta < 0] = lp.solution.x
+        yield model, lp
 
+
+def test_lp_objective_monotone_across_batches():
+    # every added batch tightens a maximization, so the restricted LP value
+    # must never increase
     for seed in range(8):
         inst = gen_random_planar(8, 1000 + seed)
         theta = inst.theta
-        neg = theta < 0
-        pool = CutPool()
-        values = []
-        for _ in range(50):
-            lam, _ = _solve_restricted(theta, neg, pool)
+        values = [lower_bound_value(theta, theta)]
+        for _, lp in _replay(inst.graph, theta):
+            lam = theta.copy()
+            lam[theta < 0] = lp.solution.x
             values.append(lower_bound_value(theta, lam))
-            cut, value = min_cut_2color(inst.graph, lam)
-            if value >= -1e-9:
-                break
-            for b in split_into_basic_cuts(inst.graph, cut):
-                pool.add(b)
         assert all(a >= b - 1e-9 for a, b in zip(values, values[1:]))
+
+
+@settings(max_examples=150)
+@given(
+    st.one_of(
+        st.builds(gen_random_planar, st.integers(5, 20), st.integers(0, 2**32 - 1)),
+        st.builds(
+            gen_grid, st.integers(2, 6), st.integers(2, 6), st.just(GpbLikeWeights(0.27)),
+            st.integers(0, 2**32 - 1),
+        ),
+    )
+)
+def test_warm_solves_match_cold_solves(inst):
+    theta = inst.theta
+    assume((theta < 0).any())
+    for model, lp in _replay(inst.graph, theta):
+        problem, kept = restricted_lp(theta, model.pool)
+        warm = model.problem
+        assert np.array_equal(lp.kept, kept)
+        assert np.array_equal(warm.constraints, problem.constraints)
+        assert np.array_equal(warm.rhs, problem.rhs)
+        sol = lp.solution
+        assert sol.objective_value == pytest.approx(solve_lp(problem).objective_value, abs=1e-9)
+        assert np.all(sol.x >= problem.lower - 1e-9) and np.all(sol.x <= problem.upper + 1e-9)
+        assert np.all(sol.duals >= 0.0)
+        # LpSolution's strong duality: the value is -duals.rhs plus the box
+        # terms of the reduced costs objective + A^T duals
+        reduced = problem.objective + problem.constraints.T @ sol.duals
+        box = np.where(reduced > 0, reduced * problem.upper, reduced * problem.lower)
+        assert -sol.duals @ problem.rhs + box.sum() == pytest.approx(sol.objective_value, abs=1e-9)

@@ -228,6 +228,16 @@ def test_solve_positive_gap_exit_code(tmp_path, capsys):
     assert doc["gap"] > 1e-6
 
 
+@pytest.mark.parametrize("command", ["solve", "bound"])
+@pytest.mark.parametrize("flag", [("--tol", "nan"), ("--tol", "-1"), ("--max-batches", "-1")])
+def test_invalid_loop_parameters_fail(tmp_path, capsys, command, flag):
+    path = write_triangle(tmp_path, [-1.0, -1.0, -1.0])
+    code, out, err = run_cli(capsys, command, str(path), *flag)
+    assert code == 1 and out == ""
+    assert err.startswith("planarclust: error:") and flag[0][2:].replace("-", "_") in err
+    assert len(err.splitlines()) == 1
+
+
 def test_missing_instance_fails(capsys, tmp_path):
     code, _, err = run_cli(capsys, "solve", str(tmp_path / "nope.json"))
     assert code == 1

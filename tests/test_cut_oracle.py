@@ -1,3 +1,6 @@
+import concurrent.futures
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -238,8 +241,8 @@ def test_directed_dual_pattern_matches_undirected_dijkstra(data):
     lo, hi = info.group_key // fc, info.group_key % fc
     upper = csr_matrix((gmin, hi, np.searchsorted(lo, np.arange(fc + 1))), shape=(fc, fc))
     ref_dist, ref_pred = dijkstra(upper, directed=False, indices=terminals, return_predecessors=True)
-    adj = csr_matrix((gmin[info.slot_group], info.indices, info.indptr), shape=(fc, fc))
-    dist, pred = dijkstra(adj, directed=True, indices=terminals, return_predecessors=True)
+    np.take(gmin, info.slot_group, out=info.adj.data)  # as the oracle refills it
+    dist, pred = dijkstra(info.adj, directed=True, indices=terminals, return_predecessors=True)
     assert np.array_equal(dist, ref_dist)
     assert np.array_equal(pred, ref_pred)
 
@@ -345,6 +348,25 @@ def test_bounded_search_falls_back_to_no_limit(search_limits, factor):
     _, val = min_cut_2color(inst.graph, theta)
     assert len(search_limits) == 3 and search_limits[1] < search_limits[2] == np.inf
     assert val == pytest.approx(brute_cc2(inst.graph, theta)[1], abs=1e-9)
+
+
+def test_oracle_calls_on_one_graph_from_many_threads():
+    # calls on one graph share its cached dual adjacency, whose weights each
+    # call refills: concurrent calls must still search their own weights
+    inst = gen_grid(8, 8, GpbLikeWeights(0.27), seed=1)
+    rng = np.random.default_rng(0)
+    weights = [rng.normal(size=inst.theta.size) for _ in range(6)] * 10
+    want = [min_cut_2color(inst.graph, w) for w in weights]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with concurrent.futures.ThreadPoolExecutor(max_workers=4) as pool:
+            futures = [pool.submit(min_cut_2color, inst.graph, w) for w in weights]
+            got = [f.result(timeout=60) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    for (cut, val), (ref_cut, ref_val) in zip(got, want):
+        assert val == ref_val and np.array_equal(cut, ref_cut)
 
 
 def test_large_decimal_weights_fall_back_to_float():

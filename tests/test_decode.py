@@ -7,7 +7,7 @@ from planarclust.bound import CutPool, lower_bound_value, optimize_lower_bound, 
 from planarclust.decode import CERTIFICATE_TOL, best_decode, decode_recursive, decode_rounding
 from planarclust.graph import cut_energy, cut_from_partition, is_valid_multicut
 from planarclust.instances import GpbLikeWeights, gen_grid, gen_random_planar, UniformWeights
-from planarclust.lp import LpError, LpProblem, solve_lp
+from planarclust.lp import LpError, solve_lp
 from planarclust.oracle import all_bipartition_cuts, brute_cc, exact_cc_value, full_lp_bound
 
 
@@ -71,7 +71,7 @@ def test_no_certificate_from_an_empty_pool():
 def test_no_certificate_from_a_cut_short_run_without_its_bound(max_batches):
     # cut short, lambda is infeasible and the pool incomplete: neither
     # sum(min(theta - lambda, 0)) nor the restricted LP's value is a bound
-    inst = gen_random_planar(10, 299)
+    inst = gen_random_planar(10, 352)
     optimum = exact_cc_value(inst.graph, inst.theta)
     br = optimize_lower_bound(inst.graph, inst.theta, max_batches=max_batches)
     assert not br.converged and br.bound < optimum
@@ -110,13 +110,14 @@ def test_certificates_are_sound_at_every_batch_budget(inst, max_batches):
 
 
 def test_infeasible_restricted_lp_raises_lp_error(triangle, monkeypatch):
-    # x <= 1 and x >= 2 at once: the real solver finds no feasible point
-    def infeasible(theta, pool):
-        problem = LpProblem(objective=[1.0], lower=[0.0], upper=[1.0], constraints=[[1.0]], rhs=[2.0])
-        return problem, np.ones(len(pool), dtype=bool)
+    # every pooled cut becomes the row x0 + x1 + x2 >= 1, which no lambda in
+    # the box [-1, 0]^3 meets: the real solver finds no feasible point, on
+    # the bound loop's rows appended to its warm model and on the rounding
+    # decoder's restricted_lp alike
+    def infeasible(theta, cuts):
+        return np.ones((len(cuts), 3)), np.ones(len(cuts)), np.ones(len(cuts), dtype=bool)
 
-    monkeypatch.setattr(bound_module, "restricted_lp", infeasible)
-    monkeypatch.setattr(decode_module, "restricted_lp", infeasible)
+    monkeypatch.setattr(bound_module, "_cut_rows", infeasible)
     theta = [-1.0, -1.0, -1.0]
     with pytest.raises(LpError):
         optimize_lower_bound(triangle, theta)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from planarclust.lp import LpError, LpProblem, LpSolution, solve_lp
+from planarclust.lp import LpError, LpModel, LpProblem, LpSolution, solve_lp
 
 
 def test_box_only():
@@ -72,6 +72,36 @@ def _random_problem(rng, n, m):
         a[i] = rng.normal(size=n)
         rhs[i] = a[i] @ mid - rng.uniform(0, 1)  # feasible at mid
     return LpProblem(objective=c, lower=lo, upper=hi, constraints=a, rhs=rhs)
+
+
+def test_warm_solves_of_growing_problems_match_cold_solves():
+    rng = np.random.default_rng(7)
+    for _ in range(20):
+        n = int(rng.integers(2, 30))
+        p = _random_problem(rng, n, int(rng.integers(1, 60)))
+        model = LpModel()
+        for stop in np.sort(rng.choice(np.arange(p.rhs.size + 1), size=3)):
+            grown = LpProblem(p.objective, p.lower, p.upper, p.constraints[:stop], p.rhs[:stop])
+            warm = solve_lp(grown, model)
+            assert warm.objective_value == pytest.approx(solve_lp(grown).objective_value, abs=1e-9)
+            assert np.all(warm.x >= p.lower - 1e-9) and np.all(warm.x <= p.upper + 1e-9)
+        # a row that no point of the box meets
+        infeasible = LpProblem(
+            p.objective, p.lower, p.upper,
+            np.vstack([grown.constraints, np.ones(n)]), np.r_[grown.rhs, p.upper.sum() + 1.0],
+        )
+        with pytest.raises(LpError, match="Infeasible"):
+            solve_lp(infeasible, model)
+
+
+def test_warm_solve_refuses_a_problem_that_drops_rows():
+    rng = np.random.default_rng(8)
+    p = _random_problem(rng, 5, 6)
+    model = LpModel()
+    solve_lp(p, model)
+    fewer = LpProblem(p.objective, p.lower, p.upper, p.constraints[1:], p.rhs[1:])
+    with pytest.raises(ValueError):
+        solve_lp(fewer, model)
 
 
 def test_unbounded_raises():
