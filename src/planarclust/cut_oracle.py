@@ -16,19 +16,23 @@ pattern of the dual that is built once per topology; a call only fills in
 the edge weights.  On small graphs the fixed cost per call dominates,
 which is why the pattern is cached.
 
-The matching only uses short terminal pairs, so each search stops at a
-distance limit L instead of covering all F faces.  L starts at
-LIMIT_FACTOR times the largest distance from a terminal to its nearest
-other terminal, which one multi-source run gives exactly through the dual
-edges between Voronoi cells.  The matching then runs over the pairs found
-within L, and its vertex potentials pi (`matching.match_dense`) price the
-pairs left out: each of those is longer than L, so when the matching uses
-found pairs only and every left-out pair has pi_i + pi_j <= L, the
-matching's dual is feasible for the full metric and the matching is
-optimal.  Otherwise the call searches again, once with L raised to the
-largest such pi_i + pi_j and then without a limit.  Below SMALL_T
-terminals the first search has no limit: on small graphs the multi-source
-run and the pricing cost more than the limit saves.
+The matching only uses short terminal pairs, so the search from terminal
+i stops at its own radius lim_i instead of covering all F faces.  From
+SMALL_T terminals up (below it the pricing costs more than the limit
+saves), one multi-source run gives each terminal its nearest-other-terminal
+distance exactly, through the dual edges between Voronoi cells, and lim_i
+starts at LIMIT_FACTOR times it; rows are searched in quantile groups of
+radius, each to its largest one.  A pair that no row found is longer than
+max(lim_i, lim_j), so when the matching over the found pairs uses found
+pairs only and its vertex potentials pi (`matching.match_dense`) give
+every left-out pair pi_i + pi_j <= max(lim_i, lim_j), its dual is feasible
+for the full metric and the matching is optimal.  Otherwise the call
+repairs the certificate: it searches again from the ends of each violating
+pair only, to the row's largest violating price, and solves the matching
+again only when a new pair is shorter than its price or a mate was not
+found.  After REPAIR_ROUNDS repairs the rest is searched without a limit.
+Each matched pair i < j is walked on row i, extended first if it fell
+short.  The call keeps the T x T terminal distances, not T x F.
 
 Weights that scale to integers (short decimals, `scale_to_int`) are solved
 in exact int64 arithmetic, other weights in float64; the matching solver
@@ -41,6 +45,7 @@ gadget lives in `oracle.py`.
 
 from __future__ import annotations
 
+import itertools
 import threading
 import weakref
 
@@ -61,8 +66,13 @@ class OracleError(RuntimeError):
 # 22 terminals) the limit lost at every terminal count; on 14x14 and 28x28
 # grids it won from 8 terminals up.
 SMALL_T = 24
-# the first limit, in multiples of the largest nearest-other-terminal distance
+# a terminal's first search radius, in multiples of its distance to its
+# nearest other terminal
 LIMIT_FACTOR = 2.0
+# terminals per quantile group of search radii; one `dijkstra` call per group
+ROWS_PER_GROUP = 128
+# certificate repairs before the search falls back to no limit
+REPAIR_ROUNDS = 3
 
 
 _dual_cache: "weakref.WeakKeyDictionary[PlanarGraph, _DualInfo]" = weakref.WeakKeyDictionary()
@@ -126,11 +136,11 @@ def _match_terminals(dist: np.ndarray, mask: np.ndarray):
     return [(v, int(mate[v])) for v in range(t) if v < mate[v]], pi
 
 
-def _first_limit(info: _DualInfo, gmin: np.ndarray, terminals: np.ndarray) -> float:
-    """LIMIT_FACTOR times the largest distance from a terminal to its nearest
-    other terminal.  A shortest path between two terminals leaves the first
-    one's Voronoi cell through a dual edge whose endpoints lie in different
-    cells, so the least such crossing per cell is that distance exactly."""
+def _first_radii(info: _DualInfo, gmin: np.ndarray, terminals: np.ndarray) -> np.ndarray:
+    """LIMIT_FACTOR times each terminal's distance to its nearest other
+    terminal.  A shortest path between two terminals leaves the first one's
+    Voronoi cell through a dual edge whose endpoints lie in different cells,
+    so the least such crossing per cell is that distance exactly."""
     dist, _, source = dijkstra(
         info.adj, directed=True, indices=terminals, min_only=True, return_predecessors=True
     )
@@ -140,35 +150,82 @@ def _first_limit(info: _DualInfo, gmin: np.ndarray, terminals: np.ndarray) -> fl
     nearest = np.full(info.face_count, np.inf)
     np.minimum.at(nearest, source[lo[cross]], via)
     np.minimum.at(nearest, source[hi[cross]], via)
-    return LIMIT_FACTOR * float(nearest[terminals].max())
+    return LIMIT_FACTOR * nearest[terminals]
+
+
+def _search(info, terminals, rows, radii, d_t, pred, lim):
+    """Search from the terminals `rows` in quantile groups of their `radii`,
+    each group to its largest radius, and write their rows of the terminal
+    distances `d_t`, the predecessors `pred` and the radii searched `lim`."""
+    groups = min(max(rows.size // ROWS_PER_GROUP, 1), 6)
+    rows = rows[np.argsort(radii[rows], kind="stable")]
+    for k in range(groups):
+        group = rows[k * rows.size // groups : (k + 1) * rows.size // groups]
+        limit = radii[group].max()
+        dist, pred[group] = dijkstra(
+            info.adj, directed=True, indices=terminals[group], limit=limit, return_predecessors=True
+        )
+        d_t[group] = dist[:, terminals]
+        lim[group] = limit
+
+
+def _still_optimal(d_t, own, solved, found, pairs, pi) -> bool:
+    """True if the matching uses `solved` pairs only and no pair found since undercuts its price."""
+    if not all(solved[i, j] for i, j in pairs):
+        return False
+    i, j = np.nonzero(found & ~solved)
+    d = np.where(own[i, j], d_t[i, j], d_t[j, i])
+    return not (d < pi[i] + pi[j]).any()
 
 
 def _search_and_match(info: _DualInfo, gmin: np.ndarray, terminals: np.ndarray, dtype):
     """Min-weight perfect matching of the terminals under shortest-path
-    distances over `info.adj`: (matched pairs, Dijkstra predecessors)."""
-    limit = np.inf if terminals.size < SMALL_T else _first_limit(info, gmin, terminals)
-    retried = False
-    while True:
-        dist, pred = dijkstra(
-            info.adj, directed=True, indices=terminals, limit=limit, return_predecessors=True
-        )
-        d_t = dist[:, terminals]
-        found = d_t <= limit
+    distances over `info.adj`: (matched pairs, Dijkstra predecessors whose
+    row i reaches the mate j of every matched pair i < j)."""
+    t = terminals.size
+    if t < SMALL_T:  # no limit, so every pair is found
+        dist, pred = dijkstra(info.adj, indices=terminals, return_predecessors=True)
         # distances are exact integers in int64 mode (`_prepare_weights`)
-        d_t = np.where(found, d_t, 0).astype(dtype)
-        pairs, pi = _match_terminals(d_t, found)
-        if limit == np.inf:
-            return pairs, pred
-        # each left-out pair is longer than the limit, so a price
-        # pi_i + pi_j at most the limit keeps the dual feasible for it;
-        # int64 potentials are exact half-integers below 2**51
-        need = (pi[:, None] + pi[None, :])[~found].max(initial=-np.inf)
-        exact = dtype != np.int64 or np.abs(pi).max() < 2**51
-        if exact and need <= limit and all(found[i, j] for i, j in pairs):
-            return pairs, pred
-        limit = need if not retried and need > limit else np.inf
-        retried = True
-        del dist, pred  # free the T x F matrices before the next search
+        d_t = dist[:, terminals].astype(dtype)
+        return _match_terminals(d_t, np.ones((t, t), dtype=bool))[0], pred
+    radii, rows = _first_radii(info, gmin, terminals), np.arange(t)
+    d_t, lim, pred = np.empty((t, t)), np.empty(t), np.empty((t, info.face_count), dtype=np.int32)
+    pi = None
+    for repairs in itertools.count():
+        _search(info, terminals, rows, radii, d_t, pred, lim)
+        own = d_t < np.inf  # row i reached terminal j within lim_i
+        found = own | own.T
+        if pi is None or not (exact and _still_optimal(d_t, own, solved, found, pairs, pi)):
+            d_in = np.where(own, d_t, d_t.T)
+            d_in[~found] = 0
+            pairs, pi = _match_terminals(d_in.astype(dtype, copy=False), found)
+            solved = found
+            # int64 potentials are exact half-integers below 2**51
+            exact = dtype != np.int64 or np.abs(pi).max() < 2**51
+        if found.all():
+            break
+        # a pair that no row found is longer than max(lim_i, lim_j), so a
+        # price pi_i + pi_j at most that keeps the dual feasible for it
+        price = np.add.outer(pi, pi)
+        bad = ~found & (price > lim[:, None]) & (price > lim[None, :])
+        for i, j in pairs:
+            if not found[i, j]:  # the found pairs hold no perfect matching
+                bad[i, j] = bad[j, i] = True
+                price[i, j] = price[j, i] = np.inf
+        if exact and not bad.any():
+            break
+        if exact and repairs < REPAIR_ROUNDS:
+            # raise both ends of each violating pair to its price
+            rows = np.flatnonzero(bad.any(axis=1))
+            radii = np.max(price, axis=1, where=bad, initial=-np.inf)
+        else:
+            rows, radii = np.flatnonzero(lim < np.inf), np.full(t, np.inf)
+        del price, bad
+    # the path of each matched pair i < j is walked on row i
+    short = np.array([i for i, j in pairs if not own[i, j]], dtype=np.int64)
+    if short.size:
+        _search(info, terminals, short, np.full(t, np.inf), d_t, pred, lim)
+    return pairs, pred
 
 
 def _solve_even_subgraph(graph: PlanarGraph, w: np.ndarray):

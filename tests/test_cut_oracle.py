@@ -16,7 +16,7 @@ from planarclust.cut_oracle import (
     scale_to_int,
     split_into_basic_cuts,
 )
-from planarclust.graph import cut_from_partition, is_valid_multicut, partition_from_cut
+from planarclust.graph import cut_from_partition, partition_from_cut
 from planarclust.instances import GpbLikeWeights, gen_grid, gen_random_planar
 from planarclust.oracle import (
     brute_cc2,
@@ -27,6 +27,7 @@ from planarclust.oracle import (
 )
 
 from conftest import edge_masks, embedded, planar_graphs
+from multicuts import is_valid_multicut
 
 
 def test_all_positive_gives_empty_cut(triangle):
@@ -281,19 +282,25 @@ def test_scale_to_int_matches_scale_by_scale_search(values):
 
 
 @pytest.fixture
-def search_limits(monkeypatch):
-    """The limit of every per-terminal search, with the bounded search on
-    from two terminals up."""
-    limits = []
+def searches(monkeypatch):
+    """(sources, limit) of every per-terminal `dijkstra` call, and "match"
+    for every matching, with the bounded search on from two terminals up."""
+    calls = []
 
-    def counting(*args, **kwargs):
+    def counting_dijkstra(*args, **kwargs):
         if not kwargs.get("min_only"):
-            limits.append(kwargs.get("limit", np.inf))
+            calls.append((len(kwargs["indices"]), kwargs.get("limit", np.inf)))
         return dijkstra(*args, **kwargs)
 
-    monkeypatch.setattr(cut_oracle, "dijkstra", counting)
+    def counting_match(*args):
+        calls.append("match")
+        return match(*args)
+
+    match = cut_oracle._match_terminals
+    monkeypatch.setattr(cut_oracle, "dijkstra", counting_dijkstra)
+    monkeypatch.setattr(cut_oracle, "_match_terminals", counting_match)
     monkeypatch.setattr(cut_oracle, "SMALL_T", 0)
-    return limits
+    return calls
 
 
 oracle_instances = st.one_of(
@@ -328,25 +335,44 @@ def test_bounded_search_matches_unlimited_search(inst, factor, limit_factor):
         assert got[0][1] == pytest.approx(brute_cc2(inst.graph, theta)[1], abs=1e-9)
 
 
+@given(oracle_instances, st.sampled_from([1.0, np.pi]))
+def test_grouped_search_matches_unlimited_search(inst, factor):
+    # two terminals per group: the rows are searched in up to six groups,
+    # each to its own largest radius
+    theta = inst.theta * factor
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cut_oracle, "ROWS_PER_GROUP", 2)
+        got = oracle_results(inst.graph, theta, 0)
+    want = oracle_results(inst.graph, theta, np.inf)
+    for (cut, val), (ref_cut, ref_val) in zip(got, want):
+        assert val == ref_val and np.array_equal(cut, ref_cut)
+
+
 @pytest.mark.parametrize("factor", [1.0, np.pi])
-def test_bounded_search_retries_with_the_priced_limit(search_limits, factor):
-    # the first limit leaves out a pair that the matching's potentials price
-    # above it; the second search, at that price, certifies the matching
-    inst = gen_random_planar(7, 136)
+@pytest.mark.parametrize("n, seed, matchings", [(7, 136, 1), (9, 82, 2)])
+def test_repair_searches_only_the_violating_rows(searches, n, seed, matchings, factor):
+    # the first radii leave out pairs that the matching's potentials price
+    # above them; the repair searches only those pairs' rows, to their
+    # prices, and solves the matching again only when a new pair breaks
+    # its dual (on 9/82, not on 7/136)
+    inst = gen_random_planar(n, seed)
     theta = inst.theta * factor
     _, val = min_cut_2color(inst.graph, theta)
-    assert len(search_limits) == 2 and search_limits[0] < search_limits[1] < np.inf
+    (first, first_limit), (repair, repair_limit) = [c for c in searches if c != "match"]
+    assert repair < first and first_limit < repair_limit < np.inf
+    assert searches.count("match") == matchings
     assert val == pytest.approx(brute_cc2(inst.graph, theta)[1], abs=1e-9)
 
 
 @pytest.mark.parametrize("factor", [1.0, np.pi])
-def test_bounded_search_falls_back_to_no_limit(search_limits, factor):
-    inst = gen_random_planar(11, 1141)
-    theta = factor * np.array([
-        -0.6, 0.0, 0.7, 0.6, -0.8, -0.4, -0.6, 0.6, 0.0, 0.0, 0.6, -0.5, -0.8, 0.0, -0.2, 0.5, -0.3,
-    ])
+@pytest.mark.parametrize("n, seed", [(7, 136), (9, 82)])
+def test_repair_falls_back_to_no_limit(searches, monkeypatch, n, seed, factor):
+    monkeypatch.setattr(cut_oracle, "REPAIR_ROUNDS", 0)
+    inst = gen_random_planar(n, seed)
+    theta = inst.theta * factor
     _, val = min_cut_2color(inst.graph, theta)
-    assert len(search_limits) == 3 and search_limits[1] < search_limits[2] == np.inf
+    limits = [c[1] for c in searches if c != "match"]
+    assert len(limits) == 2 and limits[0] < limits[1] == np.inf
     assert val == pytest.approx(brute_cc2(inst.graph, theta)[1], abs=1e-9)
 
 

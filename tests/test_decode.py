@@ -5,10 +5,12 @@ from hypothesis import given, settings, strategies as st
 from planarclust import bound as bound_module, decode as decode_module
 from planarclust.bound import CutPool, lower_bound_value, optimize_lower_bound, restricted_lp
 from planarclust.decode import CERTIFICATE_TOL, best_decode, decode_recursive, decode_rounding
-from planarclust.graph import cut_energy, cut_from_partition, is_valid_multicut
+from planarclust.graph import cut_energy, cut_from_partition
 from planarclust.instances import GpbLikeWeights, gen_grid, gen_random_planar, UniformWeights
 from planarclust.lp import LpError, solve_lp
 from planarclust.oracle import all_bipartition_cuts, brute_cc, exact_cc_value, full_lp_bound
+
+from multicuts import is_valid_multicut
 
 
 def test_recursive_no_negative_edges(triangle):

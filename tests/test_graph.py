@@ -13,13 +13,11 @@ from planarclust.graph import (
     canonical_labels,
     cut_energy,
     cut_from_partition,
-    is_valid_multicut,
     partition_from_cut,
-    repair_cut,
-    same_clustering,
 )
 
 from conftest import edge_masks, planar_graphs
+from multicuts import is_valid_multicut, repair_cut, same_clustering
 
 def test_triangle_faces(triangle):
     assert triangle.face_count == 2
