@@ -9,7 +9,9 @@ isolating cuts, and add those as a batch.
 
 Edges with theta >= 0 have a degenerate box and are fixed at lambda =
 theta outside the LP; their contribution moves into each constraint's
-right-hand side.
+right-hand side.  A cut that touches no negative edge then gives an
+empty row, which always holds and has multiplier 0, so the LP keeps one
+row per pooled cut.
 
 A lambda is a member of the constraint polytope only when the oracle
 finds no violated cut, so sum(theta - lambda) alone is not a valid bound,
@@ -25,10 +27,10 @@ at convergence the last lambda's, on a stall or iteration-limit exit the
 best seen.  So `tol` only decides when the loop stops.
 
 Each batch only adds rows to the pool-restricted LP, so one run keeps one
-`lp.LpModel`: a solve passes it only the rows of the cuts pooled since
-the last one and re-solves from the previous optimal basis.  On a
-degenerate LP the warm solve may return another optimal lambda than a
-cold solve of the same `restricted_lp`; the value is the same.
+`lp.LpModel` of it, appends each batch's rows and re-solves from the
+previous optimal basis.  On a degenerate LP the warm solve may return
+another optimal lambda than a cold solve of the same `restricted_lp`;
+the value is the same.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cut_oracle import min_cut_2color, split_into_basic_cuts
-from .graph import PlanarGraph
+from .graph import PlanarGraph, finite_weights
 from .lp import LpModel, LpProblem, LpSolution, solve_lp
 
 
@@ -73,15 +75,6 @@ class CutPool:
 
 
 @dataclass(frozen=True)
-class PoolLp:
-    """A solved `restricted_lp`: its solution and kept-row mask, one entry
-    per pool row at solve time."""
-
-    solution: LpSolution
-    kept: np.ndarray
-
-
-@dataclass(frozen=True)
 class BoundResult:
     lam: np.ndarray
     bound: float
@@ -89,7 +82,7 @@ class BoundResult:
     batches: int
     converged: bool
     # the LP the loop solved last, when it converged: the rounding decoder's LP
-    final_lp: PoolLp | None = None
+    final_lp: LpSolution | None = None
 
     @property
     def oracle_calls(self) -> int:
@@ -110,60 +103,31 @@ def certified_bound(graph: PlanarGraph, theta, lam) -> tuple[float, np.ndarray, 
     return lower_bound_value(theta, lam) + 1.5 * min(0.0, value), cut, value
 
 
-def _cut_rows(theta: np.ndarray, cuts: np.ndarray):
+def _cut_rows(theta: np.ndarray, cuts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The bound LP's constraint rows and right-hand sides for the cut rows
-    `cuts`, and the mask of the cuts they keep."""
+    `cuts`, one row per cut."""
     neg = theta < 0
-    rows = cuts[:, neg]
-    kept = rows.any(axis=1)
     # a row sum, not a matrix product: each right-hand side is then the same
     # whether its cut's rows are built alone or with the whole pool
-    rhs = -np.where(cuts[kept], np.where(neg, 0.0, theta), 0.0).sum(axis=1)
-    return rows[kept], rhs, kept
+    rhs = -np.where(cuts, np.where(neg, 0.0, theta), 0.0).sum(axis=1)
+    return cuts[:, neg], rhs
 
 
-def restricted_lp(theta: np.ndarray, pool: CutPool) -> tuple[LpProblem, np.ndarray]:
-    """The bound LP over the pooled cuts, and the mask of pool rows it keeps.
+def restricted_lp(theta: np.ndarray, pool: CutPool) -> LpProblem:
+    """The bound LP over the pooled cuts, one row per pooled cut.
 
     The variables are the negative edges' lambdas.  Edges with theta >= 0
-    are fixed at lambda = theta and move into the right-hand side, so rows
-    that touch no negative edge hold automatically and are dropped.  The
+    are fixed at lambda = theta and move into the right-hand side.  The
     LP's value plus sum(min(theta, 0)) is the bound; its constraint
     multipliers are the rounding decoder's cut weights.
     """
     theta = np.asarray(theta, dtype=float)
     lower = theta[theta < 0]
-    constraints, rhs, kept = _cut_rows(theta, pool.matrix(theta.size))
-    problem = LpProblem(
+    constraints, rhs = _cut_rows(theta, pool.matrix(theta.size))
+    return LpProblem(
         objective=-np.ones(lower.size), lower=lower, upper=np.zeros(lower.size),
         constraints=constraints, rhs=rhs,
     )
-    return problem, kept
-
-
-class _PoolModel:
-    """`restricted_lp` of a growing pool, solved warm from one `LpModel`.
-
-    Each solve first appends the rows of the cuts pooled since the last
-    one to `problem`.
-    """
-
-    def __init__(self, theta: np.ndarray, pool: CutPool):
-        self.theta, self.pool = theta, pool
-        self.problem, self.kept = restricted_lp(theta, pool)
-        self.model = LpModel()
-
-    def solve(self) -> PoolLp:
-        added = self.pool.cuts[self.kept.size :]
-        if added:
-            constraints, rhs, kept = _cut_rows(self.theta, np.vstack(added))
-            p = self.problem
-            self.problem = LpProblem(
-                p.objective, p.lower, p.upper,
-                np.vstack([p.constraints, constraints]), np.r_[p.rhs, rhs],
-            )
-            self.kept = np.r_[self.kept, kept]
-        return PoolLp(solve_lp(self.problem, self.model), self.kept)
 
 
 def optimize_lower_bound(
@@ -184,10 +148,10 @@ def optimize_lower_bound(
         raise ValueError(f"tol must be a nonnegative number, got {tol!r}")
     if max_batches < 0:
         raise ValueError(f"max_batches must be nonnegative, got {max_batches!r}")
-    theta = np.asarray(theta, dtype=float)
+    theta = finite_weights(theta)
     neg = theta < 0
     pool = CutPool()
-    model = _PoolModel(theta, pool)
+    model = LpModel(restricted_lp(theta, pool))
     batches = 0
 
     # trivially certified starting point
@@ -197,8 +161,8 @@ def optimize_lower_bound(
     while True:
         lam, lp = theta.copy(), None
         if len(pool):
-            lp = model.solve()
-            lam[neg] = lp.solution.x
+            lp = solve_lp(model.problem, model)
+            lam[neg] = lp.x
         certified, cut, value = certified_bound(graph, theta, lam)
         if value >= -tol:
             return BoundResult(
@@ -212,10 +176,8 @@ def optimize_lower_bound(
         if certified > best_bound:
             best_bound = certified
             best_lam = lam
-        added = False
-        for basic in split_into_basic_cuts(graph, cut):
-            added |= pool.add(basic)
-        if not added or batches >= max_batches:
+        new_cuts = [basic for basic in split_into_basic_cuts(graph, cut) if pool.add(basic)]
+        if not new_cuts or batches >= max_batches:
             # stalled at solver precision or out of budget: return the best
             # certified bound seen so far
             return BoundResult(
@@ -225,4 +187,5 @@ def optimize_lower_bound(
                 batches=batches,
                 converged=False,
             )
+        model.add_rows(*_cut_rows(theta, np.vstack(new_cuts)))
         batches += 1

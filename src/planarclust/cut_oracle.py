@@ -26,11 +26,13 @@ radius, each to its largest one.  A pair that no row found is longer than
 max(lim_i, lim_j), so when the matching over the found pairs uses found
 pairs only and its vertex potentials pi (`matching.match_dense`) give
 every left-out pair pi_i + pi_j <= max(lim_i, lim_j), its dual is feasible
-for the full metric and the matching is optimal.  Otherwise the call
-repairs the certificate: it searches again from the ends of each violating
-pair only, to the row's largest violating price, and solves the matching
-again only when a new pair is shorter than its price or a mate was not
-found.  After REPAIR_ROUNDS repairs the rest is searched without a limit.
+for the full metric and the matching is optimal.  A matched pair that no
+row found (no perfect matching over the found pairs) first has its ends
+searched without a limit.  Otherwise the call repairs the certificate:
+it searches again from the ends of each violating pair only, to the
+row's largest violating price, and solves the matching again only when
+a new pair is shorter than its price.  After REPAIR_ROUNDS rounds the
+rest is searched without a limit.
 Each matched pair i < j is walked on row i, extended first if it fell
 short.  The call keeps the T x T terminal distances, not T x F.
 
@@ -53,7 +55,7 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
 
-from .graph import PlanarGraph, partition_from_cut
+from .graph import PlanarGraph, finite_weights, partition_from_cut
 from .matching import match_dense
 
 
@@ -169,10 +171,8 @@ def _search(info, terminals, rows, radii, d_t, pred, lim):
         lim[group] = limit
 
 
-def _still_optimal(d_t, own, solved, found, pairs, pi) -> bool:
-    """True if the matching uses `solved` pairs only and no pair found since undercuts its price."""
-    if not all(solved[i, j] for i, j in pairs):
-        return False
+def _still_optimal(d_t, own, solved, found, pi) -> bool:
+    """True if no pair found since the matching over `solved` undercuts its price."""
     i, j = np.nonzero(found & ~solved)
     d = np.where(own[i, j], d_t[i, j], d_t[j, i])
     return not (d < pi[i] + pi[j]).any()
@@ -195,7 +195,7 @@ def _search_and_match(info: _DualInfo, gmin: np.ndarray, terminals: np.ndarray, 
         _search(info, terminals, rows, radii, d_t, pred, lim)
         own = d_t < np.inf  # row i reached terminal j within lim_i
         found = own | own.T
-        if pi is None or not (exact and _still_optimal(d_t, own, solved, found, pairs, pi)):
+        if pi is None or not (exact and _still_optimal(d_t, own, solved, found, pi)):
             d_in = np.where(own, d_t, d_t.T)
             d_in[~found] = 0
             pairs, pi = _match_terminals(d_in.astype(dtype, copy=False), found)
@@ -204,14 +204,14 @@ def _search_and_match(info: _DualInfo, gmin: np.ndarray, terminals: np.ndarray, 
             exact = dtype != np.int64 or np.abs(pi).max() < 2**51
         if found.all():
             break
+        unfound = [k for i, j in pairs if not found[i, j] for k in (i, j)]
+        if unfound:  # sentinel-sized potentials: find the mates, then match again
+            rows, radii, pi = np.array(unfound), np.full(t, np.inf), None
+            continue
         # a pair that no row found is longer than max(lim_i, lim_j), so a
         # price pi_i + pi_j at most that keeps the dual feasible for it
         price = np.add.outer(pi, pi)
         bad = ~found & (price > lim[:, None]) & (price > lim[None, :])
-        for i, j in pairs:
-            if not found[i, j]:  # the found pairs hold no perfect matching
-                bad[i, j] = bad[j, i] = True
-                price[i, j] = price[j, i] = np.inf
         if exact and not bad.any():
             break
         if exact and repairs < REPAIR_ROUNDS:
@@ -302,8 +302,9 @@ def scale_to_int(values):
 
 def _prepare_weights(w, graph: PlanarGraph):
     """(int64 weights, scale) when w * scale is integral and exact int64
-    arithmetic has room for every call on it, else (w, 1.0)."""
-    w = np.asarray(w, dtype=float)
+    arithmetic has room for every call on it, else (w, 1.0).  Raises
+    ValueError unless w is finite with one entry per edge."""
+    w = finite_weights(w)
     if w.shape != (graph.edge_count,):
         raise ValueError("weight vector must have one entry per edge")
     scaled = scale_to_int(w)

@@ -12,8 +12,8 @@ Two decoders:
   theta.z with a penalty that neutralizes cutting any negative edge beyond
   one, over z = C^T alpha); threshold the relaxed indicator z and repair.
   A converged bound run already solved that LP last, and `best_decode`
-  reuses its solution; the LP is solved again only when there is none or
-  the pool has grown since.
+  reuses its solution, one multiplier per pooled cut; the LP is solved
+  again only when there is none or the pool has grown since.
 
 Energies always refer to the repaired cut (connected components of the
 uncut subgraph), so every result is a feasible clustering.
@@ -25,10 +25,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bound import BoundResult, CutPool, PoolLp, restricted_lp
+from .bound import BoundResult, CutPool, restricted_lp
 from .cut_oracle import min_cut_forced
-from .graph import PlanarGraph, cut_energy, cut_from_partition, partition_from_cut
-from .lp import solve_lp
+from .graph import PlanarGraph, cut_energy, cut_from_partition, finite_weights, partition_from_cut
+from .lp import LpSolution, solve_lp
 
 CERTIFICATE_TOL = 1e-6
 
@@ -61,7 +61,7 @@ def decode_recursive(
     `lam` should come from a bound run; the result is certified only
     against `bound`, that run's lower bound, and never when it is None.
     """
-    theta = np.asarray(theta, dtype=float)
+    theta = finite_weights(theta)
     lam = np.array(lam, dtype=float, copy=True)
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence([seed, restart])))
     must_cut = np.flatnonzero(theta - lam < 0.0)
@@ -90,7 +90,7 @@ def decode_rounding(
     pool: CutPool,
     threshold: float = 0.5,
     bound: float | None = None,
-    final_lp: PoolLp | None = None,
+    final_lp: LpSolution | None = None,
 ) -> DecodeResult:
     """Decode by thresholding the pool-restricted bound LP's cut multipliers.
 
@@ -101,7 +101,7 @@ def decode_rounding(
     optimum.  `final_lp`, a converged run's `BoundResult.final_lp`, is
     reused until the pool grows.
     """
-    theta = np.asarray(theta, dtype=float)
+    theta = finite_weights(theta)
     if not (0.0 < threshold < 1.0):
         raise ValueError("threshold must lie strictly between 0 and 1")
     m = graph.edge_count
@@ -109,10 +109,9 @@ def decode_rounding(
         # no cuts or nothing to cut: alpha = 0 is optimal
         z = np.zeros(m)
     else:
-        if final_lp is None or final_lp.kept.size != len(pool):
-            problem, kept = restricted_lp(theta, pool)
-            final_lp = PoolLp(solve_lp(problem), kept)
-        z = pool.matrix(m)[final_lp.kept].T @ final_lp.solution.duals
+        if final_lp is None or final_lp.duals.size != len(pool):
+            final_lp = solve_lp(restricted_lp(theta, pool))
+        z = pool.matrix(m).T @ final_lp.duals
     return _result(graph, theta, z >= threshold, "rounding", bound)
 
 

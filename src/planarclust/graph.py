@@ -185,6 +185,14 @@ def build_graph(vertex_count, edges, rotation) -> PlanarGraph:
     )
 
 
+def finite_weights(w) -> np.ndarray:
+    """`w` as a float array; ValueError if a weight is NaN or infinite."""
+    w = np.asarray(w, dtype=float)
+    if not np.all(np.isfinite(w)):
+        raise ValueError("edge weights must be finite")
+    return w
+
+
 def cut_energy(graph: PlanarGraph, theta: np.ndarray, x: np.ndarray) -> float:
     """Total weight of cut edges, sum(theta_e * x_e).  No validity check."""
     theta = np.asarray(theta, dtype=float)

@@ -18,14 +18,14 @@ change the result and the post-solve check are linprog's, so a cold
 `solve_lp` is bit-identical to `linprog(method="highs")`, which the
 tests keep as the reference.
 
-The bound loop's LPs only grow: each batch appends rows and changes
-nothing else.  Given an `LpModel`, `solve_lp` keeps one HiGHS model for
-such a sequence, appends the new rows and re-solves with dual simplex
-from the previous optimal basis (Huangfu & Hall 2018), which stays dual
-feasible when rows are added.  These warm solves run the same options,
-except that presolve is off, and the same post-solve check, and reach
-the same optimal value; but on a degenerate LP they may stop at another
-optimal vertex, so their x and duals need not equal a cold solve's.
+The bound loop's LP only grows.  An `LpModel` owns its HiGHS model:
+`add_rows` appends rows, and `solve_lp(model.problem, model)` re-solves
+with dual simplex from the previous optimal basis (Huangfu & Hall 2018),
+which stays dual feasible when rows are added.  These warm solves run
+the same options, except that presolve is off, and the same post-solve
+check, and reach the same optimal value; but on a degenerate LP they may
+stop at another optimal vertex, so their x and duals need not equal a
+cold solve's.
 The binding is private to scipy; this is the only module that uses it.
 """
 
@@ -131,38 +131,29 @@ def _new_solver() -> highs._Highs:
 
 
 class LpModel:
-    """HiGHS state kept across LPs whose rows only grow.
+    """One HiGHS model of an LP whose rows only grow.
 
-    Pass it to `solve_lp` with each LP of such a sequence: the first one
-    goes to HiGHS whole, each later one must keep the last one's columns
-    and rows and append rows, and only those rows go to HiGHS.
+    The constructor passes `problem` to HiGHS; `add_rows` appends rows to
+    HiGHS and to `self.problem`.  `solve_lp(model.problem, model)` then
+    re-solves from the last optimal basis.
     """
 
-    def __init__(self):
-        self.problem: LpProblem | None = None  # the last problem passed
+    def __init__(self, problem: LpProblem):
+        self.problem = problem
         self.solver = _new_solver()
         # with presolve left on, the solves of the bound loop's desk-scale
         # LPs took 0.34-0.40 ms each, without it 0.29-0.32 ms (three runs
         # each over 1000 graphs, one core of an x86-64 host)
         self.solver.setOptionValue("presolve", "off")
+        self.solver.passModel(_highs_model(problem))
 
-    def load(self, problem: LpProblem) -> None:
-        """Make `problem` the model's LP, passing HiGHS only what is new."""
-        last = self.problem
-        if last is None:
-            self.solver.passModel(_highs_model(problem))
-            self.problem = problem
-            return
-        m = last.rhs.size
-        if not (
-            np.array_equal(problem.objective, last.objective)
-            and np.array_equal(problem.lower, last.lower)
-            and np.array_equal(problem.upper, last.upper)
-            and np.array_equal(problem.constraints[:m], last.constraints)
-            and np.array_equal(problem.rhs[:m], last.rhs)
-        ):
-            raise ValueError("a warm-started LP must extend the model's last LP by rows")
-        a, b = problem.constraints[m:], problem.rhs[m:]
+    def add_rows(self, constraints, rhs) -> None:
+        """Append the rows `constraints x >= rhs`."""
+        p = self.problem
+        problem = LpProblem(
+            p.objective, p.lower, p.upper, np.vstack([p.constraints, constraints]), np.r_[p.rhs, rhs]
+        )
+        a, b = problem.constraints[p.rhs.size :], problem.rhs[p.rhs.size :]
         # -a x <= -b, as `_highs_model` poses the rows
         row, col = np.nonzero(a)  # row-major order: the CSR layout
         starts = np.searchsorted(row, np.arange(b.size)).astype(np.int32)
@@ -178,16 +169,17 @@ def solve_lp(problem: LpProblem, model: LpModel | None = None) -> LpSolution:
     """Solve to optimality (feasibility ~1e-9, duality gap ~1e-8), else raise LpError.
 
     Without `model` the solve starts from scratch.  With it, `problem`
-    extends the model's last LP by rows and the solve starts from the
-    last optimal basis.
+    must be `model.problem` and the solve starts from the last optimal
+    basis.
     """
+    if model is not None and problem is not model.problem:
+        raise ValueError("a warm solve takes the model's own problem")
     if problem.objective.size == 0:
         return LpSolution(np.zeros(0), np.zeros(problem.rhs.size), 0.0)
     if model is None:
         solver = _new_solver()
         solver.passModel(_highs_model(problem))
     else:
-        model.load(problem)
         solver = model.solver
     solver.run()
     status = solver.getModelStatus()

@@ -8,6 +8,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import planarclust
 
@@ -89,3 +90,33 @@ def test_package_has_no_assert_statements():
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         found += [f"{path.name}:{n.lineno}" for n in ast.walk(tree) if isinstance(n, ast.Assert)]
     assert found == []
+
+
+def _weight_entry_points(graph, theta):
+    br = planarclust.optimize_lower_bound(graph, np.abs(theta))
+    return {
+        "min_cut_2color": lambda w: planarclust.min_cut_2color(graph, w),
+        "min_cut_forced": lambda w: planarclust.min_cut_forced(graph, w, 0),
+        "optimize_lower_bound": lambda w: planarclust.optimize_lower_bound(graph, w),
+        "decode_recursive": lambda w: planarclust.decode_recursive(graph, w, np.abs(theta)),
+        "decode_rounding": lambda w: planarclust.decode_rounding(graph, w, br.pool),
+        "best_decode": lambda w: planarclust.best_decode(graph, w, br),
+    }
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize(
+    "entry",
+    ["min_cut_2color", "min_cut_forced", "optimize_lower_bound", "decode_recursive",
+     "decode_rounding", "best_decode"],
+)
+def test_non_finite_weights_raise(entry, bad):
+    # a NaN used to raise IndexError in the oracle, +inf gave a converged
+    # bound of nan and -inf a certified energy of -inf
+    inst = planarclust.gen_grid(3, 3, planarclust.GpbLikeWeights(0.27), seed=0)
+    theta = inst.theta.copy()
+    call = _weight_entry_points(inst.graph, theta)[entry]
+    call(theta)
+    theta[1] = bad
+    with pytest.raises(ValueError, match="finite"):
+        call(theta)

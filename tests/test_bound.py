@@ -3,11 +3,11 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from planarclust.bound import (
-    CutPool, _PoolModel, lower_bound_value, optimize_lower_bound, restricted_lp,
+    CutPool, _cut_rows, lower_bound_value, optimize_lower_bound, restricted_lp,
 )
 from planarclust.cut_oracle import min_cut_2color, split_into_basic_cuts
 from planarclust.instances import GpbLikeWeights, gen_grid, gen_random_planar, UniformWeights
-from planarclust.lp import solve_lp
+from planarclust.lp import LpModel, solve_lp
 from planarclust.oracle import brute_cc, exact_cc_value, full_lp_bound
 
 
@@ -124,21 +124,23 @@ def test_small_grid():
 
 
 def _replay(graph, theta, max_batches=50):
-    """The cutting-plane loop by hand, through the loop's own warm LP model:
-    yields the model and its solve after each batch."""
+    """The cutting-plane loop by hand, through one warm LP model as the loop
+    keeps it: yields the pool, the model and its solve after each batch."""
     pool = CutPool()
-    model = _PoolModel(theta, pool)
+    model = LpModel(restricted_lp(theta, pool))
     lam = theta.copy()
     for _ in range(max_batches):
         cut, value = min_cut_2color(graph, lam)
         if value >= -1e-9:
             return
-        for b in split_into_basic_cuts(graph, cut):
-            pool.add(b)
-        lp = model.solve()
+        new = [b for b in split_into_basic_cuts(graph, cut) if pool.add(b)]
+        if not new:
+            return
+        model.add_rows(*_cut_rows(theta, np.vstack(new)))
+        lp = solve_lp(model.problem, model)
         lam = theta.copy()
-        lam[theta < 0] = lp.solution.x
-        yield model, lp
+        lam[theta < 0] = lp.x
+        yield pool, model, lp
 
 
 def test_lp_objective_monotone_across_batches():
@@ -148,9 +150,9 @@ def test_lp_objective_monotone_across_batches():
         inst = gen_random_planar(8, 1000 + seed)
         theta = inst.theta
         values = [lower_bound_value(theta, theta)]
-        for _, lp in _replay(inst.graph, theta):
+        for _, _, lp in _replay(inst.graph, theta):
             lam = theta.copy()
-            lam[theta < 0] = lp.solution.x
+            lam[theta < 0] = lp.x
             values.append(lower_bound_value(theta, lam))
         assert all(a >= b - 1e-9 for a, b in zip(values, values[1:]))
 
@@ -168,13 +170,12 @@ def test_lp_objective_monotone_across_batches():
 def test_warm_solves_match_cold_solves(inst):
     theta = inst.theta
     assume((theta < 0).any())
-    for model, lp in _replay(inst.graph, theta):
-        problem, kept = restricted_lp(theta, model.pool)
+    for pool, model, sol in _replay(inst.graph, theta):
+        problem = restricted_lp(theta, pool)
         warm = model.problem
-        assert np.array_equal(lp.kept, kept)
         assert np.array_equal(warm.constraints, problem.constraints)
         assert np.array_equal(warm.rhs, problem.rhs)
-        sol = lp.solution
+        assert sol.duals.shape == (len(pool),)
         assert sol.objective_value == pytest.approx(solve_lp(problem).objective_value, abs=1e-9)
         assert np.all(sol.x >= problem.lower - 1e-9) and np.all(sol.x <= problem.upper + 1e-9)
         assert np.all(sol.duals >= 0.0)

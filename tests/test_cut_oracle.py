@@ -376,6 +376,19 @@ def test_repair_falls_back_to_no_limit(searches, monkeypatch, n, seed, factor):
     assert val == pytest.approx(brute_cc2(inst.graph, theta)[1], abs=1e-9)
 
 
+def test_unfound_mates_are_searched_before_pricing(searches):
+    # the pairs found at the first radii hold no perfect matching, so the
+    # potentials are sentinel-sized; only the ends of the unfound matched
+    # pair are searched again, not every row
+    inst = gen_random_planar(12, 54)
+    _, val = min_cut_2color(inst.graph, inst.theta)
+    (first, first_limit), second, third, fourth = searches
+    assert first == 6 and first_limit < np.inf
+    assert (second, third, fourth) == ("match", (2, np.inf), "match")
+    assert val == pytest.approx(brute_cc2(inst.graph, inst.theta)[1], abs=1e-9)
+    assert val == pytest.approx(-2.776, abs=1e-9)
+
+
 def test_oracle_calls_on_one_graph_from_many_threads():
     # calls on one graph share its cached dual adjacency, whose weights each
     # call refills: concurrent calls must still search their own weights

@@ -3,11 +3,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from planarclust import bound as bound_module, decode as decode_module
-from planarclust.bound import CutPool, lower_bound_value, optimize_lower_bound, restricted_lp
+from planarclust.bound import (
+    CutPool, _cut_rows, lower_bound_value, optimize_lower_bound, restricted_lp,
+)
 from planarclust.decode import CERTIFICATE_TOL, best_decode, decode_recursive, decode_rounding
 from planarclust.graph import cut_energy, cut_from_partition
 from planarclust.instances import GpbLikeWeights, gen_grid, gen_random_planar, UniformWeights
-from planarclust.lp import LpError, solve_lp
+from planarclust.lp import LpError, LpModel, solve_lp
 from planarclust.oracle import all_bipartition_cuts, brute_cc, exact_cc_value, full_lp_bound
 
 from multicuts import is_valid_multicut
@@ -117,7 +119,7 @@ def test_infeasible_restricted_lp_raises_lp_error(triangle, monkeypatch):
     # the bound loop's rows appended to its warm model and on the rounding
     # decoder's restricted_lp alike
     def infeasible(theta, cuts):
-        return np.ones((len(cuts), 3)), np.ones(len(cuts)), np.ones(len(cuts), dtype=bool)
+        return np.ones((len(cuts), 3)), np.ones(len(cuts))
 
     monkeypatch.setattr(bound_module, "_cut_rows", infeasible)
     theta = [-1.0, -1.0, -1.0]
@@ -208,13 +210,12 @@ def test_rounding_multipliers_solve_the_dual(max_batches):
             continue
         pools += 1
         cut_short += not br.converged
-        problem, kept = restricted_lp(theta, br.pool)
-        sol = solve_lp(problem)
+        sol = solve_lp(restricted_lp(theta, br.pool))
         neg = theta < 0
         lam = theta.copy()
         lam[neg] = sol.x
-        alpha = np.zeros(len(br.pool))
-        alpha[kept] = sol.duals
+        alpha = sol.duals
+        assert alpha.shape == (len(br.pool),)
         assert np.all(alpha >= -1e-9)
         z = br.pool.matrix(theta.size).T @ alpha
         dual = theta @ z - theta[neg] @ np.maximum(z[neg] - 1.0, 0.0)
@@ -229,6 +230,43 @@ def test_rounding_multipliers_solve_the_dual(max_batches):
         assert cut_short >= 10
     else:
         assert 20 <= certified < pools
+
+
+def test_rows_of_cuts_without_negative_edges_change_no_rounding():
+    # the isolating cut of a vertex whose edges all have theta >= 0 gives an
+    # empty row: it always holds, its multiplier is 0, and the rounding
+    # decoder reads the same z from the warm model and from a cold solve
+    checked = 0
+    for seed in range(40):
+        inst = gen_random_planar(8 + seed % 13, 1100 + seed)
+        g, theta = inst.graph, inst.theta
+        br = optimize_lower_bound(g, theta)
+        if not len(br.pool):
+            continue
+        pool = CutPool(br.pool)
+        model = LpModel(restricted_lp(theta, pool))
+        warm = solve_lp(model.problem, model)
+        cold = decode_rounding(g, theta, pool, bound=br.bound)
+        incident = [(g.tail == v) | (g.head == v) for v in range(g.vertex_count)]
+        extra = [cut for cut in incident if np.all(theta[cut] >= 0) and pool.add(cut)]
+        if not extra:
+            continue
+        model.add_rows(*_cut_rows(theta, np.vstack(extra)))
+        assert not model.problem.constraints[-len(extra) :].any()
+        extended = solve_lp(model.problem, model)
+        assert extended.duals.shape == (len(pool),)
+        assert np.all(extended.duals[-len(extra) :] == 0.0)
+        cold_duals = solve_lp(restricted_lp(theta, pool)).duals
+        assert np.all(cold_duals[-len(extra) :] == 0.0)
+        before = decode_rounding(g, theta, br.pool, bound=br.bound, final_lp=warm)
+        for res, ref in (
+            (decode_rounding(g, theta, pool, bound=br.bound, final_lp=extended), before),
+            (decode_rounding(g, theta, pool, bound=br.bound), cold),
+        ):
+            assert np.array_equal(res.partition, ref.partition)
+            assert res.energy == ref.energy and res.certificate == ref.certificate
+        checked += 1
+    assert checked >= 20
 
 
 def test_known_integrality_gap_instance():
@@ -279,7 +317,7 @@ def test_rounding_reuses_the_converged_lp(monkeypatch):
         if not len(br.pool) or not (theta < 0).any():
             assert br.final_lp is None
             continue
-        assert br.final_lp.kept.shape == (len(br.pool),)
+        assert br.final_lp.duals.shape == (len(br.pool),)
         n_calls = len(calls)
         res = decode_rounding(inst.graph, theta, br.pool, bound=br.bound, final_lp=br.final_lp)
         assert len(calls) == n_calls

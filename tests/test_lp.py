@@ -79,29 +79,35 @@ def test_warm_solves_of_growing_problems_match_cold_solves():
     for _ in range(20):
         n = int(rng.integers(2, 30))
         p = _random_problem(rng, n, int(rng.integers(1, 60)))
-        model = LpModel()
+        model = LpModel(LpProblem(p.objective, p.lower, p.upper))
+        last = 0
         for stop in np.sort(rng.choice(np.arange(p.rhs.size + 1), size=3)):
+            model.add_rows(p.constraints[last:stop], p.rhs[last:stop])
+            last = stop
             grown = LpProblem(p.objective, p.lower, p.upper, p.constraints[:stop], p.rhs[:stop])
-            warm = solve_lp(grown, model)
+            assert np.array_equal(model.problem.constraints, grown.constraints)
+            assert np.array_equal(model.problem.rhs, grown.rhs)
+            warm = solve_lp(model.problem, model)
             assert warm.objective_value == pytest.approx(solve_lp(grown).objective_value, abs=1e-9)
             assert np.all(warm.x >= p.lower - 1e-9) and np.all(warm.x <= p.upper + 1e-9)
         # a row that no point of the box meets
-        infeasible = LpProblem(
-            p.objective, p.lower, p.upper,
-            np.vstack([grown.constraints, np.ones(n)]), np.r_[grown.rhs, p.upper.sum() + 1.0],
-        )
+        model.add_rows(np.ones((1, n)), [p.upper.sum() + 1.0])
         with pytest.raises(LpError, match="Infeasible"):
-            solve_lp(infeasible, model)
+            solve_lp(model.problem, model)
 
 
-def test_warm_solve_refuses_a_problem_that_drops_rows():
+def test_warm_solve_refuses_a_problem_that_is_not_the_models():
     rng = np.random.default_rng(8)
     p = _random_problem(rng, 5, 6)
-    model = LpModel()
-    solve_lp(p, model)
-    fewer = LpProblem(p.objective, p.lower, p.upper, p.constraints[1:], p.rhs[1:])
+    model = LpModel(p)
+    solve_lp(model.problem, model)
+    # equal to the model's problem, but another object
+    copy = LpProblem(p.objective, p.lower, p.upper, p.constraints, p.rhs)
     with pytest.raises(ValueError):
-        solve_lp(fewer, model)
+        solve_lp(copy, model)
+    model.add_rows(p.constraints[:1], p.rhs[:1])
+    with pytest.raises(ValueError):
+        solve_lp(p, model)
 
 
 def test_unbounded_raises():
