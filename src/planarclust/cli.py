@@ -19,6 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .bound import BoundResult, CutPool, certified_bound, optimize_lower_bound
+from .cut_oracle import OracleError
 from .decode import best_decode
 from .graph import GraphError
 from .instances import (
@@ -30,6 +31,7 @@ from .instances import (
     read_instance,
     write_instance,
 )
+from .lp import LpError
 from .oracle import brute_cc, brute_cc2, brute_cck, check_coloring_chain, full_lp_bound
 
 FORMAT_VERSION = 1
@@ -355,7 +357,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (ParseError, GraphError, OSError, ValueError) as exc:
+    except (ParseError, GraphError, OSError, ValueError, OracleError, LpError) as exc:
         print(f"planarclust: error: {exc}", file=sys.stderr)
         return 1
 

@@ -3,9 +3,11 @@
 Two decoders:
 
 * recursive bipartitioning: visit the must-cut edges (theta < lambda) in
-  random order, force each into an optimal 2-coloring of the lambda
-  subproblem, and merge that cut into the solution whenever the original
-  energy does not increase; accepted cut edges get lambda zeroed.
+  random order, force each that the solution does not cut yet into an
+  optimal 2-coloring of the lambda subproblem, and merge that cut into the
+  solution whenever the original energy does not increase; accepted cut
+  edges get lambda zeroed.  An edge the solution already cuts is skipped,
+  so a pass pays one oracle call per edge it still has to separate.
 
 * rounding: read the constraint multipliers alpha >= 0 of the bound LP
   restricted to the pooled cut rows C, which solve the dual LP (minimize
@@ -58,8 +60,11 @@ def decode_recursive(
 ) -> DecodeResult:
     """One pass of recursive bipartitioning with a seeded edge order.
 
-    `lam` should come from a bound run; the result is certified only
-    against `bound`, that run's lower bound, and never when it is None.
+    The pass walks a seeded permutation of the must-cut edges and calls
+    `min_cut_forced` only for an edge that the partial solution leaves
+    uncut when its turn comes.  `lam` should come from a bound run; the
+    result is certified only against `bound`, that run's lower bound, and
+    never when it is None.
     """
     theta = finite_weights(theta)
     lam = np.array(lam, dtype=float, copy=True)
@@ -70,13 +75,13 @@ def decode_recursive(
     s = np.zeros(graph.edge_count, dtype=bool)
     current_energy = 0.0
     for e in order:
+        if s[e]:
+            continue
+        # the forced cut holds e, which s leaves uncut, so s2 differs from s
         x, _ = min_cut_forced(graph, lam, int(e))
         s2 = s | x
-        if np.array_equal(s2, s):
-            candidate_energy = current_energy
-        else:
-            repaired = cut_from_partition(graph, partition_from_cut(graph, s2))
-            candidate_energy = cut_energy(graph, theta, repaired)
+        repaired = cut_from_partition(graph, partition_from_cut(graph, s2))
+        candidate_energy = cut_energy(graph, theta, repaired)
         if candidate_energy <= current_energy:
             s = s2
             current_energy = candidate_energy

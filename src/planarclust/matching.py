@@ -274,28 +274,49 @@ class _DenseBlossom:
         """Dissolve zero-dual top-level blossom b and its zero-dual children.
 
         Children keep their inner matching; the stage then ends, so no tree
-        label needs repair."""
-        for s in self.childs[b]:
-            self.parent[s] = -1
-            if s < self.n:
-                self.inblossom[s] = s
-            elif self.y[s] == 0:
-                self._expand_blossom(s)
-            else:
-                self.inblossom[self._leaves(s)] = s
-        self.childs[b] = None
-        self.cycedges[b] = None
-        self.base[b] = -1
-        self.active_blossoms.discard(b)
+        label needs repair.  Blossoms can nest a thousand deep, so the
+        zero-dual children wait on an explicit stack, not on the call stack."""
+        stack = [b]
+        while stack:
+            b = stack.pop()
+            for s in self.childs[b]:
+                self.parent[s] = -1
+                if s < self.n:
+                    self.inblossom[s] = s
+                elif self.y[s] == 0:
+                    stack.append(s)
+                else:
+                    self.inblossom[self._leaves(s)] = s
+            self.childs[b] = None
+            self.cycedges[b] = None
+            self.base[b] = -1
+            self.active_blossoms.discard(b)
 
     # -- augmenting -----------------------------------------------------
 
     def _augment_blossom(self, b: int, v: int):
+        """Make v the base of blossom b, rematching along its cycle.
+
+        Each sub-blossom on the way is augmented before the edges beside
+        it are rematched.  As in networkx's `max_weight_matching`, the
+        nested calls are generators on an explicit stack: blossoms can
+        nest deeper than Python's recursion limit."""
+        stack = [self._augment_steps(b, v)]
+        while stack:
+            sub = next(stack[-1], None)
+            if sub is None:
+                stack.pop()
+            else:
+                stack.append(self._augment_steps(*sub))
+
+    def _augment_steps(self, b: int, v: int):
+        """`_augment_blossom`'s body; yields each (sub-blossom, vertex) pair
+        that must be augmented before it goes on."""
         t = v
         while self.parent[t] != b:
             t = int(self.parent[t])
         if t >= self.n:
-            self._augment_blossom(t, v)
+            yield t, v
         ch = self.childs[b]
         ce = self.cycedges[b]
         L = len(ch)
@@ -307,10 +328,10 @@ class _DenseBlossom:
         for j in pairs:
             a, c = ce[j]
             if ch[j] >= self.n:
-                self._augment_blossom(ch[j], a)
+                yield ch[j], a
             nxt = ch[(j + 1) % L]
             if nxt >= self.n:
-                self._augment_blossom(nxt, c)
+                yield nxt, c
             self.mate[a] = c
             self.mate[c] = a
         self.childs[b] = ch[i:] + ch[:i]

@@ -3,8 +3,11 @@ import json
 import numpy as np
 import pytest
 
+from planarclust import bound as bound_module
 from planarclust.cli import main
+from planarclust.cut_oracle import OracleError
 from planarclust.instances import GpbLikeWeights, Instance, gen_grid, gen_random_planar, write_instance
+from planarclust.lp import LpError
 
 from conftest import embedded
 
@@ -271,3 +274,18 @@ def test_malformed_instance_fails(capsys, tmp_path):
         assert code == 1 and out == ""
         assert err.startswith("planarclust: error: ") and err.count("\n") == 1
         assert message in err
+
+
+@pytest.mark.parametrize(
+    "target, error",
+    [("min_cut_2color", OracleError("oracle broke")), ("solve_lp", LpError("LP broke"))],
+)
+def test_library_failures_fail_in_one_line(tmp_path, capsys, monkeypatch, target, error):
+    def fail(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(bound_module, target, fail)
+    path = write_triangle(tmp_path, [-1.0, -1.0, -1.0])
+    code, out, err = run_cli(capsys, "solve", str(path))
+    assert code == 1 and out == ""
+    assert err == f"planarclust: error: {error}\n"

@@ -6,8 +6,9 @@ from planarclust import bound as bound_module, decode as decode_module
 from planarclust.bound import (
     CutPool, _cut_rows, lower_bound_value, optimize_lower_bound, restricted_lp,
 )
+from planarclust.cut_oracle import min_cut_forced
 from planarclust.decode import CERTIFICATE_TOL, best_decode, decode_recursive, decode_rounding
-from planarclust.graph import cut_energy, cut_from_partition
+from planarclust.graph import cut_energy, cut_from_partition, partition_from_cut
 from planarclust.instances import GpbLikeWeights, gen_grid, gen_random_planar, UniformWeights
 from planarclust.lp import LpError, LpModel, solve_lp
 from planarclust.oracle import all_bipartition_cuts, brute_cc, exact_cc_value, full_lp_bound
@@ -293,6 +294,60 @@ def test_recursive_deterministic_given_seed():
     assert a.energy == b.energy
     c = decode_recursive(inst.graph, inst.theta, br.lam, seed=2, restart=0)
     assert c.energy <= 0.0
+
+
+def test_recursive_forces_only_uncut_edges(monkeypatch):
+    # the pass walks its seeded order of must-cut edges and forces an edge
+    # only when the partial clustering leaves it uncut; a forced cut is
+    # kept when it does not raise the energy
+    calls = []
+
+    def counted(graph, lam, e):
+        x, value = min_cut_forced(graph, lam, e)
+        calls.append((e, x))
+        return x, value
+
+    monkeypatch.setattr(decode_module, "min_cut_forced", counted)
+    visited = made = 0
+    for seed in range(6):
+        inst = gen_grid(6, 6, GpbLikeWeights(0.27), seed)
+        g, theta = inst.graph, inst.theta
+        br = optimize_lower_bound(g, theta)
+        calls.clear()
+        res = decode_recursive(g, theta, br.lam, seed=seed, restart=1, bound=br.bound)
+        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence([seed, 1])))
+        order = rng.permutation(np.flatnonzero(theta - br.lam < 0.0))
+        s, energy, forced = np.zeros(g.edge_count, dtype=bool), 0.0, iter(calls)
+        for e in order:
+            if s[e]:
+                continue
+            called, x = next(forced)
+            assert called == e
+            s2 = s | x
+            e2 = cut_energy(g, theta, cut_from_partition(g, partition_from_cut(g, s2)))
+            if e2 <= energy:
+                s, energy = s2, e2
+        assert next(forced, None) is None
+        assert np.array_equal(res.partition, partition_from_cut(g, s))
+        assert res.energy == pytest.approx(energy)
+        visited += order.size
+        made += len(calls)
+    # most must-cut edges are already cut when their turn comes
+    assert 0 < 2 * made < visited
+
+
+@given(st.integers(3, 8), st.integers(0, 2**32 - 1), st.sampled_from([0, 1, 1000]))
+def test_recursive_partition_is_a_clustering_above_the_optimum(n, seed, max_batches):
+    inst = gen_random_planar(n, seed)
+    g, theta = inst.graph, inst.theta
+    _, optimum = brute_cc(g, theta)
+    br = optimize_lower_bound(g, theta, max_batches=max_batches)
+    res = decode_recursive(g, theta, br.lam, seed=seed % 7, bound=br.bound)
+    x = cut_from_partition(g, res.partition)
+    assert is_valid_multicut(g, x)
+    assert res.energy == pytest.approx(cut_energy(g, theta, x))
+    assert res.energy >= optimum - 1e-9
+    assert res.certificate == (res.energy - br.bound <= CERTIFICATE_TOL)
 
 
 def _counting_solve_lp(monkeypatch):

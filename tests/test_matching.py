@@ -1,4 +1,5 @@
 import itertools
+import sys
 
 import networkx as nx
 import numpy as np
@@ -458,3 +459,66 @@ def test_match_dense_euclidean_metric_vs_networkx(monkeypatch):
             g[u][v]["weight"] for u, v in ref
         )
     assert restarted >= 5
+
+
+def nested_blossom_chains(k):
+    """Two roots, each under a chain of k nested blossoms, and one dear edge
+    between the two outer layers.  Each side holds pairs (a_i, b_i) at cost
+    0; its root r meets a_1 and b_1, and b_i meets a_(i+1), a_i meets
+    b_(i+1), all at cost 1.  The greedy start matches the pairs and leaves
+    both roots free; the stage then closes the blossom {r, a_1, b_1} and
+    wraps each layer i + 1 around layer i, until the dear edge augments
+    through all k layers on both sides.  The optimum shifts each side's
+    chain by one pair, cost k per side, plus the dear edge."""
+    n = 2 * (2 * k + 1)
+    w = np.zeros((n, n), dtype=np.int64)
+    mask = np.zeros((n, n), dtype=bool)
+
+    def edge(u, v, cost):
+        w[u, v] = w[v, u] = cost
+        mask[u, v] = mask[v, u] = True
+
+    outer = []
+    for side in range(2):
+        a = [2 * (side * k + i) for i in range(k)]
+        b = [x + 1 for x in a]
+        root = 4 * k + side
+        edge(root, a[0], 1)
+        edge(root, b[0], 1)
+        for i in range(k):
+            edge(a[i], b[i], 0)
+        for i in range(k - 1):
+            edge(b[i], a[i + 1], 1)
+            edge(a[i], b[i + 1], 1)
+        outer.append(b[-1])
+    dear = 4 * k + 10
+    edge(*outer, dear)
+    return w, mask, 2 * k + dear
+
+
+def test_deeply_nested_blossoms_need_no_deep_stack():
+    # blossoms nest about a thousand deep on 140x140 grids; the solver must
+    # not need a Python frame per nesting level
+    k = 120
+    w, mask, optimum = nested_blossom_chains(k)
+    n = w.shape[0]
+    solver = _DenseBlossom(w, mask)
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + k // 2)
+    try:
+        mate, _ = solver.solve()
+    finally:
+        sys.setrecursionlimit(limit)
+    nesting = []
+    for v in range(n):
+        levels, b = 0, solver.parent[v]
+        while b >= 0:
+            levels, b = levels + 1, solver.parent[b]
+        nesting.append(levels)
+    assert max(nesting) == k
+    assert mask[np.arange(n), mate].all()
+    assert sum(int(w[v, mate[v]]) for v in range(n) if v < mate[v]) == optimum
+    assert np.array_equal(match_with_dual_check(w, mask), mate)
