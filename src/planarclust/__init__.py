@@ -6,9 +6,8 @@ dual; upper bounds come from recursive bipartitioning and dual-LP rounding
 decoders.  Equality of the two, within tolerance, certifies global
 optimality of the clustering.
 
-The brute-force reference solvers and the gadget route's edge-list
-matching live in `planarclust.oracle`, LP and matching internals in
-`planarclust.lp` and `planarclust.matching`.
+The brute-force reference solvers live in `planarclust.oracle`, LP and
+matching internals in `planarclust.lp` and `planarclust.matching`.
 """
 
 from .bound import BoundResult, CutPool, lower_bound_value, optimize_lower_bound

@@ -45,15 +45,17 @@ class _Parser(argparse.ArgumentParser):
         sys.exit(1)
 
 
-def _add_solver_flags(p, decode=True):
+def _add_bound_flags(p):
     p.add_argument(
         "--tol", type=float, default=1e-6, help="when the cut loop stops; the bound is sound at any value"
     )
     p.add_argument("--max-batches", type=int, default=1000, help="cutting-plane batch limit")
-    if decode:
-        p.add_argument("--restarts", type=int, default=10, help="recursive decode restarts")
-        p.add_argument("--seed", type=int, default=0, help="decode order seed")
-        p.add_argument("--threshold", type=float, default=0.5, help="rounding threshold")
+
+
+def _add_decode_flags(p):
+    p.add_argument("--restarts", type=int, default=10, help="recursive decode restarts")
+    p.add_argument("--seed", type=int, default=0, help="decode order seed")
+    p.add_argument("--threshold", type=float, default=0.5, help="rounding threshold")
 
 
 def build_parser():
@@ -62,19 +64,18 @@ def build_parser():
 
     p = sub.add_parser("solve", help="lower bound + decoding, full pipeline")
     p.add_argument("instance", type=Path)
-    _add_solver_flags(p)
+    _add_bound_flags(p)
+    _add_decode_flags(p)
 
     p = sub.add_parser("bound", help="lower bound only; save the result document")
     p.add_argument("instance", type=Path)
     p.add_argument("--out", type=Path, help="write the bound document here")
-    _add_solver_flags(p, decode=False)
+    _add_bound_flags(p)
 
     p = sub.add_parser("decode", help="decode from a saved bound document")
     p.add_argument("instance", type=Path)
     p.add_argument("--bound", type=Path, required=True, help="document from `bound --out`")
-    p.add_argument("--restarts", type=int, default=10)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threshold", type=float, default=0.5)
+    _add_decode_flags(p)
 
     p = sub.add_parser("oracle", help="exact brute-force values (desk scale)")
     p.add_argument("instance", type=Path)
@@ -106,7 +107,8 @@ def build_parser():
     p.add_argument("directory", type=Path)
     p.add_argument("--out", type=Path, required=True)
     p.add_argument("--jobs", type=int, default=1)
-    _add_solver_flags(p)
+    _add_bound_flags(p)
+    _add_decode_flags(p)
     return parser
 
 
@@ -289,7 +291,10 @@ def cmd_gen(args) -> int:
     if args.beta is not None and args.uniform is not None:
         raise ParseError("choose either --beta or --uniform, not both")
     if args.uniform is not None:
-        a, b = (float(x) for x in args.uniform.split(","))
+        try:
+            a, b = (float(x) for x in args.uniform.split(","))
+        except ValueError:
+            raise ParseError(f"--uniform takes A,B, not {args.uniform!r}") from None
         model = UniformWeights(a, b)
     elif args.beta is not None:
         model = GpbLikeWeights(args.beta)
@@ -299,8 +304,8 @@ def cmd_gen(args) -> int:
         w, h = (int(x) for x in args.grid.lower().split("x"))
         instance = gen_grid(w, h, model, args.seed)
     else:
-        if args.beta is not None:
-            raise ParseError("--beta applies to grid instances only")
+        if args.beta is not None or args.uniform is not None:
+            raise ParseError("--beta and --uniform apply to grid instances only")
         instance = gen_random_planar(args.random, args.seed)
     write_instance(instance, args.out)
     print(f"wrote {instance.name} to {args.out}", file=sys.stderr)

@@ -41,8 +41,7 @@ in exact int64 arithmetic, other weights in float64; the matching solver
 only reads the dtype chosen here.  int64 mode is chosen only while every
 path sum stays below 2**53, so float Dijkstra distances are exact
 integers, and while the matching's sentinel has head-room for any
-distance.  The independent reference route through an explicit matching
-gadget lives in `oracle.py`.
+distance.
 """
 
 from __future__ import annotations

@@ -23,18 +23,10 @@ from planarclust.instances import (
     gen_random_planar,
     write_instance,
 )
-from planarclust.oracle import (
-    MatchingProblem,
-    NoPerfectMatching,
-    brute_cc,
-    brute_cc2,
-    check_coloring_chain,
-    exact_cc_value,
-    full_lp_bound,
-    min_weight_perfect_matching,
-)
+from planarclust.oracle import brute_cc, brute_cc2, check_coloring_chain, exact_cc_value, full_lp_bound
 
 from conftest import brute_force_min_perfect
+from gadget import MatchingProblem, NoPerfectMatching, min_weight_perfect_matching
 
 
 def report(num, ok, detail):

@@ -189,6 +189,23 @@ def test_gen_random(tmp_path, capsys):
     assert json.loads(stdout)["gap"] >= -1e-6
 
 
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        # --random used to write weights on [-1, 1] and exit 0
+        (("--random", "8", "--uniform", "5,6"), "--uniform apply to grid instances only"),
+        (("--grid", "3x3", "--uniform", "1"), "--uniform takes A,B"),
+        (("--grid", "3x3", "--uniform", "x,1"), "--uniform takes A,B"),
+    ],
+)
+def test_gen_rejects_misused_uniform(tmp_path, capsys, argv, message):
+    out = tmp_path / "g.json"
+    code, _, err = run_cli(capsys, "gen", *argv, "--out", str(out))
+    assert code == 1 and not out.exists()
+    assert err.startswith("planarclust: error: ") and err.count("\n") == 1
+    assert message in err
+
 def test_bench(tmp_path, capsys):
     d = tmp_path / "instances"
     d.mkdir()

@@ -18,15 +18,10 @@ from planarclust.cut_oracle import (
 )
 from planarclust.graph import cut_from_partition, partition_from_cut
 from planarclust.instances import GpbLikeWeights, gen_grid, gen_random_planar
-from planarclust.oracle import (
-    brute_cc2,
-    expand_dual,
-    matching_for_cut,
-    min_cut_2color_via_gadget,
-    min_weight_perfect_matching,
-)
+from planarclust.oracle import brute_cc2
 
 from conftest import edge_masks, embedded, planar_graphs
+from gadget import expand_dual, matching_for_cut, min_cut_2color_via_gadget, min_weight_perfect_matching
 from multicuts import is_valid_multicut
 
 

@@ -10,15 +10,9 @@ from scipy.sparse.csgraph import shortest_path
 
 from planarclust.cut_oracle import scale_to_int
 from planarclust.matching import MatchingError, _DenseBlossom, match_dense
-from planarclust.oracle import (
-    MatchingProblem,
-    NoPerfectMatching,
-    OddVertexCount,
-    min_weight_perfect_matching,
-)
-
 
 from conftest import brute_force_min_perfect
+from gadget import MatchingProblem, NoPerfectMatching, OddVertexCount, min_weight_perfect_matching
 
 
 def random_problem(rng, n, density, weight_style):
