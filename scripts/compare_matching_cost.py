@@ -52,11 +52,12 @@ def record_inputs(checkout: str, seed: int) -> list[tuple[str, np.ndarray, np.nd
     name = ""
     match = cut_oracle._match_terminals
 
-    def hook(dist, *mask):
-        # older libraries pass the matrix alone and match over all pairs
-        full = ~np.eye(len(dist), dtype=bool)
-        recorded.append((name, np.array(dist), np.array(mask[0]) if mask else full))
-        return match(dist, *mask)
+    def hook(dist, *args, **kwargs):
+        # older libraries pass the matrix alone and match over all pairs;
+        # newer ones also pass the call's warm start, which is passed on
+        mask = args[0] if args else kwargs.get("mask", ~np.eye(len(dist), dtype=bool))
+        recorded.append((name, np.array(dist), np.array(mask)))
+        return match(dist, *args, **kwargs)
 
     cut_oracle._match_terminals = hook
     for name, wl in W.WORKLOADS.items():

@@ -295,13 +295,18 @@ def cmd_gen(args) -> int:
             a, b = (float(x) for x in args.uniform.split(","))
         except ValueError:
             raise ParseError(f"--uniform takes A,B, not {args.uniform!r}") from None
+        if not np.isfinite([a, b]).all():
+            raise ParseError(f"--uniform takes finite A,B, not {args.uniform!r}")
         model = UniformWeights(a, b)
     elif args.beta is not None:
         model = GpbLikeWeights(args.beta)
     else:
         model = UniformWeights()
     if args.grid:
-        w, h = (int(x) for x in args.grid.lower().split("x"))
+        try:
+            w, h = (int(x) for x in args.grid.lower().split("x"))
+        except ValueError:
+            raise ParseError(f"--grid takes WxH, not {args.grid!r}") from None
         instance = gen_grid(w, h, model, args.seed)
     else:
         if args.beta is not None or args.uniform is not None:

@@ -22,17 +22,23 @@ SMALL_T terminals up (below it the pricing costs more than the limit
 saves), one multi-source run gives each terminal its nearest-other-terminal
 distance exactly, through the dual edges between Voronoi cells, and lim_i
 starts at LIMIT_FACTOR times it; rows are searched in quantile groups of
-radius, each to its largest one.  A pair that no row found is longer than
-max(lim_i, lim_j), so when the matching over the found pairs uses found
-pairs only and its vertex potentials pi (`matching.match_dense`) give
-every left-out pair pi_i + pi_j <= max(lim_i, lim_j), its dual is feasible
-for the full metric and the matching is optimal.  A matched pair that no
-row found (no perfect matching over the found pairs) first has its ends
-searched without a limit.  Otherwise the call repairs the certificate:
-it searches again from the ends of each violating pair only, to the
-row's largest violating price, and solves the matching again only when
-a new pair is shorter than its price.  After REPAIR_ROUNDS rounds the
-rest is searched without a limit.
+radius, each to its largest one: one group per ROWS_PER_GROUP rows, at
+most six.  So calls under 2 * ROWS_PER_GROUP = 48 terminals, such as the
+recursive decoder's on 14x14 grids, search in one group, and the 28x28
+grids of the benchmark's grid-gpb workload (about 100 terminals) in four.
+A pair that no row found is longer than max(lim_i, lim_j), so when the
+matching over the found pairs uses found pairs only and its vertex
+potentials pi (`matching.match_dense`) give every left-out pair
+pi_i + pi_j <= max(lim_i, lim_j), its dual is feasible for the full
+metric and the matching is optimal.  A matched pair that no row found
+(no perfect matching over the found pairs) first has its ends searched
+without a limit.  Otherwise the call repairs the certificate: it searches
+again from the ends of each violating pair only, to the row's largest
+violating price, and solves the matching again only when a new pair is
+shorter than its price.  Every matching of a call after the first
+resumes from the last one's duals and blossoms (`matching.WarmStart`), so
+a finer search, which needs more repairs, pays less for each.  After
+REPAIR_ROUNDS rounds the rest is searched without a limit.
 Each matched pair i < j is walked on row i, extended first if it fell
 short.  The call keeps the T x T terminal distances, not T x F.
 
@@ -55,7 +61,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
 
 from .graph import PlanarGraph, finite_weights, partition_from_cut
-from .matching import match_dense
+from .matching import WarmStart, match_dense
 
 
 class OracleError(RuntimeError):
@@ -70,8 +76,12 @@ SMALL_T = 24
 # a terminal's first search radius, in multiples of its distance to its
 # nearest other terminal
 LIMIT_FACTOR = 2.0
-# terminals per quantile group of search radii; one `dijkstra` call per group
-ROWS_PER_GROUP = 128
+# terminals per quantile group of search radii; one `dijkstra` call per
+# group, at most six groups.  Measured on the oracle inputs of a seed-0
+# grid-gpb round (T mean 99): 24 took 0.84 of the time of 128, which
+# searched every call there in one group; 16 and 32 took 0.85 and 0.88,
+# and a cap of ten groups gained nothing.
+ROWS_PER_GROUP = 24
 # certificate repairs before the search falls back to no limit
 REPAIR_ROUNDS = 3
 
@@ -127,13 +137,14 @@ def _dual_info(graph: PlanarGraph) -> _DualInfo:
     return info
 
 
-def _match_terminals(dist: np.ndarray, mask: np.ndarray):
+def _match_terminals(dist: np.ndarray, mask: np.ndarray, warm: WarmStart | None = None):
     """Min-weight perfect matching of the terminals over the pairs in `mask`
-    (its diagonal is ignored): (pairs of terminal indices, potentials)."""
+    (its diagonal is ignored): (pairs of terminal indices, potentials).
+    `warm` carries the solver's state from one call to the next."""
     t = dist.shape[0]
     if t == 2:
         return [(0, 1)], np.full(2, dist[0, 1] / 2)
-    mate, pi = match_dense(dist, mask)
+    mate, pi = match_dense(dist, mask, warm)
     return [(v, int(mate[v])) for v in range(t) if v < mate[v]], pi
 
 
@@ -189,7 +200,7 @@ def _search_and_match(info: _DualInfo, gmin: np.ndarray, terminals: np.ndarray, 
         return _match_terminals(d_t, np.ones((t, t), dtype=bool))[0], pred
     radii, rows = _first_radii(info, gmin, terminals), np.arange(t)
     d_t, lim, pred = np.empty((t, t)), np.empty(t), np.empty((t, info.face_count), dtype=np.int32)
-    pi = None
+    pi, warm = None, WarmStart()
     for repairs in itertools.count():
         _search(info, terminals, rows, radii, d_t, pred, lim)
         own = d_t < np.inf  # row i reached terminal j within lim_i
@@ -197,7 +208,7 @@ def _search_and_match(info: _DualInfo, gmin: np.ndarray, terminals: np.ndarray, 
         if pi is None or not (exact and _still_optimal(d_t, own, solved, found, pi)):
             d_in = np.where(own, d_t, d_t.T)
             d_in[~found] = 0
-            pairs, pi = _match_terminals(d_in.astype(dtype, copy=False), found)
+            pairs, pi = _match_terminals(d_in.astype(dtype, copy=False), found, warm)
             solved = found
             # int64 potentials are exact half-integers below 2**51
             exact = dtype != np.int64 or np.abs(pi).max() < 2**51

@@ -35,14 +35,14 @@ matrices.  On the oracle inputs of the benchmark's seed-0 rounds, 30 of
 bound run on a GPB grid (beta 0.27, seed 0) took 18 restarts at 50x50 and
 22 at 70x70.
 
-`match_dense(weights, mask)` is the one entry to the solver: a symmetric
-weight matrix plus a boolean mask of real edges in, the mate array and the
-final vertex potentials out.  The matrix's dtype selects the arithmetic:
-int64 is exact, float64 uses a relative tie tolerance of 1e-12.  Negation,
-doubling and the sentinel are applied inside the solver, so callers pass
-plain minimum-weight costs.  Choosing the dtype is the caller's job: the
-cut oracle scales short decimal weights to int64 before it builds the
-matrix.
+`match_dense(weights, mask, warm=None)` is the one entry to the solver: a
+symmetric weight matrix plus a boolean mask of real edges in, the mate
+array and the final vertex potentials out.  The matrix's dtype selects
+the arithmetic: int64 is exact, float64 uses a relative tie tolerance of
+1e-12.  Negation, doubling and the sentinel are applied inside the
+solver, so callers pass plain minimum-weight costs.  Choosing the dtype
+is the caller's job: the cut oracle scales short decimal weights to int64
+before it builds the matrix.
 
 The potentials are the vertex part of the solver's final LP dual, in the
 caller's units: pi = -y / 2 for the stored (negated, doubled) duals y.
@@ -54,6 +54,32 @@ mask left out weighs at least pi_i + pi_j, the dual stays feasible with
 those pairs added, and the matching is optimal over all pairs.  The cut
 oracle prices the terminal pairs its bounded search did not reach this
 way.  int64 potentials are half-integers, exact while |y| < 2**53.
+
+A `WarmStart` passed to `match_dense` keeps the solver's mates, duals and
+blossoms for the next call on the same vertices, which then resumes from
+them, as Blossom V does between solves (Kolmogorov 2009).  The cut
+oracle solves again after its search finds more pairs: the mask grows,
+and in float64 an entry can change in its last bit.  Any entry that
+differs from the last solve's, sentinel included, counts as changed.  A
+blossom with a changed cycle edge opens, outermost first: its dual moves
+to its leaves, so no slack inside it moves and the base's matched edge,
+whose slack rises, is unmatched.  A changed matched pair is unmatched.
+Of each changed pair whose slack, blossom duals included, is now
+negative, one end is freed: its blossoms open, it and its mate are
+unmatched and its dual rises until its least slack is zero.  Ends of more
+such pairs go first.  In int64 mode every free vertex then gets an even
+dual: a free vertex is the base of its top-level blossom, whose leaves
+share its parity, so the leaves go up by one and the blossom dual down
+by one, or a zero-dual blossom opens.  The stages then run from there.
+The result is optimal, but among co-optimal matchings it may pick
+another than a cold solve.  A solve that matched a pair outside its mask
+is not kept: its duals are of the sentinel's size, and resuming from
+them took twice as long as a cold solve on the cut oracle's inputs.  In
+the bound loops of a seed-0 grid-gpb round, 90 of the 102 re-solves
+resumed (the other 12 followed such a solve).  A resume took 0.59 of a
+cold solve's time: it freed 6.2 vertices on average where the greedy
+start left 7.8, and made 800 dual updates in all where cold solves made
+2501.
 
 The implementation keeps a dense weight matrix and performs the hot
 per-vertex scans as vectorized numpy operations; blossom bookkeeping stays
@@ -80,7 +106,25 @@ class MatchingError(ValueError):
     pass
 
 
-def match_dense(weights: np.ndarray, mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+class WarmStart:
+    """What one `match_dense` call leaves for the next on the same vertices.
+
+    `bool(warm)` is True while it holds a solve to resume from: not when
+    new, and not after a solve that matched a pair outside its mask.
+    Callers only pass it along."""
+
+    __slots__ = ("_solver",)
+
+    def __init__(self):
+        self._solver = None
+
+    def __bool__(self):
+        return self._solver is not None
+
+
+def match_dense(
+    weights: np.ndarray, mask: np.ndarray, warm: WarmStart | None = None
+) -> tuple[np.ndarray, np.ndarray]:
     """Minimum-weight maximum-cardinality matching on a dense matrix.
 
     `weights` is a symmetric n x n matrix with n even, read only where the
@@ -92,8 +136,27 @@ def match_dense(weights: np.ndarray, mask: np.ndarray) -> tuple[np.ndarray, np.n
     edges possible, and among those the least weight.  pi is the float64
     vertex potential array described in the module docstring.  An odd n
     raises MatchingError.
+
+    When `warm` holds a solve on as many vertices in the same arithmetic,
+    the solver resumes from that solve's mates, duals and blossoms (module
+    docstring); the result is optimal all the same.  `warm` then holds
+    this solve, if its matching uses real edges only.
     """
-    return _DenseBlossom(weights, mask).solve()
+    integer = np.issubdtype(np.asarray(weights).dtype, np.integer)
+    solver = None
+    if warm is not None:  # emptied first: a solve that raises leaves no state
+        solver, warm._solver = warm._solver, None
+    if solver is not None and solver.n == len(weights) and solver.integer == integer:
+        mate, pi = solver.resume(weights, mask)
+    else:
+        solver = _DenseBlossom(weights, mask)
+        mate, pi = solver.solve()
+    if warm is not None:
+        # a matching through the sentinel leaves duals of the sentinel's
+        # size, far from the next solve's: that one starts cold
+        real = (solver.W2[np.arange(solver.n), mate] != solver.missing).all()
+        warm._solver = solver if real else None
+    return mate.copy(), pi
 
 
 class _DenseBlossom:
@@ -106,17 +169,22 @@ class _DenseBlossom:
     """
 
     def __init__(self, weights: np.ndarray, mask: np.ndarray):
-        weights = np.asarray(weights)
-        mask = np.asarray(mask, dtype=bool)
-        self.n = n = weights.shape[0]
+        self.n = n = np.shape(weights)[0]
         if n % 2:
             raise MatchingError(f"vertex count {n} is odd")
+        self._set_weights(weights, mask)
+
+    def _set_weights(self, weights, mask):
+        weights = np.asarray(weights)
+        mask = np.asarray(mask, dtype=bool)
+        n = self.n
         self.integer = np.issubdtype(weights.dtype, np.integer)
         self.dtype = np.int64 if self.integer else np.float64
         self.INF = 2**62 if self.integer else np.inf
         real = mask & ~np.eye(n, dtype=bool)
-        maxabs = np.abs(weights[real]).max(initial=0)
-        maxabs = int(maxabs) if self.integer else float(maxabs)
+        # reductions in place of abs(weights[real]): no T x T temporary
+        top, bottom = weights.max(where=real, initial=0), weights.min(where=real, initial=0)
+        maxabs = int(max(top, -bottom)) if self.integer else float(max(top, -bottom))
         self.tol = 0 if self.integer else 1e-12 * max(1.0, 2 * maxabs)
         # one missing edge must outweigh any difference in real weight, so
         # the sentinel is derived from the weights, never a fixed constant
@@ -126,7 +194,10 @@ class _DenseBlossom:
             raise MatchingError(f"weights up to {maxabs} leave no head-room for the sentinel")
         # W2 holds negated (the solver maximizes), doubled weights so slacks
         # stay integral.
-        self.W2 = np.where(real, -2 * weights.astype(self.dtype), 2 * nonedge)
+        self.missing = 2 * nonedge
+        self.W2 = weights.astype(self.dtype)
+        self.W2 *= -2
+        self.W2[~real] = self.missing
 
     # -- solver state ---------------------------------------------------
 
@@ -161,7 +232,7 @@ class _DenseBlossom:
             slack[v] = self.INF
             s = slack.min()
             self.y[v] -= s
-            tight = np.flatnonzero((slack - s <= self.tol) & (self.mate < 0))
+            tight = ((slack - s <= self.tol) & (self.mate < 0)).nonzero()[0]
             if tight.size:
                 u = int(tight[0])
                 self.mate[v] = u
@@ -359,6 +430,107 @@ class _DenseBlossom:
                 self.mate[near] = far
                 s, p = far, near
 
+    # -- warm resume ------------------------------------------------------
+
+    def resume(self, weights: np.ndarray, mask: np.ndarray):
+        """Solve for new weights and mask, starting from the last solve."""
+        old = self.W2
+        self._set_weights(weights, mask)
+        changed = old != self.W2
+        del old  # the T x T matrices go before the stages run
+        self._free_changed(changed)
+        del changed
+        return self._run()
+
+    def _free_changed(self, changed: np.ndarray):
+        """Make the last solve's state a start for the changed entries:
+        dual feasible, matched and blossom edges tight, only bases free."""
+        changed |= changed.T
+        np.fill_diagonal(changed, False)
+        # a blossom whose cycle edge changed, and a matched pair that
+        # changed, may no longer be tight: open the one, unmatch the other
+        for b in sorted(self.active_blossoms):
+            if self.base[b] >= 0 and any(changed[a, c] for a, c in self.cycedges[b]):
+                v = int(self.base[b])
+                while self.base[b] >= 0:  # b and the blossoms around it
+                    self._open(int(self.inblossom[v]))
+        matched = np.flatnonzero(self.mate >= 0)
+        for v in matched[changed[matched, self.mate[matched]]]:
+            self._unmatch(int(v))
+        # every slack that fell below zero is a changed pair's; the least
+        # slack is that of the pair's own vertex duals, blossom duals aside
+        slack = np.add.outer(self.y[: self.n], self.y[: self.n])
+        slack -= self.W2
+        low = slack < -self.tol
+        del slack
+        low |= low.T
+        low &= changed
+        if low.any():
+            self._free_cover(*np.nonzero(np.triu(low, 1)))
+        if self.integer:
+            self._even_free_duals()
+
+    def _unmatch(self, v: int):
+        m = self.mate[v]
+        if m >= 0:
+            self.mate[v] = self.mate[m] = -1
+
+    def _open(self, b: int):
+        """Dissolve top-level blossom b between stages.  Its dual moves to
+        its leaves, which leaves every slack inside it unchanged and raises
+        every slack leaving it, so the base's matched edge is unmatched."""
+        if self.y[b] != 0:
+            self.y[self._leaves(b)] += self.y[b]
+            self.y[b] = 0
+            self._unmatch(int(self.base[b]))
+        self._expand_blossom(b)
+
+    def _free_cover(self, i: np.ndarray, j: np.ndarray):
+        """Free one end of every pair (i, j) whose slack, blossom duals
+        included, is negative, and raise its dual to feasibility.  Ends of
+        more such pairs go first, and among those ends in no blossom."""
+        slack = self.y[i] + self.y[j] - np.maximum(self.W2[i, j], self.W2[j, i])
+        inside = np.flatnonzero(self.inblossom[i] == self.inblossom[j])
+        if inside.size:
+            ii, jj = i[inside], j[inside]
+            tops = set(self.inblossom[ii].tolist())
+            member = np.zeros(self.n, dtype=bool)
+            for b in self.active_blossoms:
+                if self.y[b] != 0 and self.inblossom[self.base[b]] in tops:
+                    member[:] = False
+                    member[self._leaves(b)] = True
+                    slack[inside] += 2 * self.y[b] * (member[ii] & member[jj])
+        bad = slack < -self.tol
+        i, j = i[bad], j[bad]
+        ends, counts = np.unique(np.r_[i, j], return_counts=True)
+        freed = np.zeros(self.n, dtype=bool)
+        for v in ends[np.lexsort((self.inblossom[ends] != ends, -counts))].tolist():
+            if freed[np.r_[j[i == v], i[j == v]]].all():
+                continue
+            while self.inblossom[v] != v:
+                self._open(int(self.inblossom[v]))
+            self._unmatch(v)
+            row = self.y[v] + self.y[: self.n] - np.maximum(self.W2[v], self.W2[:, v])
+            row[v] = self.INF
+            self.y[v] -= min(row.min(), 0)
+            freed[v] = True
+
+    def _even_free_duals(self):
+        """Give every free vertex an even dual, so the stages' S-S slacks
+        stay even (module docstring), by raising it.  A free vertex is the
+        base of its top-level blossom, whose leaves share its parity."""
+        for v in np.flatnonzero(self.mate < 0).tolist():
+            while self.y[v] % 2:
+                b = int(self.inblossom[v])
+                if b == v:
+                    self.y[v] += 1
+                elif self.y[b] > 0:
+                    # leaves up, blossom dual down: no slack inside b moves
+                    self.y[self._leaves(b)] += 1
+                    self.y[b] -= 1
+                else:
+                    self._expand_blossom(b)
+
     # -- stage ------------------------------------------------------------
 
     def _use_edge(self, v: int, w: int) -> bool:
@@ -380,14 +552,13 @@ class _DenseBlossom:
 
     def _scan_vertex(self, v: int) -> bool:
         """Use the tight edges at S-vertex v. Returns True on augmentation."""
-        row = self._slack_row(v)
         s2row = self.y[v] - self.W2[v]
         improved = s2row < self.s2val
-        self.s2val[improved] = s2row[improved]
-        self.s2arg[improved] = v
-        outside = self.inblossom != self.inblossom[v]
-        for w in np.flatnonzero((row <= self.tol) & outside):
-            if self._use_edge(v, int(w)):
+        np.copyto(self.s2val, s2row, where=improved)
+        np.putmask(self.s2arg, improved, v)
+        tight = (s2row + self.y[: self.n] <= self.tol).nonzero()[0]
+        for w in tight[self.inblossom[tight] != self.inblossom[v]].tolist():
+            if self._use_edge(v, w):
                 return True
         return False
 
@@ -401,9 +572,10 @@ class _DenseBlossom:
         i = int(np.argmin(slack))
         if slack[i] < self.INF:
             delta, edge = slack[i], (int(self.s2arg[i]), i)
-        sv = np.flatnonzero(lab == 1)
+        sv = (lab == 1).nonzero()[0]
         tops = self.inblossom[sv]
-        ss = self.y[sv, None] + self.y[None, sv] - self.W2[np.ix_(sv, sv)]
+        ysv = self.y[sv]
+        ss = ysv[:, None] + ysv - self.W2.take(sv, 0).take(sv, 1)
         ss[tops[:, None] == tops[None, :]] = self.INF
         if ss.size:
             r, c = divmod(int(np.argmin(ss)), sv.size)
@@ -424,10 +596,14 @@ class _DenseBlossom:
 
     def solve(self):
         self._init_state()
+        return self._run()
+
+    def _run(self):
+        """Primal-dual stages until every vertex is matched."""
         n = self.n
         while True:
             # new stage
-            free = [v for v in range(n) if self.mate[v] == -1]
+            free = (self.mate < 0).nonzero()[0].tolist()
             if not free:
                 return self.mate, self.y[:n] / -2
             self.label = np.zeros(2 * n, dtype=np.int8)
@@ -448,8 +624,9 @@ class _DenseBlossom:
                 delta, edge, blossom = self._dual_update(lab)
                 if not self.integer:
                     delta = max(delta, 0.0)
-                self.y[:n][lab == 1] -= delta
-                self.y[:n][lab == 2] += delta
+                yv = self.y[:n]
+                np.subtract(yv, delta, out=yv, where=lab == 1)
+                np.add(yv, delta, out=yv, where=lab == 2)
                 self.s2val -= delta
                 for b in self.active_blossoms:
                     if self.parent[b] == -1:

@@ -197,6 +197,10 @@ def test_gen_random(tmp_path, capsys):
         (("--random", "8", "--uniform", "5,6"), "--uniform apply to grid instances only"),
         (("--grid", "3x3", "--uniform", "1"), "--uniform takes A,B"),
         (("--grid", "3x3", "--uniform", "x,1"), "--uniform takes A,B"),
+        # non-finite bounds used to die in numpy with an OverflowError traceback
+        (("--grid", "3x3", "--uniform", "0,nan"), "--uniform takes finite A,B"),
+        (("--grid", "3x3", "--uniform", "0,inf"), "--uniform takes finite A,B"),
+        (("--grid", "3x3", "--uniform=-inf,1"), "--uniform takes finite A,B"),
     ],
 )
 def test_gen_rejects_misused_uniform(tmp_path, capsys, argv, message):
@@ -205,6 +209,16 @@ def test_gen_rejects_misused_uniform(tmp_path, capsys, argv, message):
     assert code == 1 and not out.exists()
     assert err.startswith("planarclust: error: ") and err.count("\n") == 1
     assert message in err
+
+
+@pytest.mark.parametrize("grid", ["3", "3xa", "3x4x5", "x"])
+def test_gen_rejects_malformed_grid(tmp_path, capsys, grid):
+    # a size without two integer parts used to report a tuple-unpacking error
+    out = tmp_path / "g.json"
+    code, _, err = run_cli(capsys, "gen", "--grid", grid, "--out", str(out))
+    assert code == 1 and not out.exists()
+    assert err == f"planarclust: error: --grid takes WxH, not {grid!r}\n"
+
 
 def test_bench(tmp_path, capsys):
     d = tmp_path / "instances"

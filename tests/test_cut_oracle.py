@@ -384,6 +384,38 @@ def test_unfound_mates_are_searched_before_pricing(searches):
     assert val == pytest.approx(-2.776, abs=1e-9)
 
 
+@pytest.mark.parametrize("factor", [1.0, np.pi])
+def test_grouped_search_with_warm_repairs(monkeypatch, factor):
+    # two terminals per group and first radii of one nearest-terminal
+    # distance: four first groups, then two repairs whose matchings resume
+    # from the solver's state instead of solving again from scratch
+    events = []
+    match = cut_oracle._match_terminals
+
+    def counting_dijkstra(*args, **kwargs):
+        if not kwargs.get("min_only"):
+            events.append("search")
+        return dijkstra(*args, **kwargs)
+
+    def counting_match(dist, mask, warm=None):
+        events.append("warm" if warm else "cold")
+        return match(dist, mask, warm)
+
+    monkeypatch.setattr(cut_oracle, "dijkstra", counting_dijkstra)
+    monkeypatch.setattr(cut_oracle, "_match_terminals", counting_match)
+    monkeypatch.setattr(cut_oracle, "SMALL_T", 0)
+    monkeypatch.setattr(cut_oracle, "ROWS_PER_GROUP", 2)
+    monkeypatch.setattr(cut_oracle, "LIMIT_FACTOR", 1.0)
+    inst = gen_random_planar(11, 241)
+    theta = inst.theta * factor
+    cut, val = min_cut_2color(inst.graph, theta)
+    assert events.index("cold") >= 3
+    assert [e for e in events if e != "search"] == ["cold", "warm", "warm"]
+    assert val == pytest.approx(brute_cc2(inst.graph, theta)[1], abs=1e-9)
+    ref_cut, ref_val = oracle_results(inst.graph, theta, np.inf)[0]
+    assert val == ref_val and np.array_equal(cut, ref_cut)
+
+
 def test_oracle_calls_on_one_graph_from_many_threads():
     # calls on one graph share its cached dual adjacency, whose weights each
     # call refills: concurrent calls must still search their own weights

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from scipy.sparse.csgraph import shortest_path
 
 from planarclust.cut_oracle import scale_to_int
-from planarclust.matching import MatchingError, _DenseBlossom, match_dense
+from planarclust.matching import MatchingError, WarmStart, _DenseBlossom, match_dense
 
 from conftest import brute_force_min_perfect
 from gadget import MatchingProblem, NoPerfectMatching, OddVertexCount, min_weight_perfect_matching
@@ -314,9 +314,14 @@ def check_potentials(w, mask):
     """`match_dense`'s potentials price every real pair: w_ij >= pi_i + pi_j,
     with equality on matched pairs, up to z_ij >= 0, the summed duals of the
     final blossoms that hold both i and j (0 for pairs in no common one)."""
-    n = w.shape[0]
     solver = _DenseBlossom(w, mask)  # what match_dense runs
     mate, pi = solver.solve()
+    check_certificate(w, mask, mate, pi, solver)
+
+
+def check_certificate(w, mask, mate, pi, solver):
+    """`check_potentials` for a result (mate, pi) and the solver it left."""
+    n = w.shape[0]
     assert np.array_equal(pi, solver.y[:n] / -2)
     z = np.zeros((n, n))
     for b in solver.active_blossoms:
@@ -516,3 +521,119 @@ def test_deeply_nested_blossoms_need_no_deep_stack():
     assert mask[np.arange(n), mate].all()
     assert sum(int(w[v, mate[v]]) for v in range(n) if v < mate[v]) == optimum
     assert np.array_equal(match_with_dual_check(w, mask), mate)
+
+
+# -- warm resume ----------------------------------------------------------
+
+
+def dense_cost(w, mask, mate):
+    """(pairs outside `mask`, summed weight of the others) of a result."""
+    v = np.flatnonzero(np.arange(w.shape[0]) < mate)
+    real = mask[v, mate[v]]
+    return int((~real).sum()), w[v[real], mate[v[real]]].sum()
+
+
+def resume_and_check(w, mask, warm):
+    """Solve (w, mask) from `warm`; check the result against a cold solve
+    and, when it resumed, its potentials' certificate.  Returns the number
+    of pairs outside `mask` that it matched."""
+    solver = warm._solver  # resumed in place, or None for a cold solve
+    mate, pi = match_dense(w, mask, warm)
+    assert sorted(mate[mate]) == list(range(w.shape[0]))
+    got, want = dense_cost(w, mask, mate), dense_cost(w, mask, match_dense(w, mask)[0])
+    if w.dtype == np.int64:
+        assert got == want
+    else:
+        assert got[0] == want[0] and got[1] == pytest.approx(want[1], rel=1e-12)
+    assert bool(warm) == (got[0] == 0)
+    if solver is not None:
+        check_certificate(w, mask, mate, pi, solver)
+    return got[0]
+
+
+@given(st.integers(0, 2**32 - 1), st.sampled_from([np.int64, np.float64]))
+def test_warm_resume_equals_cold_solve(seed, dtype):
+    # the cut oracle's use: solve over the pairs up to a limit, then resume
+    # as the limit grows; some entries change too (in float mode the last
+    # bit of a distance can), and the first mask may hold no perfect matching
+    rng = np.random.default_rng(seed)
+    t = 2 * int(rng.integers(2, 21))
+    w = euclidean_metric(rng, t).astype(dtype)
+    if dtype is np.float64:
+        w = w * np.pi  # not decimal
+    off = ~np.eye(t, dtype=bool)
+    q = rng.uniform(0.02, 0.5)
+    mask = off & (w <= np.quantile(w[off], q))
+    warm = WarmStart()
+    assert not warm
+    mate, _ = match_dense(w, mask, warm)
+    assert bool(warm) == mask[np.arange(t), mate].all()
+    for _ in range(int(rng.integers(1, 4))):
+        q = rng.uniform(q, 1.0)
+        mask = mask | (off & (w <= np.quantile(w[off], q)))
+        w = w.copy()
+        for i, j in rng.integers(0, t, (int(rng.integers(0, 4)), 2)):
+            if i != j:
+                step = np.nextafter(w[i, j], np.inf) - w[i, j] if dtype is np.float64 else 1
+                w[i, j] = w[j, i] = w[i, j] + step * int(rng.integers(-40, 41))
+        resume_and_check(w, mask, warm)
+
+
+@pytest.mark.parametrize("dtype", [np.int64, np.float64])
+def test_warm_start_after_no_perfect_matching(dtype):
+    # vertex 0 has no real pair at first, so the result matches it along a
+    # sentinel pair; its duals are of the sentinel's size, and the next
+    # solve over the grown mask starts cold
+    rng = np.random.default_rng(41)
+    for _ in range(30):
+        t = 2 * int(rng.integers(3, 16))
+        w = euclidean_metric(rng, t).astype(dtype)
+        off = ~np.eye(t, dtype=bool)
+        mask = off & (w <= np.quantile(w[off], 0.4))
+        mask[0] = mask[:, 0] = False
+        warm = WarmStart()
+        mate, _ = match_dense(w, mask, warm)
+        assert not mask[0, mate[0]] and not warm
+        mate, pi = match_dense(w, off, warm)
+        assert warm and dense_cost(w, off, mate) == dense_cost(w, off, match_dense(w, off)[0])
+        check_certificate(w, off, mate, pi, warm._solver)
+
+
+@pytest.mark.parametrize("dtype", [np.int64, np.float64])
+@pytest.mark.parametrize("cost", [5, -3])
+def test_warm_resume_opens_nested_blossoms(monkeypatch, dtype, cost):
+    # the pair (a_1, b_1) is a cycle edge of the innermost of k nested
+    # blossoms: when its weight changes, the resume opens the blossoms
+    # around it, outermost first, each one's dual moving to its leaves
+    k = 6
+    w, mask, _ = nested_blossom_chains(k)
+    w = w.astype(dtype)
+    warm = WarmStart()
+    match_dense(w, mask, warm)
+    opened = []
+    open_ = _DenseBlossom._open
+
+    def recording_open(self, b):
+        opened.append(sum(c >= self.n for c in self.childs[b]))
+        open_(self, b)
+
+    monkeypatch.setattr(_DenseBlossom, "_open", recording_open)
+    w = w.copy()
+    w[0, 1] = w[1, 0] = cost
+    assert resume_and_check(w, mask, warm) == 0
+    # the whole chain on side 0, each blossom around the next
+    assert len(opened) == k and all(opened[:-1]) and not opened[-1]
+
+
+def test_failed_solve_empties_warm_start():
+    # weights without head-room for the sentinel raise; the warm start must
+    # not keep a state half moved to them
+    w = symmetric(4, np.arange(1, 7), np.int64)
+    mask = ~np.eye(4, dtype=bool)
+    warm = WarmStart()
+    match_dense(w, mask, warm)
+    assert warm
+    w[0, 1] = w[1, 0] = 2**60
+    with pytest.raises(MatchingError):
+        match_dense(w, mask, warm)
+    assert not warm
