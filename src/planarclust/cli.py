@@ -332,6 +332,8 @@ def _bench_one(task):
 
 
 def cmd_bench(args) -> int:
+    if args.jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {args.jobs!r}")
     paths = sorted(args.directory.glob("*.json"))
     if not paths:
         print(f"no instance files in {args.directory}", file=sys.stderr)

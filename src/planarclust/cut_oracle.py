@@ -42,6 +42,16 @@ REPAIR_ROUNDS rounds the rest is searched without a limit.
 Each matched pair i < j is walked on row i, extended first if it fell
 short.  The call keeps the T x T terminal distances, not T x F.
 
+Below SMALL_T terminals every pair is known and no potential is read, so
+up to TABLE_T terminals the matching is not solved but looked up: a
+table built at import lists every perfect matching ((T - 1)!! of them,
+945 at T = 10), and one gather prices them all, in a fraction of a
+blossom solve's per-call set-up.  Minimum matchings tie often on these
+inputs, and the one returned decides the recursive decoder's forced
+cuts, so ties go to the least sum of squared pair distances (the
+shortest pairs), then to table order.  Every other matching goes to
+`matching.match_dense`, the one entry to the blossom solver.
+
 Weights that scale to integers (short decimals, `scale_to_int`) are solved
 in exact int64 arithmetic, other weights in float64; the matching solver
 only reads the dtype chosen here.  int64 mode is chosen only while every
@@ -73,6 +83,10 @@ class OracleError(RuntimeError):
 # 22 terminals) the limit lost at every terminal count; on 14x14 and 28x28
 # grids it won from 8 terminals up.
 SMALL_T = 24
+# up to this many terminals the small path prices every perfect matching
+# (`_least_in_table`): 7-13 us, where a blossom solve of 4-10 terminals took
+# 207-520 us on planar-desk (2-core x86-64 host)
+TABLE_T = 10
 # a terminal's first search radius, in multiples of its distance to its
 # nearest other terminal
 LIMIT_FACTOR = 2.0
@@ -137,13 +151,59 @@ def _dual_info(graph: PlanarGraph) -> _DualInfo:
     return info
 
 
+def _pairings(rest: tuple) -> list[list[tuple[int, int]]]:
+    """Every perfect matching of `rest`: its first element paired with each
+    later one in turn, then the matchings of what is left."""
+    if not rest:
+        return [[]]
+    return [
+        [(rest[0], rest[k]), *tail]
+        for k in range(1, len(rest))
+        for tail in _pairings(rest[1:k] + rest[k + 1 :])
+    ]
+
+
+# every perfect matching of range(t), even t <= TABLE_T, as one column of
+# flat pair indices i * t + j (i < j); columns sum faster than rows
+_TABLES = {
+    t: np.array([[i * t + j for i, j in m] for m in _pairings(tuple(range(t)))]).T.copy()
+    for t in range(2, TABLE_T + 1, 2)
+}
+
+
+def _least_in_table(dist: np.ndarray) -> list[tuple[int, int]]:
+    """The perfect matching of least summed distance, by pricing every
+    column of its table at once.  Among tied minima it takes the least sum
+    of squared pair distances, so the shortest pairs, then the first in
+    table order.  int64 sums are exact: at most TABLE_T / 2 terms below
+    2**53."""
+    t = dist.shape[0]
+    table = _TABLES[t]
+    d = dist.take(table)
+    total = d.sum(axis=0)
+    tied = np.flatnonzero(total == total.min())
+    col = tied[0]
+    if tied.size > 1:
+        sq = d[:, tied].astype(float)
+        col = tied[np.argmin((sq * sq).sum(axis=0))]
+    return [divmod(k, t) for k in table[:, col].tolist()]
+
+
 def _match_terminals(dist: np.ndarray, mask: np.ndarray, warm: WarmStart | None = None):
     """Min-weight perfect matching of the terminals over the pairs in `mask`
     (its diagonal is ignored): (pairs of terminal indices, potentials).
-    `warm` carries the solver's state from one call to the next."""
+    `warm` carries the solver's state from one call to the next.
+
+    On the unlimited small path (fewer than SMALL_T terminals: every pair
+    known, potentials unused) up to TABLE_T terminals are matched by
+    `_least_in_table`, with potentials None, since a blossom solve's set-up
+    there costs many times the table's pricing.  Minimum matchings tie
+    often on those inputs and the one returned decides the recursive
+    decoder's forced cuts, hence its shortest-pairs tie-break.  Every
+    other call goes to `match_dense`, the one entry to the blossom solver."""
     t = dist.shape[0]
-    if t == 2:
-        return [(0, 1)], np.full(2, dist[0, 1] / 2)
+    if t < SMALL_T and t <= TABLE_T:
+        return _least_in_table(dist), None
     mate, pi = match_dense(dist, mask, warm)
     return [(v, int(mate[v])) for v in range(t) if v < mate[v]], pi
 
@@ -299,12 +359,15 @@ def scale_to_int(values):
         return np.zeros(0, dtype=np.int64), 1
     if not np.all(np.isfinite(arr)):
         return None
-    scaled = np.multiply.outer(10.0 ** np.arange(MAX_DIGITS + 1), arr)
-    rounded = np.rint(scaled)
-    # a true decimal leaves only float64 representation error (~1e-16
-    # relative); anything larger means the value is not this decimal
-    tol = 1e-12 * np.maximum(1.0, np.abs(scaled))
-    passing = np.flatnonzero(np.all(np.abs(scaled - rounded) <= tol, axis=1))
+    # values above about 1.8e299 overflow at the larger scales; inf - inf
+    # is NaN there, which fails the test below as it should
+    with np.errstate(over="ignore", invalid="ignore"):
+        scaled = np.multiply.outer(10.0 ** np.arange(MAX_DIGITS + 1), arr)
+        rounded = np.rint(scaled)
+        # a true decimal leaves only float64 representation error (~1e-16
+        # relative); anything larger means the value is not this decimal
+        tol = 1e-12 * np.maximum(1.0, np.abs(scaled))
+        passing = np.flatnonzero(np.all(np.abs(scaled - rounded) <= tol, axis=1))
     if passing.size and np.max(np.abs(rounded[passing[0]])) < 2**52:
         return rounded[passing[0]].astype(np.int64), 10 ** int(passing[0])
     return None

@@ -250,6 +250,16 @@ def test_bench_parallel_matches_serial(tmp_path, capsys):
     assert strip_times(serial.read_text()) == strip_times(parallel.read_text())
 
 
+@pytest.mark.parametrize("jobs", ["0", "-2"])
+def test_bench_rejects_jobs_below_one(tmp_path, capsys, jobs):
+    path = write_triangle(tmp_path, [-1.0, -1.0, -1.0])
+    out = tmp_path / "results.csv"
+    code, stdout, err = run_cli(capsys, "bench", str(path.parent), "--out", str(out), "--jobs", jobs)
+    assert code == 1 and stdout == "" and not out.exists()
+    assert err.startswith("planarclust: error:") and "jobs" in err
+    assert len(err.splitlines()) == 1
+
+
 def test_solve_positive_gap_exit_code(tmp_path, capsys):
     # instance with a strict integrality gap: certificate impossible
     inst = gen_random_planar(6, 4)

@@ -18,9 +18,10 @@ from planarclust.cut_oracle import (
 )
 from planarclust.graph import cut_from_partition, partition_from_cut
 from planarclust.instances import GpbLikeWeights, gen_grid, gen_random_planar
+from planarclust.matching import match_dense
 from planarclust.oracle import brute_cc2
 
-from conftest import edge_masks, embedded, planar_graphs
+from conftest import brute_force_min_perfect, edge_masks, embedded, planar_graphs
 from gadget import expand_dual, matching_for_cut, min_cut_2color_via_gadget, min_weight_perfect_matching
 from multicuts import is_valid_multicut
 
@@ -452,3 +453,89 @@ def test_large_decimal_weights_fall_back_to_float():
     # the 2-colorable minimum cut is a clustering, so it bounds from above
     res = optimize_lower_bound(inst.graph, w, max_batches=2)
     assert np.minimum(w, 0).sum() <= res.bound <= val
+
+
+def _symmetric(t, entries, dtype):
+    d = np.zeros((t, t), dtype=dtype)
+    d[np.triu_indices(t, 1)] = entries
+    return d + d.T
+
+
+table_inputs = st.sampled_from(range(2, cut_oracle.TABLE_T + 1, 2)).flatmap(
+    lambda t: st.tuples(
+        st.just(t),
+        st.one_of(
+            # heavy ties, near-2**52 int64 entries and floats
+            st.lists(st.integers(0, 3), min_size=t * (t - 1) // 2, max_size=t * (t - 1) // 2)
+            .map(lambda e: _symmetric(t, e, np.int64)),
+            st.lists(st.integers(2**52 - 8, 2**52 - 1), min_size=t * (t - 1) // 2,
+                     max_size=t * (t - 1) // 2)
+            .map(lambda e: _symmetric(t, e, np.int64)),
+            st.lists(st.floats(0.0, 10.0), min_size=t * (t - 1) // 2, max_size=t * (t - 1) // 2)
+            .map(lambda e: _symmetric(t, e, np.float64)),
+        ),
+    )
+)
+
+
+@given(table_inputs)
+def test_enumeration_matches_brute_force_and_blossom(case):
+    t, d = case
+    pairs, pi = cut_oracle._match_terminals(d, np.ones((t, t), dtype=bool))
+    assert pi is None
+    assert sorted(v for p in pairs for v in p) == list(range(t))
+    assert all(i < j for i, j in pairs)
+    got = sum(d[i, j].item() for i, j in pairs)
+    mate = match_dense(d, np.ones((t, t), dtype=bool))[0]
+    blossom = sum(d[v, mate[v]].item() for v in range(t) if v < mate[v])
+    if d.dtype == np.int64:
+        # the reference sums in float64, so the entries go in less their
+        # least one: every perfect matching then costs t / 2 times it less
+        base = d[np.triu_indices(t, 1)].min().item()
+        edges = [(i, j, d[i, j].item() - base) for i in range(t) for j in range(i + 1, t)]
+        assert got == blossom == int(brute_force_min_perfect(t, edges)[0]) + t // 2 * base
+    else:
+        edges = [(i, j, d[i, j].item()) for i in range(t) for j in range(i + 1, t)]
+        ref = brute_force_min_perfect(t, edges)[0]
+        assert got == pytest.approx(blossom, rel=1e-12) and got == pytest.approx(ref, rel=1e-12)
+
+
+def test_enumeration_breaks_ties_toward_shorter_pairs():
+    # {0,1},{2,3} and {0,2},{1,3} both cost 4; the second, later in table
+    # order, has the smaller sum of squares (8 against 10)
+    d = np.array([[0, 1, 2, 5], [1, 0, 5, 2], [2, 5, 0, 3], [5, 2, 3, 0]], dtype=np.int64)
+    pairs, _ = cut_oracle._match_terminals(d, np.ones((4, 4), dtype=bool))
+    assert pairs == [(0, 2), (1, 3)]
+
+
+def test_bounded_path_never_enumerates(monkeypatch):
+    calls = []
+    enumerate_ = cut_oracle._least_in_table
+
+    def counting(dist):
+        calls.append(len(dist))
+        return enumerate_(dist)
+
+    monkeypatch.setattr(cut_oracle, "_least_in_table", counting)
+    instances = [gen_random_planar(10, seed) for seed in range(10)]
+    for small_t in (cut_oracle.SMALL_T, 0):
+        calls.clear()
+        monkeypatch.setattr(cut_oracle, "SMALL_T", small_t)
+        for inst in instances:
+            min_cut_2color(inst.graph, inst.theta)
+            min_cut_forced(inst.graph, inst.theta, 0)
+        if small_t:
+            assert len(calls) >= 10 and max(calls) <= cut_oracle.TABLE_T
+    assert calls == []
+
+
+@pytest.mark.filterwarnings("error")
+def test_huge_weights_solve_in_float_without_warnings():
+    # finite weights above about 1.8e299 overflow at scale_to_int's larger
+    # scales; no scale passes and the oracle solves in float64
+    inst = gen_random_planar(8, 3)
+    w = inst.theta / np.abs(inst.theta).max() * 1e300
+    assert scale_to_int(w) is None
+    cut, val = min_cut_2color(inst.graph, w)
+    assert val == pytest.approx(brute_cc2(inst.graph, w)[1], rel=1e-12)
+    assert val == pytest.approx(float(w @ cut), rel=1e-12)

@@ -21,3 +21,17 @@ def test_bound_ladder_counts_searches_and_matchings():
     # every oracle call starts with a cold matching; on this grid one
     # certificate repair resumes warm
     assert int(fields["sources"]) > 0 and int(fields["cold"]) > 0 and int(fields["warm"]) > 0
+
+
+def test_compare_matching_cost_checks_the_enumeration():
+    # planar-desk's small calls are matched by enumeration: the script must
+    # price them against match_dense, not only compare the two solvers
+    out = subprocess.run(
+        [sys.executable, str(REPO / "scripts" / "compare_matching_cost.py"), str(REPO), str(REPO),
+         "--workloads", "planar-desk", "--instances", "20"],
+        capture_output=True, text=True, timeout=300, check=True,
+    )
+    lines = {tuple(line.split()[:3]): line for line in out.stdout.splitlines()}
+    recorded = lines["planar-desk", "int64", "recorded"]
+    equal, enumerated = recorded.split(", ")[2].split()[0].split("/")
+    assert int(enumerated) > 0 and equal == enumerated
