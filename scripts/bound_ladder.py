@@ -10,7 +10,9 @@ Dijkstra searches and the matchings and count the search sources
 (terminal rows; the oracle's multi-source nearest-terminal runs are
 timed but not counted) and the matchings, cold solves apart from those
 that resume from the call's previous solve (a truthy `warm` argument;
-older checkouts pass none, so all their matchings count as cold).  One
+older checkouts pass none, so all their matchings count as cold).  A
+truthy `warm` counts as warm even where the solver starts cold, as it
+does in float64 when a distance under the last mask changed.  One
 line per size gives the bound loop's CPU time, the bound, the batch
 count, Dijkstra CPU time, the sources searched, CPU time and count of
 the cold and of the warm matchings, and the process's peak RSS

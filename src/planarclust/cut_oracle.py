@@ -34,10 +34,10 @@ metric and the matching is optimal.  A matched pair that no row found
 (no perfect matching over the found pairs) first has its ends searched
 without a limit.  Otherwise the call repairs the certificate: it searches
 again from the ends of each violating pair only, to the row's largest
-violating price, and solves the matching again only when a new pair is
-shorter than its price.  Every matching of a call after the first
-resumes from the last one's duals and blossoms (`matching.WarmStart`), so
-a finer search, which needs more repairs, pays less for each.  After
+violating price, and matches again.  Each matching of a call after the
+first resumes from the last one's duals and blossoms (`matching.WarmStart`)
+and returns it unchanged when no new pair is shorter than its price, so a
+finer search, which needs more repairs, pays less for each.  After
 REPAIR_ROUNDS rounds the rest is searched without a limit.
 Each matched pair i < j is walked on row i, extended first if it fell
 short.  The call keeps the T x T terminal distances, not T x F.
@@ -241,13 +241,6 @@ def _search(info, terminals, rows, radii, d_t, pred, lim):
         lim[group] = limit
 
 
-def _still_optimal(d_t, own, solved, found, pi) -> bool:
-    """True if no pair found since the matching over `solved` undercuts its price."""
-    i, j = np.nonzero(found & ~solved)
-    d = np.where(own[i, j], d_t[i, j], d_t[j, i])
-    return not (d < pi[i] + pi[j]).any()
-
-
 def _search_and_match(info: _DualInfo, gmin: np.ndarray, terminals: np.ndarray, dtype):
     """Min-weight perfect matching of the terminals under shortest-path
     distances over `info.adj`: (matched pairs, Dijkstra predecessors whose
@@ -260,23 +253,21 @@ def _search_and_match(info: _DualInfo, gmin: np.ndarray, terminals: np.ndarray, 
         return _match_terminals(d_t, np.ones((t, t), dtype=bool))[0], pred
     radii, rows = _first_radii(info, gmin, terminals), np.arange(t)
     d_t, lim, pred = np.empty((t, t)), np.empty(t), np.empty((t, info.face_count), dtype=np.int32)
-    pi, warm = None, WarmStart()
+    warm = WarmStart()
     for repairs in itertools.count():
         _search(info, terminals, rows, radii, d_t, pred, lim)
         own = d_t < np.inf  # row i reached terminal j within lim_i
         found = own | own.T
-        if pi is None or not (exact and _still_optimal(d_t, own, solved, found, pi)):
-            d_in = np.where(own, d_t, d_t.T)
-            d_in[~found] = 0
-            pairs, pi = _match_terminals(d_in.astype(dtype, copy=False), found, warm)
-            solved = found
-            # int64 potentials are exact half-integers below 2**51
-            exact = dtype != np.int64 or np.abs(pi).max() < 2**51
+        d_in = np.where(own, d_t, d_t.T)
+        d_in[~found] = 0
+        pairs, pi = _match_terminals(d_in.astype(dtype, copy=False), found, warm)
+        # int64 potentials are exact half-integers below 2**51
+        exact = dtype != np.int64 or np.abs(pi).max() < 2**51
         if found.all():
             break
         unfound = [k for i, j in pairs if not found[i, j] for k in (i, j)]
         if unfound:  # sentinel-sized potentials: find the mates, then match again
-            rows, radii, pi = np.array(unfound), np.full(t, np.inf), None
+            rows, radii = np.array(unfound), np.full(t, np.inf)
             continue
         # a pair that no row found is longer than max(lim_i, lim_j), so a
         # price pi_i + pi_j at most that keeps the dual feasible for it

@@ -49,6 +49,8 @@ class LpProblem:
     `rhs` default to no constraints.  Upper bounds may be +inf (only the
     reference bound LP without upper bounds needs that); lower bounds must
     be finite so the maximization cannot be unbounded below feasibility.
+    Every finite bound and right-hand side must be below 1e20 in magnitude,
+    from which HiGHS reads a value as infinite (its `infinite_bound`).
     """
 
     objective: np.ndarray
@@ -72,6 +74,9 @@ class LpProblem:
         a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
         if b.ndim != 1 or a.shape != (b.size, obj.size):
             raise ValueError("constraints must be a (rows, n) array with one rhs per row")
+        sides = np.abs(np.r_[lo, hi, b])
+        if (sides[np.isfinite(sides)] >= 1e20).any():
+            raise ValueError("LP bounds and right-hand sides must be below 1e20 in magnitude")
         fields = {"objective": obj, "lower": lo, "upper": hi, "constraints": a, "rhs": b}
         for name, value in fields.items():
             object.__setattr__(self, name, value)

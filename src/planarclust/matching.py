@@ -56,30 +56,24 @@ oracle prices the terminal pairs its bounded search did not reach this
 way.  int64 potentials are half-integers, exact while |y| < 2**53.
 
 A `WarmStart` passed to `match_dense` keeps the solver's mates, duals and
-blossoms for the next call on the same vertices, which then resumes from
-them, as Blossom V does between solves (Kolmogorov 2009).  The cut
-oracle solves again after its search finds more pairs: the mask grows,
-and in float64 an entry can change in its last bit.  Any entry that
-differs from the last solve's, sentinel included, counts as changed.  A
-blossom with a changed cycle edge opens, outermost first: its dual moves
-to its leaves, so no slack inside it moves and the base's matched edge,
-whose slack rises, is unmatched.  A changed matched pair is unmatched.
-Of each changed pair whose slack, blossom duals included, is now
-negative, one end is freed: its blossoms open, it and its mate are
-unmatched and its dual rises until its least slack is zero.  Ends of more
-such pairs go first.  In int64 mode every free vertex then gets an even
-dual: a free vertex is the base of its top-level blossom, whose leaves
-share its parity, so the leaves go up by one and the blossom dual down
-by one, or a zero-dual blossom opens.  The stages then run from there.
-The result is optimal, but among co-optimal matchings it may pick
-another than a cold solve.  A solve that matched a pair outside its mask
-is not kept: its duals are of the sentinel's size, and resuming from
-them took twice as long as a cold solve on the cut oracle's inputs.  In
-the bound loops of a seed-0 grid-gpb round, 90 of the 102 re-solves
-resumed (the other 12 followed such a solve).  A resume took 0.59 of a
-cold solve's time: it freed 6.2 vertices on average where the greedy
-start left 7.8, and made 800 dual updates in all where cold solves made
-2501.
+blossoms for the next call on the same vertices, as Blossom V does
+between solves (Kolmogorov 2009).  The cut oracle solves again after its
+search finds more pairs, so a call resumes only when its mask holds the
+last one's and no entry under the last mask changed (a float64 distance
+can move in its last bit); any other call solves cold.  Of each new pair
+whose slack, blossom duals included, is negative, one end is freed, ends
+of more such pairs first: its blossoms open, each one's dual moving to
+its leaves, it and its mate are unmatched and its dual rises until its
+least slack is zero.  In int64 mode each free vertex then gets an even
+dual: the leaves of its top-level blossom, which share its parity, go up
+by one and the blossom dual down by one, or a zero-dual blossom opens.
+The stages run from there, so a resume that frees nothing returns the
+last mates and potentials; otherwise it may pick another co-optimal
+matching than a cold solve.  A solve is kept only when its matched pairs
+and blossom cycle edges are real: a matching through the sentinel leaves
+sentinel-sized duals, from which a resume took twice as long as a cold
+solve, and the sentinel grows with the largest weight, which loosens any
+tight edge through it.
 
 The implementation keeps a dense weight matrix and performs the hot
 per-vertex scans as vectorized numpy operations; blossom bookkeeping stays
@@ -110,8 +104,8 @@ class WarmStart:
     """What one `match_dense` call leaves for the next on the same vertices.
 
     `bool(warm)` is True while it holds a solve to resume from: not when
-    new, and not after a solve that matched a pair outside its mask.
-    Callers only pass it along."""
+    new, and not after a solve whose matched pairs or blossom cycle edges
+    leave its mask.  Callers only pass it along."""
 
     __slots__ = ("_solver",)
 
@@ -138,9 +132,10 @@ def match_dense(
     raises MatchingError.
 
     When `warm` holds a solve on as many vertices in the same arithmetic,
-    the solver resumes from that solve's mates, duals and blossoms (module
-    docstring); the result is optimal all the same.  `warm` then holds
-    this solve, if its matching uses real edges only.
+    whose mask this `mask` contains and whose weights under its mask are
+    unchanged, the solver resumes from that solve's mates, duals and
+    blossoms (module docstring); otherwise it solves cold.  `warm` then
+    holds this solve, if its matched pairs and blossom cycle edges are real.
     """
     integer = np.issubdtype(np.asarray(weights).dtype, np.integer)
     solver = None
@@ -152,9 +147,12 @@ def match_dense(
         solver = _DenseBlossom(weights, mask)
         mate, pi = solver.solve()
     if warm is not None:
-        # a matching through the sentinel leaves duals of the sentinel's
-        # size, far from the next solve's: that one starts cold
+        # a matching through the sentinel leaves duals of its size, and a
+        # sentinel that grows loosens any tight edge through it: keep the
+        # solve only when every matched pair and blossom cycle edge is real
         real = (solver.W2[np.arange(solver.n), mate] != solver.missing).all()
+        cycles = (e for b in solver.active_blossoms for e in solver.cycedges[b])
+        real = real and all(solver.W2[e] != solver.missing for e in cycles)
         warm._solver = solver if real else None
     return mate.copy(), pi
 
@@ -433,42 +431,20 @@ class _DenseBlossom:
     # -- warm resume ------------------------------------------------------
 
     def resume(self, weights: np.ndarray, mask: np.ndarray):
-        """Solve for new weights and mask, starting from the last solve."""
-        old = self.W2
+        """Solve for new weights and mask, starting from the last solve when
+        the mask only grew and no entry under the last mask changed; any
+        other change solves cold."""
+        old, old_missing = self.W2, self.missing
         self._set_weights(weights, mask)
-        changed = old != self.W2
-        del old  # the T x T matrices go before the stages run
-        self._free_changed(changed)
-        del changed
-        return self._run()
-
-    def _free_changed(self, changed: np.ndarray):
-        """Make the last solve's state a start for the changed entries:
-        dual feasible, matched and blossom edges tight, only bases free."""
-        changed |= changed.T
-        np.fill_diagonal(changed, False)
-        # a blossom whose cycle edge changed, and a matched pair that
-        # changed, may no longer be tight: open the one, unmatch the other
-        for b in sorted(self.active_blossoms):
-            if self.base[b] >= 0 and any(changed[a, c] for a, c in self.cycedges[b]):
-                v = int(self.base[b])
-                while self.base[b] >= 0:  # b and the blossoms around it
-                    self._open(int(self.inblossom[v]))
-        matched = np.flatnonzero(self.mate >= 0)
-        for v in matched[changed[matched, self.mate[matched]]]:
-            self._unmatch(int(v))
-        # every slack that fell below zero is a changed pair's; the least
-        # slack is that of the pair's own vertex duals, blossom duals aside
-        slack = np.add.outer(self.y[: self.n], self.y[: self.n])
-        slack -= self.W2
-        low = slack < -self.tol
-        del slack
-        low |= low.T
-        low &= changed
-        if low.any():
-            self._free_cover(*np.nonzero(np.triu(low, 1)))
+        was = old != old_missing
+        changed = (old[was] != self.W2[was]).any()  # or left the mask
+        del old  # the old weights go before the stages run
+        if changed:
+            return self.solve()
+        self._free_cover(*np.nonzero(np.triu(self.W2 != self.missing, 1) & ~was))
         if self.integer:
             self._even_free_duals()
+        return self._run()
 
     def _unmatch(self, v: int):
         m = self.mate[v]
@@ -490,6 +466,9 @@ class _DenseBlossom:
         included, is negative, and raise its dual to feasibility.  Ends of
         more such pairs go first, and among those ends in no blossom."""
         slack = self.y[i] + self.y[j] - np.maximum(self.W2[i, j], self.W2[j, i])
+        # blossom duals are nonnegative, so only these pairs can stay negative
+        low = slack < -self.tol
+        i, j, slack = i[low], j[low], slack[low]
         inside = np.flatnonzero(self.inblossom[i] == self.inblossom[j])
         if inside.size:
             ii, jj = i[inside], j[inside]

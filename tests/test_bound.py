@@ -116,6 +116,17 @@ def test_invalid_loop_parameters_raise(kwargs):
         optimize_lower_bound(inst.graph, inst.theta, **kwargs)
 
 
+def test_weights_the_lp_solver_reads_as_infinite_raise():
+    # HiGHS reads magnitudes of 1e20 or more as infinite; at 1e22 the box
+    # theta <= lambda lost its lower side and the LP came back unbounded
+    inst = gen_random_planar(8, 3)
+    res = optimize_lower_bound(inst.graph, inst.theta * 1e19)
+    assert res.converged
+    assert res.bound == pytest.approx(1e19 * optimize_lower_bound(inst.graph, inst.theta).bound)
+    with pytest.raises(ValueError, match="1e20"):
+        optimize_lower_bound(inst.graph, inst.theta * 1e22)
+
+
 def test_small_grid():
     inst = gen_grid(4, 4, UniformWeights(), 5)
     res = optimize_lower_bound(inst.graph, inst.theta)

@@ -272,6 +272,20 @@ def test_solve_positive_gap_exit_code(tmp_path, capsys):
     assert doc["gap"] > 1e-6
 
 
+@pytest.mark.parametrize("scale, code", [(1e19, 0), (1e22, 1)])
+def test_solve_fails_on_weights_the_lp_solver_reads_as_infinite(tmp_path, capsys, scale, code):
+    inst = gen_random_planar(8, 3)
+    path = tmp_path / "big.json"
+    write_instance(Instance(inst.graph, inst.theta * scale, "big", {}), path)
+    got, out, err = run_cli(capsys, "solve", str(path))
+    assert got == code
+    if code:
+        assert out == "" and err.startswith("planarclust: error:") and "1e20" in err
+        assert len(err.splitlines()) == 1
+    else:
+        assert json.loads(out)["certificate"] is True
+
+
 @pytest.mark.parametrize("command", ["solve", "bound"])
 @pytest.mark.parametrize("flag", [("--tol", "nan"), ("--tol", "-1"), ("--max-batches", "-1")])
 def test_invalid_loop_parameters_fail(tmp_path, capsys, command, flag):

@@ -18,7 +18,7 @@ from planarclust.cut_oracle import (
 )
 from planarclust.graph import cut_from_partition, partition_from_cut
 from planarclust.instances import GpbLikeWeights, gen_grid, gen_random_planar
-from planarclust.matching import match_dense
+from planarclust.matching import _DenseBlossom, match_dense
 from planarclust.oracle import brute_cc2
 
 from conftest import brute_force_min_perfect, edge_masks, embedded, planar_graphs
@@ -345,18 +345,33 @@ def test_grouped_search_matches_unlimited_search(inst, factor):
 
 
 @pytest.mark.parametrize("factor", [1.0, np.pi])
-@pytest.mark.parametrize("n, seed, matchings", [(7, 136, 1), (9, 82, 2)])
-def test_repair_searches_only_the_violating_rows(searches, n, seed, matchings, factor):
+@pytest.mark.parametrize("n, seed, augmenting", [(7, 136, 1), (9, 82, 2)])
+def test_repair_searches_only_the_violating_rows(searches, monkeypatch, n, seed, augmenting, factor):
     # the first radii leave out pairs that the matching's potentials price
     # above them; the repair searches only those pairs' rows, to their
-    # prices, and solves the matching again only when a new pair breaks
-    # its dual (on 9/82, not on 7/136)
+    # prices, and the second matching resumes from the first.  It augments
+    # only when a new pair breaks the dual (on 9/82, not on 7/136).
+    def record(name, event):
+        method = getattr(_DenseBlossom, name)
+
+        def recording(*args):
+            searches.append(event)
+            return method(*args)
+
+        monkeypatch.setattr(_DenseBlossom, name, recording)
+
+    record("solve", "cold")
+    record("_augment_matching", "augment")
     inst = gen_random_planar(n, seed)
     theta = inst.theta * factor
     _, val = min_cut_2color(inst.graph, theta)
-    (first, first_limit), (repair, repair_limit) = [c for c in searches if c != "match"]
+    (first, first_limit), (repair, repair_limit) = [c for c in searches if isinstance(c, tuple)]
     assert repair < first and first_limit < repair_limit < np.inf
-    assert searches.count("match") == matchings
+    events = [c for c in searches if isinstance(c, str)]
+    starts = [k for k, e in enumerate(events) if e == "match"]
+    matchings = [events[a + 1 : b] for a, b in zip(starts, starts[1:] + [len(events)])]
+    assert len(matchings) == 2 and matchings[0][0] == "cold" and "cold" not in matchings[1]
+    assert sum("augment" in m for m in matchings) == augmenting
     assert val == pytest.approx(brute_cc2(inst.graph, theta)[1], abs=1e-9)
 
 

@@ -115,6 +115,16 @@ def test_unbounded_raises():
         solve_lp(LpProblem(objective=[1.0], lower=[0.0], upper=[np.inf]))
 
 
+@pytest.mark.parametrize("side, value", [("lower", -1e20), ("upper", 1e20), ("rhs", 1e22)])
+def test_sides_the_solver_reads_as_infinite_raise(side, value):
+    # HiGHS reads any magnitude of 1e20 or more as infinite, which would
+    # drop the bound or row; +inf upper bounds stay allowed (above)
+    sides = {"objective": [1.0], "lower": [0.0], "upper": [1.0], "constraints": [[1.0]], "rhs": [0.0]}
+    sides[side] = [value]
+    with pytest.raises(ValueError, match="1e20"):
+        LpProblem(**sides)
+
+
 def _linprog_reference(p):
     """solve_lp through scipy's linprog wrapper, with the same options.
 

@@ -537,7 +537,7 @@ def resume_and_check(w, mask, warm):
     """Solve (w, mask) from `warm`; check the result against a cold solve
     and, when it resumed, its potentials' certificate.  Returns the number
     of pairs outside `mask` that it matched."""
-    solver = warm._solver  # resumed in place, or None for a cold solve
+    solver = warm._solver  # solved in place, resumed or cold, or None
     mate, pi = match_dense(w, mask, warm)
     assert sorted(mate[mate]) == list(range(w.shape[0]))
     got, want = dense_cost(w, mask, mate), dense_cost(w, mask, match_dense(w, mask)[0])
@@ -600,29 +600,31 @@ def test_warm_start_after_no_perfect_matching(dtype):
 
 
 @pytest.mark.parametrize("dtype", [np.int64, np.float64])
-@pytest.mark.parametrize("cost", [5, -3])
-def test_warm_resume_opens_nested_blossoms(monkeypatch, dtype, cost):
-    # the pair (a_1, b_1) is a cycle edge of the innermost of k nested
-    # blossoms: when its weight changes, the resume opens the blossoms
-    # around it, outermost first, each one's dual moving to its leaves
+@pytest.mark.parametrize("change", [5, -3, "drop", None])
+def test_warm_resume_starts_cold_unless_the_mask_only_grew(monkeypatch, dtype, change):
+    # the pair (a_1, b_1) = (0, 1) is a cycle edge of the innermost of k
+    # nested blossoms: a new weight on it, or a mask without it, makes the
+    # resume solve cold in place; an unchanged problem resumes
     k = 6
     w, mask, _ = nested_blossom_chains(k)
     w = w.astype(dtype)
     warm = WarmStart()
     match_dense(w, mask, warm)
-    opened = []
-    open_ = _DenseBlossom._open
+    solver, solves = warm._solver, []
+    solve = _DenseBlossom.solve
 
-    def recording_open(self, b):
-        opened.append(sum(c >= self.n for c in self.childs[b]))
-        open_(self, b)
+    def counting_solve(self):
+        solves.append(self is solver)
+        return solve(self)
 
-    monkeypatch.setattr(_DenseBlossom, "_open", recording_open)
-    w = w.copy()
-    w[0, 1] = w[1, 0] = cost
+    monkeypatch.setattr(_DenseBlossom, "solve", counting_solve)
+    if change == "drop":
+        mask[0, 1] = mask[1, 0] = False
+    elif change is not None:
+        w[0, 1] = w[1, 0] = change
     assert resume_and_check(w, mask, warm) == 0
-    # the whole chain on side 0, each blossom around the next
-    assert len(opened) == k and all(opened[:-1]) and not opened[-1]
+    # the resume's own cold solve, if any, then resume_and_check's reference
+    assert solves == ([False] if change is None else [True, False])
 
 
 def test_failed_solve_empties_warm_start():
