@@ -11,15 +11,15 @@ Dijkstra searches and the matchings and count the search sources
 timed but not counted) and the matchings, cold solves apart from those
 that resume from the call's previous solve (a truthy `warm` argument;
 older checkouts pass none, so all their matchings count as cold).  A
-truthy `warm` counts as warm even where the solver starts cold, as it
-does in float64 when a distance under the last mask changed.  One
-line per size gives the bound loop's CPU time, the bound, the batch
-count, Dijkstra CPU time, the sources searched, CPU time and count of
-the cold and of the warm matchings, and the process's peak RSS
-(`ru_maxrss`).  Sizes run one after another, so the RSS of one
-does not inflate another.  A 100x100 grid takes about a minute on a
-2-core x86-64 host; run the two checkouts of a comparison in one session,
-one after the other.
+truthy `warm` counts as warm even where the solver starts cold, as an
+older checkout's did in float64 when a distance under the last mask
+changed; the oracle's int64 distances do not change.  One line per size
+gives the bound loop's CPU time, the bound, the batch count, Dijkstra
+CPU time, the sources searched, CPU time and count of the cold and of
+the warm matchings, and the process's peak RSS (`ru_maxrss`).  Sizes run
+one after another, so the RSS of one does not inflate another.  A
+100x100 grid takes about a minute on a 2-core x86-64 host; run the two
+checkouts of a comparison in one session, one after the other.
 """
 
 from __future__ import annotations

@@ -22,9 +22,13 @@ subproblem's optimum is at least 1.5x the oracle's 2-coloring optimum
 
     sum_e min(theta_e - lambda_e, 0) + 1.5 * min(0, oracle value)
 
-is certified (`certified_bound`).  Every exit returns such a certificate:
-at convergence the last lambda's, on a stall or iteration-limit exit the
-best seen.  So `tol` only decides when the loop stops.
+is certified (`certified_bound`) for the lambda that the oracle solves:
+rounded up onto its grid unless a short decimal, which loses at most the
+edge count times the grid step and keeps every pooled cut nonnegative
+(`cut_oracle._prepare_weights`).  Every exit returns such a certificate
+and its lambda: at convergence the last one, on a stall or
+iteration-limit exit the best seen.  So `tol` only decides when the loop
+stops.
 
 Each batch only adds rows to the pool-restricted LP, so one run keeps one
 `lp.LpModel` of it, appends each batch's rows and re-solves from the
@@ -39,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cut_oracle import min_cut_2color, split_into_basic_cuts
+from .cut_oracle import _prepare_weights, min_cut_2color, split_into_basic_cuts
 from .graph import PlanarGraph, finite_weights
 from .lp import LpModel, LpProblem, LpSolution, solve_lp
 
@@ -97,8 +101,10 @@ def lower_bound_value(theta, lam) -> float:
 
 
 def certified_bound(graph: PlanarGraph, theta, lam) -> tuple[float, np.ndarray, float]:
-    """The bound that `lam` certifies, sum_e min(theta_e - lambda_e, 0) +
-    1.5 * min(0, value), with the oracle's most violated cut and its value."""
+    """The bound that `lam`, as the oracle solves it, certifies: sum_e
+    min(theta_e - lambda_e, 0) + 1.5 * min(0, value), with the oracle's
+    most violated cut and its value."""
+    lam = _prepare_weights(lam, graph)[2]
     cut, value = min_cut_2color(graph, lam)
     return lower_bound_value(theta, lam) + 1.5 * min(0.0, value), cut, value
 
@@ -142,7 +148,7 @@ def optimize_lower_bound(
     alternates LP solves with oracle separation until no cut is violated
     by more than tol.  At convergence the bound is `certified_bound` of
     the last lambda, sum(min(theta - lambda, 0)) when the oracle value is
-    zero.
+    zero.  The result's `lam` is the lambda the oracle solved.
     """
     if not tol >= 0:  # NaN fails this too
         raise ValueError(f"tol must be a nonnegative number, got {tol!r}")
@@ -154,24 +160,19 @@ def optimize_lower_bound(
     model = LpModel(restricted_lp(theta, pool))
     batches = 0
 
-    # trivially certified starting point
-    best_bound = float(np.minimum(theta, 0.0).sum())
-    best_lam = np.maximum(theta, 0.0)
+    # the trivially certified start, lambda = max(0, theta): no cut weighs < 0
+    best_bound, best_lam = float(np.minimum(theta, 0.0).sum()), None
 
     while True:
         lam, lp = theta.copy(), None
         if len(pool):
             lp = solve_lp(model.problem, model)
             lam[neg] = lp.x
+        lam = _prepare_weights(lam, graph)[2]
         certified, cut, value = certified_bound(graph, theta, lam)
         if value >= -tol:
             return BoundResult(
-                lam=lam,
-                bound=certified,
-                pool=pool,
-                batches=batches,
-                converged=True,
-                final_lp=lp,
+                lam=lam, bound=certified, pool=pool, batches=batches, converged=True, final_lp=lp
             )
         if certified > best_bound:
             best_bound = certified
@@ -179,13 +180,12 @@ def optimize_lower_bound(
         new_cuts = [basic for basic in split_into_basic_cuts(graph, cut) if pool.add(basic)]
         if not new_cuts or batches >= max_batches:
             # stalled at solver precision or out of budget: return the best
-            # certified bound seen so far
+            # certified bound seen so far, the start's on the oracle's grid
+            if best_lam is None:
+                best_lam = _prepare_weights(np.maximum(theta, 0.0), graph)[2]
+                best_bound = lower_bound_value(theta, best_lam)
             return BoundResult(
-                lam=best_lam,
-                bound=best_bound,
-                pool=pool,
-                batches=batches,
-                converged=False,
+                lam=best_lam, bound=best_bound, pool=pool, batches=batches, converged=False
             )
         model.add_rows(*_cut_rows(theta, np.vstack(new_cuts)))
         batches += 1

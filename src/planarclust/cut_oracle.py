@@ -52,12 +52,11 @@ cuts, so ties go to the least sum of squared pair distances (the
 shortest pairs), then to table order.  Every other matching goes to
 `matching.match_dense`, the one entry to the blossom solver.
 
-Weights that scale to integers (short decimals, `scale_to_int`) are solved
-in exact int64 arithmetic, other weights in float64; the matching solver
-only reads the dtype chosen here.  int64 mode is chosen only while every
-path sum stays below 2**53, so float Dijkstra distances are exact
-integers, and while the matching's sentinel has head-room for any
-distance.
+Every call runs in exact int64 arithmetic with head-room: path sums stay
+below 2**53, so float Dijkstra distances are exact integers, and the
+matching's sentinel has room for any distance.  Short decimals are solved
+as they are (`scale_to_int`), other weights rounded up onto the finest
+power-of-two grid with head-room, which makes no cut lighter.
 """
 
 from __future__ import annotations
@@ -141,6 +140,7 @@ class _DualInfo:
             (np.zeros(indices.size), indices, indptr), shape=(graph.face_count, graph.face_count)
         )
         self.lock = threading.Lock()
+        self.prepared: tuple = (None,)  # the last `_prepare_weights` key and result
 
 
 def _dual_info(graph: PlanarGraph) -> _DualInfo:
@@ -241,15 +241,15 @@ def _search(info, terminals, rows, radii, d_t, pred, lim):
         lim[group] = limit
 
 
-def _search_and_match(info: _DualInfo, gmin: np.ndarray, terminals: np.ndarray, dtype):
+def _search_and_match(info: _DualInfo, gmin: np.ndarray, terminals: np.ndarray):
     """Min-weight perfect matching of the terminals under shortest-path
     distances over `info.adj`: (matched pairs, Dijkstra predecessors whose
     row i reaches the mate j of every matched pair i < j)."""
     t = terminals.size
     if t < SMALL_T:  # no limit, so every pair is found
         dist, pred = dijkstra(info.adj, indices=terminals, return_predecessors=True)
-        # distances are exact integers in int64 mode (`_prepare_weights`)
-        d_t = dist[:, terminals].astype(dtype)
+        # distances are exact integers (`_prepare_weights`)
+        d_t = dist[:, terminals].astype(np.int64)
         return _match_terminals(d_t, np.ones((t, t), dtype=bool))[0], pred
     radii, rows = _first_radii(info, gmin, terminals), np.arange(t)
     d_t, lim, pred = np.empty((t, t)), np.empty(t), np.empty((t, info.face_count), dtype=np.int32)
@@ -260,9 +260,9 @@ def _search_and_match(info: _DualInfo, gmin: np.ndarray, terminals: np.ndarray, 
         found = own | own.T
         d_in = np.where(own, d_t, d_t.T)
         d_in[~found] = 0
-        pairs, pi = _match_terminals(d_in.astype(dtype, copy=False), found, warm)
-        # int64 potentials are exact half-integers below 2**51
-        exact = dtype != np.int64 or np.abs(pi).max() < 2**51
+        pairs, pi = _match_terminals(d_in.astype(np.int64), found, warm)
+        # the potentials are exact half-integers below 2**51
+        exact = np.abs(pi).max() < 2**51
         if found.all():
             break
         unfound = [k for i, j in pairs if not found[i, j] for k in (i, j)]
@@ -292,7 +292,7 @@ def _search_and_match(info: _DualInfo, gmin: np.ndarray, terminals: np.ndarray, 
 def _solve_even_subgraph(graph: PlanarGraph, w: np.ndarray):
     """Minimum-weight even subgraph of the dual == min 2-colorable cut.
 
-    `w` is int64 (exact arithmetic) or float64.
+    `w` is int64 with the head-room of `_prepare_weights`.
     Returns (cut bool array, value in the same units as w).
     """
     info = _dual_info(graph)
@@ -316,7 +316,7 @@ def _solve_even_subgraph(graph: PlanarGraph, w: np.ndarray):
 
         with info.lock:
             np.take(gmin, info.slot_group, out=info.adj.data)
-            pairs, pred = _search_and_match(info, gmin, terminals, w.dtype)
+            pairs, pred = _search_and_match(info, gmin, terminals)
 
         # walk each matched path; a dual edge used an odd number of times flips
         fc = info.face_count
@@ -346,12 +346,8 @@ def scale_to_int(values):
     inputs are not decimal-representable at that precision.
     """
     arr = np.asarray(values, dtype=float)
-    if arr.size == 0:
-        return np.zeros(0, dtype=np.int64), 1
-    if not np.all(np.isfinite(arr)):
-        return None
-    # values above about 1.8e299 overflow at the larger scales; inf - inf
-    # is NaN there, which fails the test below as it should
+    # values that are not finite, or above about 1.8e299 and overflow at the
+    # larger scales, leave inf - inf = NaN, which fails the test below
     with np.errstate(over="ignore", invalid="ignore"):
         scaled = np.multiply.outer(10.0 ** np.arange(MAX_DIGITS + 1), arr)
         rounded = np.rint(scaled)
@@ -359,49 +355,64 @@ def scale_to_int(values):
         # relative); anything larger means the value is not this decimal
         tol = 1e-12 * np.maximum(1.0, np.abs(scaled))
         passing = np.flatnonzero(np.all(np.abs(scaled - rounded) <= tol, axis=1))
-    if passing.size and np.max(np.abs(rounded[passing[0]])) < 2**52:
+    if passing.size and np.abs(rounded[passing[0]]).max(initial=0) < 2**52:
         return rounded[passing[0]].astype(np.int64), 10 ** int(passing[0])
     return None
 
 
 def _prepare_weights(w, graph: PlanarGraph):
-    """(int64 weights, scale) when w * scale is integral and exact int64
-    arithmetic has room for every call on it, else (w, 1.0).  Raises
-    ValueError unless w is finite with one entry per edge."""
-    w = finite_weights(w)
+    """(int64 weights, scale, the weights solved, int64 / scale exactly):
+    w for short decimals with head-room, else w rounded up onto the finest
+    power-of-two grid, of step 1 / scale, with head-room, which leaves its
+    own result unchanged.  Head-room: path sums 2 sum|int64| + 1 < 2**53,
+    even with min_cut_forced's M, and 16 times the matching's sentinel
+    over F + 1 terminals below 2**62 (`matching.match_dense`).  The graph's
+    dual data keep the last result: the bound loop asks for the weights
+    solved, then calls the oracle on them.  Raises ValueError unless w is
+    finite with one entry per edge."""
+    w = np.asarray(w, dtype=float)
     if w.shape != (graph.edge_count,):
         raise ValueError("weight vector must have one entry per edge")
-    scaled = scale_to_int(w)
-    if scaled is not None:
-        # no shortest path is longer than the sum of |w|, which
-        # min_cut_forced's M = 1 + sum|w| at most doubles
-        longest = 2 * sum(np.abs(scaled[0]).tolist()) + 1
-        # the matching's sentinel 1 + 2 n max|d| over n <= F + 1 terminals
-        # needs 16 times its size below 2**62 (`matching.match_dense`)
-        if longest < 2**53 and 16 * (1 + 2 * (graph.face_count + 1) * longest) < 2**62:
-            return scaled
-    return w, 1.0
+    info, key = _dual_info(graph), w.tobytes()
+    prepared = info.prepared
+    if prepared[0] != key:  # an input equal to the last one is finite
+        finite_weights(w)
+        # the largest sum|int64| with head-room
+        budget = min(2**52 - 1, ((2**57 - 1) // (graph.face_count + 1) - 1) // 2)
+        scaled = scale_to_int(w)
+        on_grid = scaled is None or sum(np.abs(scaled[0]).tolist()) > budget
+        if on_grid:
+            # sum|ceil(2**k w)| > 2**k sum|w| - m, so no grid 2**-k finer than
+            # the first one tried fits; sum|w| over 2**top stays finite
+            top = int(np.frexp(np.abs(w).max())[1])
+            k = int(np.frexp((budget + w.size) / np.ldexp(np.abs(w), -top).sum())[1]) - top
+            while sum(np.abs(ints := np.ceil(np.ldexp(w, k)).astype(np.int64)).tolist()) > budget:
+                k -= 1
+            scaled = ints, 2.0**k
+        info.prepared = prepared = (key, *scaled, on_grid)
+    _, ints, scale, on_grid = prepared
+    return ints, scale, ints / scale if on_grid else w
 
 
 def min_cut_2color(graph: PlanarGraph, w) -> tuple[np.ndarray, float]:
-    """Minimum-weight bipartition cut (the empty cut is allowed).
-
-    Exact in integer arithmetic whenever the weights are short decimals.
-    The returned value is always <= 0.
+    """Minimum-weight bipartition cut (the empty cut is allowed), exact for
+    the weights rounded up to the grid (`_prepare_weights`).  The returned
+    value is always <= 0.
     """
-    w, scale = _prepare_weights(w, graph)
+    w, scale, _ = _prepare_weights(w, graph)
     cut, val = _solve_even_subgraph(graph, w)
     return cut, float(val) / scale
 
 
 def min_cut_forced(graph: PlanarGraph, w, e: int) -> tuple[np.ndarray, float]:
-    """Minimum-weight bipartition cut among those cutting edge `e`.
+    """Minimum-weight bipartition cut among those cutting edge `e`, exact
+    for the weights rounded up to the grid (`min_cut_2color`).
 
-    Implemented by making `e` cheaper than any cut avoiding it can be
-    (subtract M = 1 + sum|w|), solving the unconstrained problem, and
-    adding M back.  Raises OracleError if the solution misses `e`.
+    Makes `e` cheaper than any cut avoiding it can be (subtract
+    M = 1 + sum|w|), solves the unconstrained problem and adds M back.
+    Raises OracleError if the solution misses `e`.
     """
-    w, scale = _prepare_weights(w, graph)
+    w, scale, _ = _prepare_weights(w, graph)
     if not (0 <= e < graph.edge_count):
         raise ValueError(f"edge id {e} out of range")
     big = 1 + np.abs(w).sum()

@@ -197,11 +197,14 @@ def solve_lp(problem: LpProblem, model: LpModel | None = None) -> LpSolution:
     x = np.asarray(solution.col_value, dtype=float)
     value = -solver.getObjectiveValue()
     slack = problem.constraints @ x - problem.rhs
+    # relative 1e-9 where that is larger, above 3e5: near 1e19 an ulp is 2048
+    size = max(np.abs(problem.lower).max(initial=0), np.abs(problem.rhs).max(initial=0))
+    tol = max(_CHECK_TOL, 1e-9 * size)
     if not (
         np.isfinite(value)
-        and np.all(x >= problem.lower - _CHECK_TOL)
-        and np.all(x <= problem.upper + _CHECK_TOL)
-        and np.all(slack >= -_CHECK_TOL)
+        and np.all(x >= problem.lower - tol)
+        and np.all(x <= problem.upper + tol)
+        and np.all(slack >= -tol)
     ):
         raise LpError("LP solver reported an optimum that violates the problem")
     return LpSolution(x, duals, float(value))

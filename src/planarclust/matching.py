@@ -6,43 +6,37 @@ yields the minimum-weight perfect matching whenever one exists; missing
 edges hold a strongly negative sentinel weight so that a "perfect"
 matching through a sentinel edge is exactly the witness that no true
 perfect matching exists.  The sentinel, -(1 + 2 n max|w|), outweighs any
-difference in real weight; int64 inputs whose sentinel leaves no head-room
-below the solver's infinity raise MatchingError.  The vertex count must be
-even, as it always is for the cut oracle's odd-degree faces (handshake
-lemma); an odd count raises MatchingError.
+difference in real weight; inputs whose sentinel leaves no head-room below
+the solver's infinity raise MatchingError.  The vertex count must be even,
+as it always is for the cut oracle's odd-degree faces (handshake lemma); an
+odd count raises MatchingError.
 
 Like Blossom V (Kolmogorov 2009), the solver does not start from an empty
 matching with uniform duals.  Each vertex dual starts at half the largest
-entry of its (negated, doubled) weight row, rounded up to an even integer
-in int64 mode, which makes every slack nonnegative; then each free vertex
-in index order lowers its dual by its minimum slack and is matched to the
-lowest-index free vertex on a now tight edge.  Every slack stays
-nonnegative, every matched edge is tight and there are no blossoms, so the
-primal-dual stages start from there.  On the cut oracle's metric-closure
-matrices this greedy start leaves few vertices free, and the augmentation
-count drops accordingly.
+entry of its (negated, doubled) weight row, rounded up to an even integer,
+which makes every slack nonnegative; then each free vertex in index order
+lowers its dual by its minimum slack and is matched to the lowest-index
+free vertex on a now tight edge.  Every slack stays nonnegative, every
+matched edge is tight and there are no blossoms, so the primal-dual stages
+start from there.  On the cut oracle's metric-closure matrices this greedy
+start leaves few vertices free, and the augmentation count drops
+accordingly.
 
 A stage grows an alternating forest from the free vertices, labelling each
-top-level blossom 0 (free), 1 (S) or 2 (T).  It ends at an augmentation,
-or when a dual update takes a T-blossom's dual to zero: that blossom is
-expanded and the next stage grows a new forest, where the classic
-algorithm relabels the forest in place.  So the classic O(V^3)
-bound per stage no longer holds; between two positive dual updates a stage
-may restart once per blossom.  Restarts are rare on the cut oracle's
-matrices.  On the oracle inputs of the benchmark's seed-0 rounds, 30 of
-307 grid-gpb solves restarted (74 restarts), 50 of 3872 planar-desk solves
-(53) and none of 3326 decode-recursive solves.  The oracle inputs of one
-bound run on a GPB grid (beta 0.27, seed 0) took 18 restarts at 50x50 and
-22 at 70x70.
+top-level blossom 0 (free), 1 (S) or 2 (T).  It ends at an augmentation, or
+when a dual update takes a T-blossom's dual to zero: that blossom is
+expanded and the next stage grows a new forest, where the classic algorithm
+relabels the forest in place.  So the classic O(V^3) bound per stage no
+longer holds; between two positive dual updates a stage may restart once
+per blossom.  Restarts are rare on the cut oracle's matrices (README.md
+gives counts).
 
 `match_dense(weights, mask, warm=None)` is the one entry to the solver: a
 symmetric weight matrix plus a boolean mask of real edges in, the mate
-array and the final vertex potentials out.  The matrix's dtype selects
-the arithmetic: int64 is exact, float64 uses a relative tie tolerance of
-1e-12.  Negation, doubling and the sentinel are applied inside the
-solver, so callers pass plain minimum-weight costs.  Choosing the dtype
-is the caller's job: the cut oracle scales short decimal weights to int64
-before it builds the matrix.
+array and the final vertex potentials out.  The matrix holds integers,
+which the cut oracle scales its weights to, and the solver works in exact
+int64 arithmetic.  Negation, doubling and the sentinel are applied inside
+the solver, so callers pass plain minimum-weight costs.
 
 The potentials are the vertex part of the solver's final LP dual, in the
 caller's units: pi = -y / 2 for the stored (negated, doubled) duals y.
@@ -53,24 +47,23 @@ z_ij = 0.  So when the result uses real edges only and every pair the
 mask left out weighs at least pi_i + pi_j, the dual stays feasible with
 those pairs added, and the matching is optimal over all pairs.  The cut
 oracle prices the terminal pairs its bounded search did not reach this
-way.  int64 potentials are half-integers, exact while |y| < 2**53.
+way.  The potentials are half-integers, exact while |y| < 2**53.
 
 A `WarmStart` passed to `match_dense` keeps the solver's mates, duals and
-blossoms for the next call on the same vertices, as Blossom V does
-between solves (Kolmogorov 2009).  The cut oracle solves again after its
-search finds more pairs, so a call resumes only when its mask holds the
-last one's and no entry under the last mask changed (a float64 distance
-can move in its last bit); any other call solves cold.  Of each new pair
-whose slack, blossom duals included, is negative, one end is freed, ends
-of more such pairs first: its blossoms open, each one's dual moving to
-its leaves, it and its mate are unmatched and its dual rises until its
-least slack is zero.  In int64 mode each free vertex then gets an even
-dual: the leaves of its top-level blossom, which share its parity, go up
-by one and the blossom dual down by one, or a zero-dual blossom opens.
-The stages run from there, so a resume that frees nothing returns the
-last mates and potentials; otherwise it may pick another co-optimal
-matching than a cold solve.  A solve is kept only when its matched pairs
-and blossom cycle edges are real: a matching through the sentinel leaves
+blossoms for the next call on the same vertices, as Blossom V does between
+solves (Kolmogorov 2009).  The cut oracle solves again after its search
+finds more pairs, so a call resumes only when its mask holds the last
+one's and no entry under the last mask changed; any other call solves
+cold.  Of each new pair whose slack, blossom duals included, is negative,
+one end is freed, ends of more such pairs first: its blossoms open, each
+one's dual moving to its leaves, it and its mate are unmatched and its
+dual rises until its least slack is zero.  Each free vertex then gets an
+even dual: the leaves of its top-level blossom, which share its parity, go
+up by one and the blossom dual down by one, or a zero-dual blossom opens.
+The stages run from there, so a resume that frees nothing returns the last
+mates and potentials; otherwise it may pick another co-optimal matching
+than a cold solve.  A solve is kept only when its matched pairs and
+blossom cycle edges are real: a matching through the sentinel leaves
 sentinel-sized duals, from which a resume took twice as long as a cold
 solve, and the sentinel grows with the largest weight, which loosens any
 tight edge through it.
@@ -85,10 +78,10 @@ S-vertices; and the dual of a T-blossom.  The edge that sets the step is
 tight afterwards and is used at once to grow, shrink or augment.
 
 Duals follow the doubled convention: vertex duals are stored as 2*y so all
-dual adjustments stay integral for integer weights.  As in Galil (1986),
-this needs every S-S slack to be even: the duals start even, so the free
-vertices that root each stage's forest share one parity, and tight edges
-pass it on to every labeled vertex.  An odd S-S slack raises MatchingError.
+dual adjustments stay integral.  As in Galil (1986), this needs every S-S
+slack to be even: the duals start even, so the free vertices that root each
+stage's forest share one parity, and tight edges pass it on to every
+labeled vertex.  An odd S-S slack raises MatchingError.
 """
 
 from __future__ import annotations
@@ -121,27 +114,25 @@ def match_dense(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Minimum-weight maximum-cardinality matching on a dense matrix.
 
-    `weights` is a symmetric n x n matrix with n even, read only where the
-    symmetric boolean `mask` is True (the real edges; its diagonal is
-    ignored).  An int64 matrix is solved in exact integer arithmetic, a
-    float64 one with a relative tie tolerance.  Returns (mate, pi).
-    mate[v] is v's partner.  A pair outside `mask` in the result means the
-    real edges admit no perfect matching; the result has the most real
-    edges possible, and among those the least weight.  pi is the float64
-    vertex potential array described in the module docstring.  An odd n
-    raises MatchingError.
+    `weights` is a symmetric n x n integer matrix with n even, read only
+    where the symmetric boolean `mask` is True (the real edges; its
+    diagonal is ignored).  Returns (mate, pi).  mate[v] is v's partner.  A
+    pair outside `mask` in the result means the real edges admit no
+    perfect matching; the result has the most real edges possible, and
+    among those the least weight.  pi is the float64 vertex potential
+    array described in the module docstring.  An odd n or a matrix that is
+    not integer raises MatchingError.
 
-    When `warm` holds a solve on as many vertices in the same arithmetic,
-    whose mask this `mask` contains and whose weights under its mask are
-    unchanged, the solver resumes from that solve's mates, duals and
-    blossoms (module docstring); otherwise it solves cold.  `warm` then
-    holds this solve, if its matched pairs and blossom cycle edges are real.
+    When `warm` holds a solve on as many vertices, whose mask this `mask`
+    contains and whose weights under its mask are unchanged, the solver
+    resumes from that solve's mates, duals and blossoms (module docstring);
+    otherwise it solves cold.  `warm` then holds this solve, if its matched
+    pairs and blossom cycle edges are real.
     """
-    integer = np.issubdtype(np.asarray(weights).dtype, np.integer)
     solver = None
     if warm is not None:  # emptied first: a solve that raises leaves no state
         solver, warm._solver = warm._solver, None
-    if solver is not None and solver.n == len(weights) and solver.integer == integer:
+    if solver is not None and solver.n == len(weights):
         mate, pi = solver.resume(weights, mask)
     else:
         solver = _DenseBlossom(weights, mask)
@@ -166,6 +157,8 @@ class _DenseBlossom:
     when no real perfect matching exists.
     """
 
+    INF = 2**62
+
     def __init__(self, weights: np.ndarray, mask: np.ndarray):
         self.n = n = np.shape(weights)[0]
         if n % 2:
@@ -174,26 +167,21 @@ class _DenseBlossom:
 
     def _set_weights(self, weights, mask):
         weights = np.asarray(weights)
-        mask = np.asarray(mask, dtype=bool)
-        n = self.n
-        self.integer = np.issubdtype(weights.dtype, np.integer)
-        self.dtype = np.int64 if self.integer else np.float64
-        self.INF = 2**62 if self.integer else np.inf
-        real = mask & ~np.eye(n, dtype=bool)
-        # reductions in place of abs(weights[real]): no T x T temporary
-        top, bottom = weights.max(where=real, initial=0), weights.min(where=real, initial=0)
-        maxabs = int(max(top, -bottom)) if self.integer else float(max(top, -bottom))
-        self.tol = 0 if self.integer else 1e-12 * max(1.0, 2 * maxabs)
+        if not np.issubdtype(weights.dtype, np.integer):
+            raise MatchingError(f"weights must be integers, not {weights.dtype}")
+        real = np.asarray(mask, dtype=bool) & ~np.eye(self.n, dtype=bool)
+        # 0 off the mask, so plain reductions give max|w|
+        self.W2 = np.where(real, weights, 0).astype(np.int64, copy=False)
+        maxabs = max(int(self.W2.max(initial=0)), -int(self.W2.min(initial=0)))
         # one missing edge must outweigh any difference in real weight, so
         # the sentinel is derived from the weights, never a fixed constant
-        nonedge = -(1 + 2 * n * maxabs)
+        nonedge = -(1 + 2 * self.n * maxabs)
         if -16 * nonedge >= self.INF:
             # duals and slacks stay within a few multiples of |nonedge|
             raise MatchingError(f"weights up to {maxabs} leave no head-room for the sentinel")
         # W2 holds negated (the solver maximizes), doubled weights so slacks
         # stay integral.
         self.missing = 2 * nonedge
-        self.W2 = weights.astype(self.dtype)
         self.W2 *= -2
         self.W2[~real] = self.missing
 
@@ -201,7 +189,7 @@ class _DenseBlossom:
 
     def _init_state(self):
         n = self.n
-        self.y = np.zeros(2 * n, dtype=self.dtype)
+        self.y = np.zeros(2 * n, dtype=np.int64)
         self.mate = np.full(n, -1, dtype=np.int64)
         self.inblossom = np.arange(n, dtype=np.int64)
         self.parent = np.full(2 * n, -1, dtype=np.int64)
@@ -220,9 +208,9 @@ class _DenseBlossom:
             return
         # the diagonal holds the sentinel, the smallest entry of each row
         top = self.W2.max(axis=1)
-        # integer duals start even (top / 2 rounded up), and the greedy
-        # steps below subtract even slacks, so they stay even
-        self.y[:n] = 2 * -(-top // 4) if self.integer else top / 2
+        # duals start even (top / 2 rounded up), and the greedy steps below
+        # subtract even slacks, so they stay even
+        self.y[:n] = 2 * -(-top // 4)
         for v in range(n):
             if self.mate[v] >= 0:
                 continue
@@ -230,7 +218,7 @@ class _DenseBlossom:
             slack[v] = self.INF
             s = slack.min()
             self.y[v] -= s
-            tight = ((slack - s <= self.tol) & (self.mate < 0)).nonzero()[0]
+            tight = ((slack == s) & (self.mate < 0)).nonzero()[0]
             if tight.size:
                 u = int(tight[0])
                 self.mate[v] = u
@@ -442,8 +430,7 @@ class _DenseBlossom:
         if changed:
             return self.solve()
         self._free_cover(*np.nonzero(np.triu(self.W2 != self.missing, 1) & ~was))
-        if self.integer:
-            self._even_free_duals()
+        self._even_free_duals()
         return self._run()
 
     def _unmatch(self, v: int):
@@ -467,7 +454,7 @@ class _DenseBlossom:
         more such pairs go first, and among those ends in no blossom."""
         slack = self.y[i] + self.y[j] - np.maximum(self.W2[i, j], self.W2[j, i])
         # blossom duals are nonnegative, so only these pairs can stay negative
-        low = slack < -self.tol
+        low = slack < 0
         i, j, slack = i[low], j[low], slack[low]
         inside = np.flatnonzero(self.inblossom[i] == self.inblossom[j])
         if inside.size:
@@ -479,7 +466,7 @@ class _DenseBlossom:
                     member[:] = False
                     member[self._leaves(b)] = True
                     slack[inside] += 2 * self.y[b] * (member[ii] & member[jj])
-        bad = slack < -self.tol
+        bad = slack < 0
         i, j = i[bad], j[bad]
         ends, counts = np.unique(np.r_[i, j], return_counts=True)
         freed = np.zeros(self.n, dtype=bool)
@@ -535,7 +522,7 @@ class _DenseBlossom:
         improved = s2row < self.s2val
         np.copyto(self.s2val, s2row, where=improved)
         np.putmask(self.s2arg, improved, v)
-        tight = (s2row + self.y[: self.n] <= self.tol).nonzero()[0]
+        tight = (s2row + self.y[: self.n] <= 0).nonzero()[0]
         for w in tight[self.inblossom[tight] != self.inblossom[v]].tolist():
             if self._use_edge(v, w):
                 return True
@@ -559,9 +546,9 @@ class _DenseBlossom:
         if ss.size:
             r, c = divmod(int(np.argmin(ss)), sv.size)
             if ss[r, c] < self.INF:
-                if self.integer and ss[r, c] % 2:
+                if ss[r, c] % 2:
                     raise MatchingError(f"odd slack between S-vertices {sv[r]} and {sv[c]}")
-                half = ss[r, c] // 2 if self.integer else ss[r, c] / 2
+                half = ss[r, c] // 2
                 if half < delta:
                     delta, edge = half, (int(sv[r]), int(sv[c]))
         for b in self.active_blossoms:
@@ -587,7 +574,7 @@ class _DenseBlossom:
                 return self.mate, self.y[:n] / -2
             self.label = np.zeros(2 * n, dtype=np.int8)
             self.labeledge: list = [None] * (2 * n)
-            self.s2val = np.full(n, self.INF, dtype=self.dtype)
+            self.s2val = np.full(n, self.INF, dtype=np.int64)
             self.s2arg = np.full(n, -1, dtype=np.int64)
             self.queue: list[int] = []
             for v in free:
@@ -601,8 +588,6 @@ class _DenseBlossom:
                     break
                 lab = self.label[self.inblossom]
                 delta, edge, blossom = self._dual_update(lab)
-                if not self.integer:
-                    delta = max(delta, 0.0)
                 yv = self.y[:n]
                 np.subtract(yv, delta, out=yv, where=lab == 1)
                 np.add(yv, delta, out=yv, where=lab == 2)

@@ -10,9 +10,9 @@ its gadget edge IS in the matching.
 The gadget is an edge-list graph, so it is matched through
 `min_weight_perfect_matching`, a wrapper around the dense solver
 `matching.match_dense`: it keeps the cheapest of parallel edges, masks
-missing ones, and scales the weights to 64-bit integers whenever every
-input weight is a decimal with at most nine fractional digits, so
-matchings on instance weights are computed in exact arithmetic.
+missing ones, and scales the weights, decimals with at most nine
+fractional digits, to 64-bit integers, so matchings on instance weights
+are computed in exact arithmetic.
 """
 
 from dataclasses import dataclass
@@ -65,8 +65,9 @@ class Matching:
 def min_weight_perfect_matching(problem: MatchingProblem) -> Matching:
     """Exact minimum-weight perfect matching.
 
-    Raises OddVertexCount for odd vertex counts and NoPerfectMatching when
-    the graph has none.  Among co-optimal matchings the result is
+    Raises OddVertexCount for odd vertex counts, NoPerfectMatching when
+    the graph has none and ValueError for weights that are not short
+    decimals (`scale_to_int`).  Among co-optimal matchings the result is
     deterministic (fixed scan order); only the total weight is contractual.
     """
     n = problem.vertex_count
@@ -87,9 +88,10 @@ def min_weight_perfect_matching(problem: MatchingProblem) -> Matching:
     rep_of[lo[rep], hi[rep]] = rep_of[hi[rep], lo[rep]] = rep
 
     scaled = scale_to_int(weights)
-    wvals = weights if scaled is None else scaled[0]
-    w = np.zeros((n, n), dtype=wvals.dtype)
-    w[lo[rep], hi[rep]] = w[hi[rep], lo[rep]] = wvals[rep]
+    if scaled is None:
+        raise ValueError("gadget weights must be short decimals")
+    w = np.zeros((n, n), dtype=np.int64)
+    w[lo[rep], hi[rep]] = w[hi[rep], lo[rep]] = scaled[0][rep]
     mate, _ = match_dense(w, rep_of >= 0)
     v = np.flatnonzero(np.arange(n) < mate)
     matched = rep_of[v, mate[v]]

@@ -1,11 +1,15 @@
+import copy
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from planarclust.bound import (
-    CutPool, _cut_rows, lower_bound_value, optimize_lower_bound, restricted_lp,
+    CutPool, _cut_rows, certified_bound, lower_bound_value, optimize_lower_bound, restricted_lp,
 )
-from planarclust.cut_oracle import min_cut_2color, split_into_basic_cuts
+from planarclust import cut_oracle
+from planarclust.cut_oracle import min_cut_2color, scale_to_int, split_into_basic_cuts
+from planarclust.decode import best_decode
 from planarclust.instances import GpbLikeWeights, gen_grid, gen_random_planar, UniformWeights
 from planarclust.lp import LpModel, solve_lp
 from planarclust.oracle import brute_cc, exact_cc_value, full_lp_bound
@@ -125,6 +129,51 @@ def test_weights_the_lp_solver_reads_as_infinite_raise():
     assert res.bound == pytest.approx(1e19 * optimize_lower_bound(inst.graph, inst.theta).bound)
     with pytest.raises(ValueError, match="1e20"):
         optimize_lower_bound(inst.graph, inst.theta * 1e22)
+
+
+# weights whose lambdas the oracle rounds up onto its grid: not decimal, or
+# too large for a decimal scale with head-room
+grid_instances = st.tuples(
+    st.builds(gen_random_planar, st.integers(3, 10), st.integers(0, 2**32 - 1)),
+    st.sampled_from([np.pi, 1e19]),
+)
+
+
+@given(grid_instances)
+def test_grid_bounds_are_sound(case):
+    inst, factor = case
+    theta = inst.theta * factor
+    res = optimize_lower_bound(inst.graph, theta)
+    optimum = exact_cc_value(inst.graph, theta)
+    energy = best_decode(inst.graph, theta, res, restarts=1).energy
+    # float sums of weights near 1e19 differ in their last bits
+    slack = 1e-12 * max(1.0, abs(optimum))
+    assert res.bound <= optimum + slack and optimum <= energy + slack
+
+
+@given(grid_instances, st.sampled_from([0, 1000]))
+def test_grid_bound_is_recomputed_from_its_lambda(case, max_batches):
+    # the result's lambda is the one the oracle solved, on its grid, so
+    # rounding it again changes nothing; a copy of the graph keeps nothing
+    # from the loop's calls.  With no batch the loop often returns its
+    # start, lambda = max(0, theta), rounded up as well
+    inst, factor = case
+    theta = inst.theta * factor
+    res = optimize_lower_bound(inst.graph, theta, max_batches=max_batches)
+    assume(scale_to_int(res.lam) is None)
+    graph = copy.copy(inst.graph)
+    assert certified_bound(graph, theta, res.lam)[0] == res.bound
+    assert np.array_equal(cut_oracle._prepare_weights(res.lam, graph)[2], res.lam)
+
+
+def test_lp_check_scales_with_weights_near_1e19():
+    # the LP's post-solve check was absolute: a row missed by 4, below one
+    # unit in the last place of its right-hand side near 1.4e19, raised
+    # LpError although the same instance solves at scale 1
+    inst = gen_random_planar(8, 2722)
+    res = optimize_lower_bound(inst.graph, inst.theta * 1e19)
+    assert res.converged
+    assert res.bound == pytest.approx(1e19 * optimize_lower_bound(inst.graph, inst.theta).bound)
 
 
 def test_small_grid():

@@ -2,10 +2,11 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from planarclust import bound as bound_module
 from planarclust.cli import main
-from planarclust.cut_oracle import OracleError
+from planarclust.cut_oracle import OracleError, scale_to_int
 from planarclust.instances import GpbLikeWeights, Instance, gen_grid, gen_random_planar, write_instance
 from planarclust.lp import LpError
 
@@ -140,6 +141,23 @@ def test_decode_rejects_an_uncertified_bound(tmp_path, capsys, edit):
     code, out, err = run_cli(capsys, "decode", str(path), "--bound", str(bpath))
     assert code == 1 and out == ""
     assert err.startswith("planarclust: error: ") and err.count("\n") == 1
+
+
+@settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.integers(3, 10), st.integers(0, 2**32 - 1), st.sampled_from([np.pi, 1e19]))
+def test_decode_accepts_a_bound_whose_lambda_takes_the_grid(tmp_path, capsys, n, seed, factor):
+    # the oracle rounds such lambdas up onto its grid, and the saved lambda
+    # is the rounded one, so decode recomputes the saved bound exactly
+    inst = gen_random_planar(n, seed)
+    path, bpath = tmp_path / "r.json", tmp_path / "b.json"
+    write_instance(Instance(inst.graph, inst.theta * factor, "grid", {}), path)
+    code, _, _ = run_cli(capsys, "bound", str(path), "--out", str(bpath))
+    assert code == 0
+    saved = json.loads(bpath.read_text())
+    assume(scale_to_int([float(x) for x in saved["lambda"]]) is None)
+    code, out, err = run_cli(capsys, "decode", str(path), "--bound", str(bpath))
+    assert code in (0, 2) and err == ""
+    assert json.loads(out)["bound"] == saved["bound"]
 
 
 def test_decode_accepts_a_bound_saved_at_a_loose_tol(tmp_path, capsys):

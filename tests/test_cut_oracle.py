@@ -1,5 +1,6 @@
 import concurrent.futures
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -75,7 +76,7 @@ def test_forced_four_cycle(four_cycle):
 
 
 def test_forced_consistency_random():
-    # factor pi makes the weights non-decimal: the float arithmetic path
+    # factor pi makes the weights non-decimal: they are rounded up to the grid
     rng = np.random.default_rng(5)
     for seed in range(25):
         inst = gen_random_planar(int(rng.integers(4, 9)), seed)
@@ -100,7 +101,7 @@ def test_forced_missing_edge_raises(triangle, monkeypatch):
 
 
 def test_oracle_matches_brute_force():
-    # factor pi makes the weights non-decimal: the float arithmetic path
+    # factor pi makes the weights non-decimal: they are rounded up to the grid
     for seed in range(150):
         n = 4 + seed % 7
         inst = gen_random_planar(n, 1000 + seed)
@@ -320,8 +321,8 @@ def oracle_results(graph, theta, small_t, limit_factor=cut_oracle.LIMIT_FACTOR):
 
 @given(oracle_instances, st.sampled_from([1.0, np.pi]), st.sampled_from([2.0, 1.0, 0.5]))
 def test_bounded_search_matches_unlimited_search(inst, factor, limit_factor):
-    # factor pi makes the weights non-decimal: the float arithmetic path.
-    # Smaller first limits leave out more pairs, so pricing decides more.
+    # factor pi makes the weights non-decimal: they are rounded up to the
+    # grid.  Smaller first limits leave out more pairs, so pricing decides more.
     theta = inst.theta * factor
     got = oracle_results(inst.graph, theta, 0, limit_factor)
     want = oracle_results(inst.graph, theta, np.inf)
@@ -451,20 +452,33 @@ def test_oracle_calls_on_one_graph_from_many_threads():
         assert val == ref_val and np.array_equal(cut, ref_cut)
 
 
-def test_large_decimal_weights_fall_back_to_float():
+def check_grid_guarantee(graph, w, cut, value):
+    """The oracle's weights are w rounded up onto a power-of-two grid, and
+    `value`, the rounded weights of `cut`, is at least w's weight of it
+    and at most the edge count times the grid step above."""
+    ints, scale, solved = cut_oracle._prepare_weights(w, graph)
+    step = 1 / scale
+    assert np.frexp(step)[0] == 0.5 and np.array_equal(solved, ints * step)
+    assert np.all(solved >= w) and np.all(solved - w < step)
+    exact = sum(Fraction(x) for x in w[cut])  # w's weight of the cut, unrounded
+    assert 0 <= Fraction(value) - exact <= graph.edge_count * Fraction(step)
+    assert value == sum(Fraction(x) for x in solved[cut])
+
+
+def test_large_decimal_weights_solve_on_the_grid():
     # integral weights near 1e15: scale_to_int accepts them, but path sums
-    # pass 2**53 and the matching's sentinel would have no head-room
+    # pass 2**53 and the matching's sentinel would have no head-room, so the
+    # oracle rounds them up onto a coarser grid
     inst = gen_grid(20, 20, GpbLikeWeights(0.27), seed=0)
     w = np.rint(inst.theta / np.abs(inst.theta).max() * 1e15)
     assert scale_to_int(w) is not None
     cut, val = min_cut_2color(inst.graph, w)
-    ref_cut, ref_val = cut_oracle._solve_even_subgraph(inst.graph, w)
-    assert val == ref_val == pytest.approx(-2.71368e16, rel=1e-5)
-    assert np.array_equal(cut, ref_cut)
+    check_grid_guarantee(inst.graph, w, cut, val)
+    assert val == pytest.approx(-2.71368e16, rel=1e-5)
     e = int(np.flatnonzero(~cut)[0])
     forced, forced_val = min_cut_forced(inst.graph, w, e)
     assert forced[e] and forced_val >= val
-    assert forced_val == pytest.approx(float(w @ forced), rel=1e-12)
+    check_grid_guarantee(inst.graph, w, forced, forced_val)
     # the 2-colorable minimum cut is a clustering, so it bounds from above
     res = optimize_lower_bound(inst.graph, w, max_batches=2)
     assert np.minimum(w, 0).sum() <= res.bound <= val
@@ -480,14 +494,12 @@ table_inputs = st.sampled_from(range(2, cut_oracle.TABLE_T + 1, 2)).flatmap(
     lambda t: st.tuples(
         st.just(t),
         st.one_of(
-            # heavy ties, near-2**52 int64 entries and floats
+            # heavy ties and near-2**52 entries
             st.lists(st.integers(0, 3), min_size=t * (t - 1) // 2, max_size=t * (t - 1) // 2)
             .map(lambda e: _symmetric(t, e, np.int64)),
             st.lists(st.integers(2**52 - 8, 2**52 - 1), min_size=t * (t - 1) // 2,
                      max_size=t * (t - 1) // 2)
             .map(lambda e: _symmetric(t, e, np.int64)),
-            st.lists(st.floats(0.0, 10.0), min_size=t * (t - 1) // 2, max_size=t * (t - 1) // 2)
-            .map(lambda e: _symmetric(t, e, np.float64)),
         ),
     )
 )
@@ -503,16 +515,11 @@ def test_enumeration_matches_brute_force_and_blossom(case):
     got = sum(d[i, j].item() for i, j in pairs)
     mate = match_dense(d, np.ones((t, t), dtype=bool))[0]
     blossom = sum(d[v, mate[v]].item() for v in range(t) if v < mate[v])
-    if d.dtype == np.int64:
-        # the reference sums in float64, so the entries go in less their
-        # least one: every perfect matching then costs t / 2 times it less
-        base = d[np.triu_indices(t, 1)].min().item()
-        edges = [(i, j, d[i, j].item() - base) for i in range(t) for j in range(i + 1, t)]
-        assert got == blossom == int(brute_force_min_perfect(t, edges)[0]) + t // 2 * base
-    else:
-        edges = [(i, j, d[i, j].item()) for i in range(t) for j in range(i + 1, t)]
-        ref = brute_force_min_perfect(t, edges)[0]
-        assert got == pytest.approx(blossom, rel=1e-12) and got == pytest.approx(ref, rel=1e-12)
+    # the reference sums in float64, so the entries go in less their least
+    # one: every perfect matching then costs t / 2 times it less
+    base = d[np.triu_indices(t, 1)].min().item()
+    edges = [(i, j, d[i, j].item() - base) for i in range(t) for j in range(i + 1, t)]
+    assert got == blossom == int(brute_force_min_perfect(t, edges)[0]) + t // 2 * base
 
 
 def test_enumeration_breaks_ties_toward_shorter_pairs():
@@ -545,12 +552,12 @@ def test_bounded_path_never_enumerates(monkeypatch):
 
 
 @pytest.mark.filterwarnings("error")
-def test_huge_weights_solve_in_float_without_warnings():
+def test_huge_weights_solve_on_the_grid_without_warnings():
     # finite weights above about 1.8e299 overflow at scale_to_int's larger
-    # scales; no scale passes and the oracle solves in float64
+    # scales; no scale passes and the oracle rounds them up onto its grid
     inst = gen_random_planar(8, 3)
     w = inst.theta / np.abs(inst.theta).max() * 1e300
     assert scale_to_int(w) is None
     cut, val = min_cut_2color(inst.graph, w)
+    check_grid_guarantee(inst.graph, w, cut, val)
     assert val == pytest.approx(brute_cc2(inst.graph, w)[1], rel=1e-12)
-    assert val == pytest.approx(float(w @ cut), rel=1e-12)

@@ -21,10 +21,8 @@ def random_problem(rng, n, density, weight_style):
         if rng.random() < density:
             if weight_style == "int":
                 w = int(rng.integers(-4, 5))
-            elif weight_style == "decimal":
-                w = round(float(rng.uniform(-1, 1)), 5)
             else:
-                w = float(rng.normal()) * np.pi  # not decimal-scalable
+                w = round(float(rng.uniform(-1, 1)), 5)
             edges.append((u, v, w))
     return MatchingProblem(n, tuple(edges))
 
@@ -80,7 +78,7 @@ def test_scale_to_int():
     assert scale_to_int([np.pi]) is None
 
 
-@pytest.mark.parametrize("weight_style", ["int", "decimal", "float"])
+@pytest.mark.parametrize("weight_style", ["int", "decimal"])
 def test_exact_on_small_random_graphs(weight_style):
     rng = np.random.default_rng(hash(weight_style) % 2**32)
     checked = 0
@@ -219,11 +217,7 @@ def check_against_brute_force(w, mask):
     pairs = [(v, int(mate[v])) for v in range(n) if v < mate[v] and mask[v, mate[v]]]
     count, cost = brute_force_dense(w, mask)
     assert len(pairs) == count
-    got = sum(w[u, v] for u, v in pairs)
-    if np.issubdtype(w.dtype, np.integer):
-        assert got == cost
-    else:
-        assert got == pytest.approx(cost, rel=1e-9, abs=1e-9)
+    assert sum(w[u, v] for u, v in pairs) == cost
 
 
 def symmetric(n, upper, dtype):
@@ -232,20 +226,16 @@ def symmetric(n, upper, dtype):
     return m + m.T
 
 
-@pytest.mark.parametrize("dtype", [np.int64, np.float64])
+@pytest.mark.parametrize("dtype", [np.int64])
 def test_match_dense_sparse_masks(dtype):
     # sparse masks, many without a perfect matching: missing pairs hold the
-    # sentinel, which must not swamp the real weights in either mode
+    # sentinel, which must not swamp the real weights
     rng = np.random.default_rng(5)
     unmatched = 0
     for _ in range(400):
         n = 2 * int(rng.integers(1, 6))
         k = n * (n - 1) // 2
-        if dtype is np.int64:
-            upper = rng.integers(-10**6, 10**6, k)
-        else:
-            upper = rng.normal(size=k) * np.pi
-        w = symmetric(n, upper, dtype)
+        w = symmetric(n, rng.integers(-10**6, 10**6, k), dtype)
         mask = symmetric(n, rng.random(k) < rng.uniform(0.2, 0.7), bool)
         check_against_brute_force(w, mask)
         unmatched += brute_force_dense(w, mask)[0] < n // 2
@@ -255,10 +245,26 @@ def test_match_dense_sparse_masks(dtype):
 @pytest.mark.parametrize("dtype", [np.int64, np.float64])
 @pytest.mark.parametrize("n", [1, 3, 9])
 def test_match_dense_rejects_odd_size(n, dtype):
-    # the cut oracle matches odd-degree faces, always an even number of them
+    # the cut oracle matches odd-degree faces, always an even number of them;
+    # the size is checked before the dtype
     w = symmetric(n, np.arange(n * (n - 1) // 2), dtype)
     with pytest.raises(MatchingError, match="odd"):
         match_dense(w, ~np.eye(n, dtype=bool))
+
+
+@pytest.mark.parametrize("dtype", [np.float64, bool])
+def test_match_dense_rejects_non_integer_weights(dtype):
+    # the cut oracle scales its weights to int64 first; a warm start that
+    # meets other weights is emptied, as after any solve that raises
+    w = symmetric(4, np.arange(1, 7), np.int64)
+    mask = ~np.eye(4, dtype=bool)
+    warm = WarmStart()
+    match_dense(w, mask, warm)
+    with pytest.raises(MatchingError, match="integer"):
+        match_dense(w.astype(dtype), mask, warm)
+    assert not warm
+    with pytest.raises(MatchingError, match="integer"):
+        match_dense(w.astype(dtype), mask)
 
 
 def test_sentinel_head_room():
@@ -274,8 +280,6 @@ def test_sentinel_head_room():
     w[0, 1] = w[1, 0] = ok + 1
     with pytest.raises(MatchingError):
         match_dense(w, np.ones((n, n), dtype=bool))
-    with pytest.raises(MatchingError):
-        match_dense(np.full((n, n), 1e308), np.ones((n, n), dtype=bool))
 
 
 @st.composite
@@ -284,8 +288,7 @@ def dense_problems(draw, values):
     k = n * (n - 1) // 2
     upper = draw(st.lists(values, min_size=k, max_size=k))
     present = draw(st.one_of(st.just([True] * k), st.lists(st.booleans(), min_size=k, max_size=k)))
-    dtype = np.float64 if any(isinstance(x, float) for x in upper) else np.int64
-    return symmetric(n, upper, dtype), symmetric(n, present, bool)
+    return symmetric(n, upper, np.int64), symmetric(n, present, bool)
 
 
 def match_with_dual_check(w, mask):
@@ -295,18 +298,17 @@ def match_with_dual_check(w, mask):
     solver = _DenseBlossom(w, mask)
     result, _ = solver.solve()
     n, y, mate = solver.n, solver.y, solver.mate
-    tol = 0 if solver.integer else 1e-9 * max(1.0, float(np.abs(solver.W2).max()))
     slack = y[:n, None] + y[None, :n] - solver.W2
     for b in solver.active_blossoms:
         leaves = solver._leaves(b)
         slack[np.ix_(leaves, leaves)] += 2 * y[b]
-        assert y[b] >= -tol, f"blossom {b} has dual {y[b]}"
-        if y[b] > tol:
+        assert y[b] >= 0, f"blossom {b} has dual {y[b]}"
+        if y[b] > 0:
             inside = np.isin(mate[leaves], leaves).sum()
             assert inside == len(leaves) - 1, f"blossom {b} has a positive dual and is not full"
     off = ~np.eye(n, dtype=bool)
-    assert slack[off].min(initial=0) >= -tol
-    assert (np.abs(slack[np.arange(n), mate]) <= tol).all()
+    assert slack[off].min(initial=0) >= 0
+    assert (slack[np.arange(n), mate] == 0).all()
     return result
 
 
@@ -328,25 +330,24 @@ def check_certificate(w, mask, mate, pi, solver):
         leaves = solver._leaves(b)
         z[np.ix_(leaves, leaves)] += solver.y[b]
     assert (z >= 0).all()
-    tol = 0 if solver.integer else 1e-9 * max(1.0, float(np.abs(w).max(initial=0)))
     slack = w - pi[:, None] - pi[None, :] + z
     real = mask & ~np.eye(n, dtype=bool)
-    assert slack[real].min(initial=0) >= -tol
+    assert slack[real].min(initial=0) >= 0
     v = np.flatnonzero(real[np.arange(n), mate])
-    assert (np.abs(slack[v, mate[v]]) <= tol).all()
+    assert (slack[v, mate[v]] == 0).all()
 
 
 @pytest.mark.parametrize(
     "values",
-    [st.integers(-2, 2), st.integers(-10**9, 10**9), st.floats(-100, 100).map(lambda x: x * np.pi)],
-    ids=["ties", "signed-ints", "non-decimal-floats"],
+    [st.integers(-2, 2), st.integers(-10**9, 10**9)],
+    ids=["ties", "signed-ints"],
 )
 @given(data=st.data())
 def test_match_dense_potentials(values, data):
     check_potentials(*data.draw(dense_problems(values)))
 
 
-@pytest.mark.parametrize("dtype", [np.int64, np.float64])
+@pytest.mark.parametrize("dtype", [np.int64])
 def test_potentials_certify_left_out_pairs(dtype):
     # the cut oracle's pricing: solve over the pairs up to a limit; when the
     # matching uses none of the others and the potentials price each of
@@ -356,8 +357,6 @@ def test_potentials_certify_left_out_pairs(dtype):
     for _ in range(200):
         n = 2 * int(rng.integers(2, 6))
         d = euclidean_metric(rng, n).astype(dtype)
-        if dtype is np.float64:
-            d *= np.pi
         off = ~np.eye(n, dtype=bool)
         limit = np.quantile(d[off], rng.uniform(0.2, 1.0))
         mask = off & (d <= limit)
@@ -369,7 +368,7 @@ def test_potentials_certify_left_out_pairs(dtype):
             continue
         certified += 1
         got = sum(d[v, mate[v]] for v in range(n) if v < mate[v])
-        assert got == pytest.approx(brute_force_dense(d, off)[1], rel=1e-12)
+        assert got == brute_force_dense(d, off)[1]
     assert certified > 100
 
 
@@ -381,12 +380,6 @@ def test_match_dense_ties(problem):
 
 @given(dense_problems(st.integers(-10**9, 10**9)))
 def test_match_dense_signed_ints(problem):
-    check_against_brute_force(*problem)
-    match_with_dual_check(*problem)
-
-
-@given(dense_problems(st.floats(-100, 100).map(lambda x: x * np.pi)))
-def test_match_dense_non_decimal_floats(problem):
     check_against_brute_force(*problem)
     match_with_dual_check(*problem)
 
@@ -410,9 +403,8 @@ def test_int_duals_stay_even():
         [4, 5, 8, 1, 2, 9, -5, 8, -2, 0, 3, 0],
     ], dtype=np.int64)
     mask = ~np.eye(12, dtype=bool)
-    for x in (w, w.astype(np.float64)):
-        mate = match_with_dual_check(x, mask)
-        assert sum(x[v, mate[v]] for v in range(12) if v < mate[v]) == -35
+    mate = match_with_dual_check(w, mask)
+    assert sum(w[v, mate[v]] for v in range(12) if v < mate[v]) == -35
     check_against_brute_force(w, mask)
 
 
@@ -540,27 +532,22 @@ def resume_and_check(w, mask, warm):
     solver = warm._solver  # solved in place, resumed or cold, or None
     mate, pi = match_dense(w, mask, warm)
     assert sorted(mate[mate]) == list(range(w.shape[0]))
-    got, want = dense_cost(w, mask, mate), dense_cost(w, mask, match_dense(w, mask)[0])
-    if w.dtype == np.int64:
-        assert got == want
-    else:
-        assert got[0] == want[0] and got[1] == pytest.approx(want[1], rel=1e-12)
+    got = dense_cost(w, mask, mate)
+    assert got == dense_cost(w, mask, match_dense(w, mask)[0])
     assert bool(warm) == (got[0] == 0)
     if solver is not None:
         check_certificate(w, mask, mate, pi, solver)
     return got[0]
 
 
-@given(st.integers(0, 2**32 - 1), st.sampled_from([np.int64, np.float64]))
-def test_warm_resume_equals_cold_solve(seed, dtype):
+@given(st.integers(0, 2**32 - 1))
+def test_warm_resume_equals_cold_solve(seed):
     # the cut oracle's use: solve over the pairs up to a limit, then resume
-    # as the limit grows; some entries change too (in float mode the last
-    # bit of a distance can), and the first mask may hold no perfect matching
+    # as the limit grows; some entries change too, which makes the resume
+    # start cold, and the first mask may hold no perfect matching
     rng = np.random.default_rng(seed)
     t = 2 * int(rng.integers(2, 21))
-    w = euclidean_metric(rng, t).astype(dtype)
-    if dtype is np.float64:
-        w = w * np.pi  # not decimal
+    w = euclidean_metric(rng, t)
     off = ~np.eye(t, dtype=bool)
     q = rng.uniform(0.02, 0.5)
     mask = off & (w <= np.quantile(w[off], q))
@@ -574,12 +561,11 @@ def test_warm_resume_equals_cold_solve(seed, dtype):
         w = w.copy()
         for i, j in rng.integers(0, t, (int(rng.integers(0, 4)), 2)):
             if i != j:
-                step = np.nextafter(w[i, j], np.inf) - w[i, j] if dtype is np.float64 else 1
-                w[i, j] = w[j, i] = w[i, j] + step * int(rng.integers(-40, 41))
+                w[i, j] = w[j, i] = w[i, j] + int(rng.integers(-40, 41))
         resume_and_check(w, mask, warm)
 
 
-@pytest.mark.parametrize("dtype", [np.int64, np.float64])
+@pytest.mark.parametrize("dtype", [np.int64])
 def test_warm_start_after_no_perfect_matching(dtype):
     # vertex 0 has no real pair at first, so the result matches it along a
     # sentinel pair; its duals are of the sentinel's size, and the next
@@ -599,7 +585,7 @@ def test_warm_start_after_no_perfect_matching(dtype):
         check_certificate(w, off, mate, pi, warm._solver)
 
 
-@pytest.mark.parametrize("dtype", [np.int64, np.float64])
+@pytest.mark.parametrize("dtype", [np.int64])
 @pytest.mark.parametrize("change", [5, -3, "drop", None])
 def test_warm_resume_starts_cold_unless_the_mask_only_grew(monkeypatch, dtype, change):
     # the pair (a_1, b_1) = (0, 1) is a cycle edge of the innermost of k
