@@ -8,15 +8,10 @@ with BLAS and OpenMP pinned to one thread.  Wrappers around
 `cut_oracle.dijkstra` and `cut_oracle._match_terminals` time the
 Dijkstra searches and the matchings and count the search sources
 (terminal rows; the oracle's multi-source nearest-terminal runs are
-timed but not counted) and the matchings, cold solves apart from those
-that resume from the call's previous solve (a truthy `warm` argument;
-older checkouts pass none, so all their matchings count as cold).  A
-truthy `warm` counts as warm even where the solver starts cold, as an
-older checkout's did in float64 when a distance under the last mask
-changed; the oracle's int64 distances do not change.  One line per size
-gives the bound loop's CPU time, the bound, the batch count, Dijkstra
-CPU time, the sources searched, CPU time and count of the cold and of
-the warm matchings, and the process's peak RSS (`ru_maxrss`).  Sizes run
+timed but not counted) and the matchings.  One line per size gives the
+bound loop's CPU time, the bound, the batch count, Dijkstra CPU time,
+the sources searched, CPU time and count of the matchings, and the
+process's peak RSS (`ru_maxrss`).  Sizes run
 one after another, so the RSS of one does not inflate another.  A
 100x100 grid takes about a minute on a 2-core x86-64 host; run the two
 checkouts of a comparison in one session, one after the other.
@@ -41,7 +36,7 @@ def worker(checkout: str, n: int) -> None:
     import planarclust as pc
     from planarclust import cut_oracle
 
-    stats = {"dijkstra_s": 0.0, "sources": 0, "cold_s": 0.0, "cold": 0, "warm_s": 0.0, "warm": 0}
+    stats = {"dijkstra_s": 0.0, "sources": 0, "matching_s": 0.0, "matchings": 0}
     dijkstra, match = cut_oracle.dijkstra, cut_oracle._match_terminals
 
     def timed_dijkstra(*args, **kwargs):
@@ -53,11 +48,10 @@ def worker(checkout: str, n: int) -> None:
         return out
 
     def timed_match(*args, **kwargs):
-        kind = "warm" if (args[2] if len(args) > 2 else kwargs.get("warm")) else "cold"
         t = time.process_time()
         out = match(*args, **kwargs)
-        stats[f"{kind}_s"] += time.process_time() - t
-        stats[kind] += 1
+        stats["matching_s"] += time.process_time() - t
+        stats["matchings"] += 1
         return out
 
     cut_oracle.dijkstra, cut_oracle._match_terminals = timed_dijkstra, timed_match
@@ -84,7 +78,7 @@ def main() -> int:
     env = {**os.environ, **{v: "1" for v in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
                                              "MKL_NUM_THREADS")}}
     print(f"{'grid':>9} {'cpu_s':>7} {'bound':>14} {'batches':>7} {'dijkstra_s':>10} "
-          f"{'sources':>8} {'cold_s':>7} {'cold':>5} {'warm_s':>7} {'warm':>5} {'peak_rss_mb':>11}")
+          f"{'sources':>8} {'matching_s':>10} {'matchings':>9} {'peak_rss_mb':>11}")
     for n in args.sizes:
         out = subprocess.run([sys.executable, __file__, args.checkout, "--worker", str(n)],
                              env=env, capture_output=True, text=True)
@@ -93,8 +87,8 @@ def main() -> int:
             return 2
         r = json.loads(out.stdout.splitlines()[-1])
         print(f"{f'{n}x{n}':>9} {r['cpu_s']:7.2f} {r['bound']:14.10g} {r['batches']:7d} "
-              f"{r['dijkstra_s']:10.2f} {r['sources']:8d} {r['cold_s']:7.2f} {r['cold']:5d} "
-              f"{r['warm_s']:7.2f} {r['warm']:5d} {r['peak_rss_mb']:11.0f}")
+              f"{r['dijkstra_s']:10.2f} {r['sources']:8d} {r['matching_s']:10.2f} "
+              f"{r['matchings']:9d} {r['peak_rss_mb']:11.0f}")
     return 0
 
 

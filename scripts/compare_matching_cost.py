@@ -86,7 +86,8 @@ def record_inputs(checkout: str, seed: int, workloads, instances) -> list[tuple[
 
     def hook(dist, *args, **kwargs):
         # older libraries pass the matrix alone and match over all pairs;
-        # newer ones also pass the call's warm start, which is passed on
+        # any argument after the mask, such as some checkouts' warm start,
+        # is passed on
         mask = args[0] if args else kwargs.get("mask", ~np.eye(len(dist), dtype=bool))
         recorded.append((name, np.array(dist), np.array(mask)))
         return match(dist, *args, **kwargs)

@@ -34,10 +34,9 @@ metric and the matching is optimal.  A matched pair that no row found
 (no perfect matching over the found pairs) first has its ends searched
 without a limit.  Otherwise the call repairs the certificate: it searches
 again from the ends of each violating pair only, to the row's largest
-violating price, and matches again.  Each matching of a call after the
-first resumes from the last one's duals and blossoms (`matching.WarmStart`)
-and returns it unchanged when no new pair is shorter than its price, so a
-finer search, which needs more repairs, pays less for each.  After
+violating price, and solves the matching again only when a newly found
+pair is shorter than its price: every other new pair keeps the dual
+feasible, so the last mates and potentials stay optimal.  After
 REPAIR_ROUNDS rounds the rest is searched without a limit.
 Each matched pair i < j is walked on row i, extended first if it fell
 short.  The call keeps the T x T terminal distances, not T x F.
@@ -70,7 +69,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
 
 from .graph import PlanarGraph, finite_weights, partition_from_cut
-from .matching import WarmStart, match_dense
+from .matching import match_dense
 
 
 class OracleError(RuntimeError):
@@ -189,10 +188,9 @@ def _least_in_table(dist: np.ndarray) -> list[tuple[int, int]]:
     return [divmod(k, t) for k in table[:, col].tolist()]
 
 
-def _match_terminals(dist: np.ndarray, mask: np.ndarray, warm: WarmStart | None = None):
+def _match_terminals(dist: np.ndarray, mask: np.ndarray):
     """Min-weight perfect matching of the terminals over the pairs in `mask`
     (its diagonal is ignored): (pairs of terminal indices, potentials).
-    `warm` carries the solver's state from one call to the next.
 
     On the unlimited small path (fewer than SMALL_T terminals: every pair
     known, potentials unused) up to TABLE_T terminals are matched by
@@ -204,7 +202,7 @@ def _match_terminals(dist: np.ndarray, mask: np.ndarray, warm: WarmStart | None 
     t = dist.shape[0]
     if t < SMALL_T and t <= TABLE_T:
         return _least_in_table(dist), None
-    mate, pi = match_dense(dist, mask, warm)
+    mate, pi = match_dense(dist, mask)
     return [(v, int(mate[v])) for v in range(t) if v < mate[v]], pi
 
 
@@ -253,21 +251,28 @@ def _search_and_match(info: _DualInfo, gmin: np.ndarray, terminals: np.ndarray):
         return _match_terminals(d_t, np.ones((t, t), dtype=bool))[0], pred
     radii, rows = _first_radii(info, gmin, terminals), np.arange(t)
     d_t, lim, pred = np.empty((t, t)), np.empty(t), np.empty((t, info.face_count), dtype=np.int32)
-    warm = WarmStart()
+    solved = None  # the pairs the last matching is optimal over; None solves again
     for repairs in itertools.count():
         _search(info, terminals, rows, radii, d_t, pred, lim)
         own = d_t < np.inf  # row i reached terminal j within lim_i
         found = own | own.T
         d_in = np.where(own, d_t, d_t.T)
-        d_in[~found] = 0
-        pairs, pi = _match_terminals(d_in.astype(np.int64), found, warm)
-        # the potentials are exact half-integers below 2**51
-        exact = np.abs(pi).max() < 2**51
+        if solved is not None:
+            # the solver leaves w_ij >= pi_i + pi_j - z_ij with z >= 0, so new
+            # pairs no shorter than their price keep its dual feasible
+            i, j = np.nonzero(found & ~solved)
+            solved = None if (d_in[i, j] < pi[i] + pi[j]).any() else found
+        if solved is None:
+            d_in[~found] = 0
+            pairs, pi = _match_terminals(d_in.astype(np.int64), found)
+            # the potentials are exact half-integers below 2**51
+            exact = np.abs(pi).max() < 2**51
+            solved = found if exact else None
         if found.all():
             break
         unfound = [k for i, j in pairs if not found[i, j] for k in (i, j)]
         if unfound:  # sentinel-sized potentials: find the mates, then match again
-            rows, radii = np.array(unfound), np.full(t, np.inf)
+            rows, radii, solved = np.array(unfound), np.full(t, np.inf), None
             continue
         # a pair that no row found is longer than max(lim_i, lim_j), so a
         # price pi_i + pi_j at most that keeps the dual feasible for it

@@ -68,6 +68,8 @@ def decode_recursive(
     """
     theta = finite_weights(theta)
     lam = np.array(lam, dtype=float, copy=True)
+    if theta.shape != (graph.edge_count,) or lam.shape != theta.shape:
+        raise ValueError("theta and lambda must have one entry per edge")
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence([seed, restart])))
     must_cut = np.flatnonzero(theta - lam < 0.0)
     order = rng.permutation(must_cut)
@@ -110,6 +112,8 @@ def decode_rounding(
     if not (0.0 < threshold < 1.0):
         raise ValueError("threshold must lie strictly between 0 and 1")
     m = graph.edge_count
+    if theta.shape != (m,):
+        raise ValueError("theta must have one entry per edge")
     if not len(pool) or not (theta < 0).any():
         # no cuts or nothing to cut: alpha = 0 is optimal
         z = np.zeros(m)

@@ -225,6 +225,8 @@ def partition_from_cut(graph: PlanarGraph, x: np.ndarray) -> np.ndarray:
     rank of that id is already the first-occurrence label.
     """
     keep = ~np.asarray(x, dtype=bool)
+    if keep.shape != (graph.edge_count,):
+        raise ValueError("cut vector must have one entry per edge")
     u, v = graph.tail[keep], graph.head[keep]
     root = np.arange(graph.vertex_count)
     while True:

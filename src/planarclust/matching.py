@@ -28,14 +28,14 @@ when a dual update takes a T-blossom's dual to zero: that blossom is
 expanded and the next stage grows a new forest, where the classic algorithm
 relabels the forest in place.  So the classic O(V^3) bound per stage no
 longer holds; between two positive dual updates a stage may restart once
-per blossom.  Restarts are rare on the cut oracle's matrices (README.md
+per blossom.  Restarts are few on the cut oracle's matrices (README.md
 gives counts).
 
-`match_dense(weights, mask, warm=None)` is the one entry to the solver: a
-symmetric weight matrix plus a boolean mask of real edges in, the mate
-array and the final vertex potentials out.  The matrix holds integers,
-which the cut oracle scales its weights to, and the solver works in exact
-int64 arithmetic.  Negation, doubling and the sentinel are applied inside
+`match_dense(weights, mask)` is the one entry to the solver: a symmetric
+weight matrix plus a boolean mask of real edges in, the mate array and
+the final vertex potentials out.  The matrix holds integers, which the
+cut oracle scales its weights to, and the solver works in exact int64
+arithmetic.  Negation, doubling and the sentinel are applied inside
 the solver, so callers pass plain minimum-weight costs.
 
 The potentials are the vertex part of the solver's final LP dual, in the
@@ -47,26 +47,9 @@ z_ij = 0.  So when the result uses real edges only and every pair the
 mask left out weighs at least pi_i + pi_j, the dual stays feasible with
 those pairs added, and the matching is optimal over all pairs.  The cut
 oracle prices the terminal pairs its bounded search did not reach this
-way.  The potentials are half-integers, exact while |y| < 2**53.
-
-A `WarmStart` passed to `match_dense` keeps the solver's mates, duals and
-blossoms for the next call on the same vertices, as Blossom V does between
-solves (Kolmogorov 2009).  The cut oracle solves again after its search
-finds more pairs, so a call resumes only when its mask holds the last
-one's and no entry under the last mask changed; any other call solves
-cold.  Of each new pair whose slack, blossom duals included, is negative,
-one end is freed, ends of more such pairs first: its blossoms open, each
-one's dual moving to its leaves, it and its mate are unmatched and its
-dual rises until its least slack is zero.  Each free vertex then gets an
-even dual: the leaves of its top-level blossom, which share its parity, go
-up by one and the blossom dual down by one, or a zero-dual blossom opens.
-The stages run from there, so a resume that frees nothing returns the last
-mates and potentials; otherwise it may pick another co-optimal matching
-than a cold solve.  A solve is kept only when its matched pairs and
-blossom cycle edges are real: a matching through the sentinel leaves
-sentinel-sized duals, from which a resume took twice as long as a cold
-solve, and the sentinel grows with the largest weight, which loosens any
-tight edge through it.
+way, and keeps a matching when the pairs a repair search adds all weigh
+at least pi_i + pi_j.  The potentials are half-integers, exact while
+|y| < 2**53.
 
 The implementation keeps a dense weight matrix and performs the hot
 per-vertex scans as vectorized numpy operations; blossom bookkeeping stays
@@ -93,25 +76,7 @@ class MatchingError(ValueError):
     pass
 
 
-class WarmStart:
-    """What one `match_dense` call leaves for the next on the same vertices.
-
-    `bool(warm)` is True while it holds a solve to resume from: not when
-    new, and not after a solve whose matched pairs or blossom cycle edges
-    leave its mask.  Callers only pass it along."""
-
-    __slots__ = ("_solver",)
-
-    def __init__(self):
-        self._solver = None
-
-    def __bool__(self):
-        return self._solver is not None
-
-
-def match_dense(
-    weights: np.ndarray, mask: np.ndarray, warm: WarmStart | None = None
-) -> tuple[np.ndarray, np.ndarray]:
+def match_dense(weights: np.ndarray, mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Minimum-weight maximum-cardinality matching on a dense matrix.
 
     `weights` is a symmetric n x n integer matrix with n even, read only
@@ -122,30 +87,8 @@ def match_dense(
     among those the least weight.  pi is the float64 vertex potential
     array described in the module docstring.  An odd n or a matrix that is
     not integer raises MatchingError.
-
-    When `warm` holds a solve on as many vertices, whose mask this `mask`
-    contains and whose weights under its mask are unchanged, the solver
-    resumes from that solve's mates, duals and blossoms (module docstring);
-    otherwise it solves cold.  `warm` then holds this solve, if its matched
-    pairs and blossom cycle edges are real.
     """
-    solver = None
-    if warm is not None:  # emptied first: a solve that raises leaves no state
-        solver, warm._solver = warm._solver, None
-    if solver is not None and solver.n == len(weights):
-        mate, pi = solver.resume(weights, mask)
-    else:
-        solver = _DenseBlossom(weights, mask)
-        mate, pi = solver.solve()
-    if warm is not None:
-        # a matching through the sentinel leaves duals of its size, and a
-        # sentinel that grows loosens any tight edge through it: keep the
-        # solve only when every matched pair and blossom cycle edge is real
-        real = (solver.W2[np.arange(solver.n), mate] != solver.missing).all()
-        cycles = (e for b in solver.active_blossoms for e in solver.cycedges[b])
-        real = real and all(solver.W2[e] != solver.missing for e in cycles)
-        warm._solver = solver if real else None
-    return mate.copy(), pi
+    return _DenseBlossom(weights, mask).solve()
 
 
 class _DenseBlossom:
@@ -163,42 +106,25 @@ class _DenseBlossom:
         self.n = n = np.shape(weights)[0]
         if n % 2:
             raise MatchingError(f"vertex count {n} is odd")
-        self._set_weights(weights, mask)
-
-    def _set_weights(self, weights, mask):
         weights = np.asarray(weights)
         if not np.issubdtype(weights.dtype, np.integer):
             raise MatchingError(f"weights must be integers, not {weights.dtype}")
-        real = np.asarray(mask, dtype=bool) & ~np.eye(self.n, dtype=bool)
+        real = np.asarray(mask, dtype=bool) & ~np.eye(n, dtype=bool)
         # 0 off the mask, so plain reductions give max|w|
         self.W2 = np.where(real, weights, 0).astype(np.int64, copy=False)
         maxabs = max(int(self.W2.max(initial=0)), -int(self.W2.min(initial=0)))
         # one missing edge must outweigh any difference in real weight, so
         # the sentinel is derived from the weights, never a fixed constant
-        nonedge = -(1 + 2 * self.n * maxabs)
+        nonedge = -(1 + 2 * n * maxabs)
         if -16 * nonedge >= self.INF:
             # duals and slacks stay within a few multiples of |nonedge|
             raise MatchingError(f"weights up to {maxabs} leave no head-room for the sentinel")
         # W2 holds negated (the solver maximizes), doubled weights so slacks
         # stay integral.
-        self.missing = 2 * nonedge
         self.W2 *= -2
-        self.W2[~real] = self.missing
+        self.W2[~real] = 2 * nonedge
 
     # -- solver state ---------------------------------------------------
-
-    def _init_state(self):
-        n = self.n
-        self.y = np.zeros(2 * n, dtype=np.int64)
-        self.mate = np.full(n, -1, dtype=np.int64)
-        self.inblossom = np.arange(n, dtype=np.int64)
-        self.parent = np.full(2 * n, -1, dtype=np.int64)
-        self.base = np.full(2 * n, -1, dtype=np.int64)
-        self.base[:n] = np.arange(n)
-        self.childs: list = [None] * (2 * n)
-        self.cycedges: list = [None] * (2 * n)
-        self.active_blossoms: set[int] = set()
-        self._greedy_start()
 
     def _greedy_start(self):
         """Dual-feasible duals and a greedy matching on tight edges, as the
@@ -416,87 +342,6 @@ class _DenseBlossom:
                 self.mate[near] = far
                 s, p = far, near
 
-    # -- warm resume ------------------------------------------------------
-
-    def resume(self, weights: np.ndarray, mask: np.ndarray):
-        """Solve for new weights and mask, starting from the last solve when
-        the mask only grew and no entry under the last mask changed; any
-        other change solves cold."""
-        old, old_missing = self.W2, self.missing
-        self._set_weights(weights, mask)
-        was = old != old_missing
-        changed = (old[was] != self.W2[was]).any()  # or left the mask
-        del old  # the old weights go before the stages run
-        if changed:
-            return self.solve()
-        self._free_cover(*np.nonzero(np.triu(self.W2 != self.missing, 1) & ~was))
-        self._even_free_duals()
-        return self._run()
-
-    def _unmatch(self, v: int):
-        m = self.mate[v]
-        if m >= 0:
-            self.mate[v] = self.mate[m] = -1
-
-    def _open(self, b: int):
-        """Dissolve top-level blossom b between stages.  Its dual moves to
-        its leaves, which leaves every slack inside it unchanged and raises
-        every slack leaving it, so the base's matched edge is unmatched."""
-        if self.y[b] != 0:
-            self.y[self._leaves(b)] += self.y[b]
-            self.y[b] = 0
-            self._unmatch(int(self.base[b]))
-        self._expand_blossom(b)
-
-    def _free_cover(self, i: np.ndarray, j: np.ndarray):
-        """Free one end of every pair (i, j) whose slack, blossom duals
-        included, is negative, and raise its dual to feasibility.  Ends of
-        more such pairs go first, and among those ends in no blossom."""
-        slack = self.y[i] + self.y[j] - np.maximum(self.W2[i, j], self.W2[j, i])
-        # blossom duals are nonnegative, so only these pairs can stay negative
-        low = slack < 0
-        i, j, slack = i[low], j[low], slack[low]
-        inside = np.flatnonzero(self.inblossom[i] == self.inblossom[j])
-        if inside.size:
-            ii, jj = i[inside], j[inside]
-            tops = set(self.inblossom[ii].tolist())
-            member = np.zeros(self.n, dtype=bool)
-            for b in self.active_blossoms:
-                if self.y[b] != 0 and self.inblossom[self.base[b]] in tops:
-                    member[:] = False
-                    member[self._leaves(b)] = True
-                    slack[inside] += 2 * self.y[b] * (member[ii] & member[jj])
-        bad = slack < 0
-        i, j = i[bad], j[bad]
-        ends, counts = np.unique(np.r_[i, j], return_counts=True)
-        freed = np.zeros(self.n, dtype=bool)
-        for v in ends[np.lexsort((self.inblossom[ends] != ends, -counts))].tolist():
-            if freed[np.r_[j[i == v], i[j == v]]].all():
-                continue
-            while self.inblossom[v] != v:
-                self._open(int(self.inblossom[v]))
-            self._unmatch(v)
-            row = self.y[v] + self.y[: self.n] - np.maximum(self.W2[v], self.W2[:, v])
-            row[v] = self.INF
-            self.y[v] -= min(row.min(), 0)
-            freed[v] = True
-
-    def _even_free_duals(self):
-        """Give every free vertex an even dual, so the stages' S-S slacks
-        stay even (module docstring), by raising it.  A free vertex is the
-        base of its top-level blossom, whose leaves share its parity."""
-        for v in np.flatnonzero(self.mate < 0).tolist():
-            while self.y[v] % 2:
-                b = int(self.inblossom[v])
-                if b == v:
-                    self.y[v] += 1
-                elif self.y[b] > 0:
-                    # leaves up, blossom dual down: no slack inside b moves
-                    self.y[self._leaves(b)] += 1
-                    self.y[b] -= 1
-                else:
-                    self._expand_blossom(b)
-
     # -- stage ------------------------------------------------------------
 
     def _use_edge(self, v: int, w: int) -> bool:
@@ -561,12 +406,19 @@ class _DenseBlossom:
         return delta, edge, blossom
 
     def solve(self):
-        self._init_state()
-        return self._run()
-
-    def _run(self):
-        """Primal-dual stages until every vertex is matched."""
+        """The greedy start, then primal-dual stages until every vertex is
+        matched: (mate, pi) as `match_dense` returns them."""
         n = self.n
+        self.y = np.zeros(2 * n, dtype=np.int64)
+        self.mate = np.full(n, -1, dtype=np.int64)
+        self.inblossom = np.arange(n, dtype=np.int64)
+        self.parent = np.full(2 * n, -1, dtype=np.int64)
+        self.base = np.full(2 * n, -1, dtype=np.int64)
+        self.base[:n] = np.arange(n)
+        self.childs: list = [None] * (2 * n)
+        self.cycedges: list = [None] * (2 * n)
+        self.active_blossoms: set[int] = set()
+        self._greedy_start()
         while True:
             # new stage
             free = (self.mate < 0).nonzero()[0].tolist()

@@ -127,3 +127,29 @@ def test_non_finite_weights_raise(entry, bad):
     theta[1] = bad
     with pytest.raises(ValueError, match="finite"):
         call(theta)
+
+
+@pytest.mark.parametrize("shape", ["short", "long", "column"])
+@pytest.mark.parametrize(
+    "entry",
+    ["partition_from_cut", "cut_energy", "decode_recursive-theta", "decode_recursive-lam",
+     "decode_rounding"],
+)
+def test_edge_vectors_of_another_shape_raise(entry, shape):
+    # a wrong-length cut used to raise IndexError in partition_from_cut, as
+    # did a 2-D lambda in decode_recursive; a wrong-length theta or lambda
+    # in the decoders raised numpy's broadcasting message
+    inst = planarclust.gen_grid(3, 3, planarclust.GpbLikeWeights(0.27), seed=0)
+    graph, theta = inst.graph, inst.theta
+    br = planarclust.optimize_lower_bound(graph, theta)
+    call = {
+        "partition_from_cut": lambda v: planarclust.graph.partition_from_cut(graph, v < 0),
+        "cut_energy": lambda v: planarclust.graph.cut_energy(graph, theta, v < 0),
+        "decode_recursive-theta": lambda v: planarclust.decode_recursive(graph, v, br.lam),
+        "decode_recursive-lam": lambda v: planarclust.decode_recursive(graph, theta, v),
+        "decode_rounding": lambda v: planarclust.decode_rounding(graph, v, br.pool),
+    }[entry]
+    call(theta)
+    bad = {"short": theta[:-1], "long": np.r_[theta, theta[:1]], "column": theta[:, None]}[shape]
+    with pytest.raises(ValueError, match="one entry per edge"):
+        call(bad)

@@ -346,33 +346,26 @@ def test_grouped_search_matches_unlimited_search(inst, factor):
 
 
 @pytest.mark.parametrize("factor", [1.0, np.pi])
-@pytest.mark.parametrize("n, seed, augmenting", [(7, 136, 1), (9, 82, 2)])
-def test_repair_searches_only_the_violating_rows(searches, monkeypatch, n, seed, augmenting, factor):
+@pytest.mark.parametrize("n, seed, matchings", [(7, 136, 1), (9, 82, 2)])
+def test_repair_searches_only_the_violating_rows(searches, monkeypatch, n, seed, matchings, factor):
     # the first radii leave out pairs that the matching's potentials price
     # above them; the repair searches only those pairs' rows, to their
-    # prices, and the second matching resumes from the first.  It augments
-    # only when a new pair breaks the dual (on 9/82, not on 7/136).
-    def record(name, event):
-        method = getattr(_DenseBlossom, name)
+    # prices.  The matching is solved again, from scratch, only when a new
+    # pair is shorter than its price (on 9/82); on 7/136 every new pair
+    # keeps the dual feasible, and the first matching stands.
+    solve = _DenseBlossom.solve
 
-        def recording(*args):
-            searches.append(event)
-            return method(*args)
+    def recording_solve(self):
+        searches.append("solve")
+        return solve(self)
 
-        monkeypatch.setattr(_DenseBlossom, name, recording)
-
-    record("solve", "cold")
-    record("_augment_matching", "augment")
+    monkeypatch.setattr(_DenseBlossom, "solve", recording_solve)
     inst = gen_random_planar(n, seed)
     theta = inst.theta * factor
     _, val = min_cut_2color(inst.graph, theta)
     (first, first_limit), (repair, repair_limit) = [c for c in searches if isinstance(c, tuple)]
     assert repair < first and first_limit < repair_limit < np.inf
-    events = [c for c in searches if isinstance(c, str)]
-    starts = [k for k, e in enumerate(events) if e == "match"]
-    matchings = [events[a + 1 : b] for a, b in zip(starts, starts[1:] + [len(events)])]
-    assert len(matchings) == 2 and matchings[0][0] == "cold" and "cold" not in matchings[1]
-    assert sum("augment" in m for m in matchings) == augmenting
+    assert [c for c in searches if isinstance(c, str)] == ["match", "solve"] * matchings
     assert val == pytest.approx(brute_cc2(inst.graph, theta)[1], abs=1e-9)
 
 
@@ -402,32 +395,18 @@ def test_unfound_mates_are_searched_before_pricing(searches):
 
 
 @pytest.mark.parametrize("factor", [1.0, np.pi])
-def test_grouped_search_with_warm_repairs(monkeypatch, factor):
+def test_grouped_search_with_repairs(searches, monkeypatch, factor):
     # two terminals per group and first radii of one nearest-terminal
-    # distance: four first groups, then two repairs whose matchings resume
-    # from the solver's state instead of solving again from scratch
-    events = []
-    match = cut_oracle._match_terminals
-
-    def counting_dijkstra(*args, **kwargs):
-        if not kwargs.get("min_only"):
-            events.append("search")
-        return dijkstra(*args, **kwargs)
-
-    def counting_match(dist, mask, warm=None):
-        events.append("warm" if warm else "cold")
-        return match(dist, mask, warm)
-
-    monkeypatch.setattr(cut_oracle, "dijkstra", counting_dijkstra)
-    monkeypatch.setattr(cut_oracle, "_match_terminals", counting_match)
-    monkeypatch.setattr(cut_oracle, "SMALL_T", 0)
+    # distance: four first groups, a matching, then a repair of three
+    # groups whose new pairs undercut the first matching's dual, so it is
+    # solved again
     monkeypatch.setattr(cut_oracle, "ROWS_PER_GROUP", 2)
     monkeypatch.setattr(cut_oracle, "LIMIT_FACTOR", 1.0)
     inst = gen_random_planar(11, 241)
     theta = inst.theta * factor
     cut, val = min_cut_2color(inst.graph, theta)
-    assert events.index("cold") >= 3
-    assert [e for e in events if e != "search"] == ["cold", "warm", "warm"]
+    events = ["search" if isinstance(c, tuple) else c for c in searches]
+    assert events == ["search"] * 4 + ["match"] + ["search"] * 3 + ["match"]
     assert val == pytest.approx(brute_cc2(inst.graph, theta)[1], abs=1e-9)
     ref_cut, ref_val = oracle_results(inst.graph, theta, np.inf)[0]
     assert val == ref_val and np.array_equal(cut, ref_cut)

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from scipy.sparse.csgraph import shortest_path
 
 from planarclust.cut_oracle import scale_to_int
-from planarclust.matching import MatchingError, WarmStart, _DenseBlossom, match_dense
+from planarclust.matching import MatchingError, _DenseBlossom, match_dense
 
 from conftest import brute_force_min_perfect
 from gadget import MatchingProblem, NoPerfectMatching, OddVertexCount, min_weight_perfect_matching
@@ -254,17 +254,10 @@ def test_match_dense_rejects_odd_size(n, dtype):
 
 @pytest.mark.parametrize("dtype", [np.float64, bool])
 def test_match_dense_rejects_non_integer_weights(dtype):
-    # the cut oracle scales its weights to int64 first; a warm start that
-    # meets other weights is emptied, as after any solve that raises
-    w = symmetric(4, np.arange(1, 7), np.int64)
-    mask = ~np.eye(4, dtype=bool)
-    warm = WarmStart()
-    match_dense(w, mask, warm)
+    # the cut oracle scales its weights to int64 first
+    w = symmetric(4, np.arange(1, 7), dtype)
     with pytest.raises(MatchingError, match="integer"):
-        match_dense(w.astype(dtype), mask, warm)
-    assert not warm
-    with pytest.raises(MatchingError, match="integer"):
-        match_dense(w.astype(dtype), mask)
+        match_dense(w, ~np.eye(4, dtype=bool))
 
 
 def test_sentinel_head_room():
@@ -514,114 +507,3 @@ def test_deeply_nested_blossoms_need_no_deep_stack():
     assert sum(int(w[v, mate[v]]) for v in range(n) if v < mate[v]) == optimum
     assert np.array_equal(match_with_dual_check(w, mask), mate)
 
-
-# -- warm resume ----------------------------------------------------------
-
-
-def dense_cost(w, mask, mate):
-    """(pairs outside `mask`, summed weight of the others) of a result."""
-    v = np.flatnonzero(np.arange(w.shape[0]) < mate)
-    real = mask[v, mate[v]]
-    return int((~real).sum()), w[v[real], mate[v[real]]].sum()
-
-
-def resume_and_check(w, mask, warm):
-    """Solve (w, mask) from `warm`; check the result against a cold solve
-    and, when it resumed, its potentials' certificate.  Returns the number
-    of pairs outside `mask` that it matched."""
-    solver = warm._solver  # solved in place, resumed or cold, or None
-    mate, pi = match_dense(w, mask, warm)
-    assert sorted(mate[mate]) == list(range(w.shape[0]))
-    got = dense_cost(w, mask, mate)
-    assert got == dense_cost(w, mask, match_dense(w, mask)[0])
-    assert bool(warm) == (got[0] == 0)
-    if solver is not None:
-        check_certificate(w, mask, mate, pi, solver)
-    return got[0]
-
-
-@given(st.integers(0, 2**32 - 1))
-def test_warm_resume_equals_cold_solve(seed):
-    # the cut oracle's use: solve over the pairs up to a limit, then resume
-    # as the limit grows; some entries change too, which makes the resume
-    # start cold, and the first mask may hold no perfect matching
-    rng = np.random.default_rng(seed)
-    t = 2 * int(rng.integers(2, 21))
-    w = euclidean_metric(rng, t)
-    off = ~np.eye(t, dtype=bool)
-    q = rng.uniform(0.02, 0.5)
-    mask = off & (w <= np.quantile(w[off], q))
-    warm = WarmStart()
-    assert not warm
-    mate, _ = match_dense(w, mask, warm)
-    assert bool(warm) == mask[np.arange(t), mate].all()
-    for _ in range(int(rng.integers(1, 4))):
-        q = rng.uniform(q, 1.0)
-        mask = mask | (off & (w <= np.quantile(w[off], q)))
-        w = w.copy()
-        for i, j in rng.integers(0, t, (int(rng.integers(0, 4)), 2)):
-            if i != j:
-                w[i, j] = w[j, i] = w[i, j] + int(rng.integers(-40, 41))
-        resume_and_check(w, mask, warm)
-
-
-@pytest.mark.parametrize("dtype", [np.int64])
-def test_warm_start_after_no_perfect_matching(dtype):
-    # vertex 0 has no real pair at first, so the result matches it along a
-    # sentinel pair; its duals are of the sentinel's size, and the next
-    # solve over the grown mask starts cold
-    rng = np.random.default_rng(41)
-    for _ in range(30):
-        t = 2 * int(rng.integers(3, 16))
-        w = euclidean_metric(rng, t).astype(dtype)
-        off = ~np.eye(t, dtype=bool)
-        mask = off & (w <= np.quantile(w[off], 0.4))
-        mask[0] = mask[:, 0] = False
-        warm = WarmStart()
-        mate, _ = match_dense(w, mask, warm)
-        assert not mask[0, mate[0]] and not warm
-        mate, pi = match_dense(w, off, warm)
-        assert warm and dense_cost(w, off, mate) == dense_cost(w, off, match_dense(w, off)[0])
-        check_certificate(w, off, mate, pi, warm._solver)
-
-
-@pytest.mark.parametrize("dtype", [np.int64])
-@pytest.mark.parametrize("change", [5, -3, "drop", None])
-def test_warm_resume_starts_cold_unless_the_mask_only_grew(monkeypatch, dtype, change):
-    # the pair (a_1, b_1) = (0, 1) is a cycle edge of the innermost of k
-    # nested blossoms: a new weight on it, or a mask without it, makes the
-    # resume solve cold in place; an unchanged problem resumes
-    k = 6
-    w, mask, _ = nested_blossom_chains(k)
-    w = w.astype(dtype)
-    warm = WarmStart()
-    match_dense(w, mask, warm)
-    solver, solves = warm._solver, []
-    solve = _DenseBlossom.solve
-
-    def counting_solve(self):
-        solves.append(self is solver)
-        return solve(self)
-
-    monkeypatch.setattr(_DenseBlossom, "solve", counting_solve)
-    if change == "drop":
-        mask[0, 1] = mask[1, 0] = False
-    elif change is not None:
-        w[0, 1] = w[1, 0] = change
-    assert resume_and_check(w, mask, warm) == 0
-    # the resume's own cold solve, if any, then resume_and_check's reference
-    assert solves == ([False] if change is None else [True, False])
-
-
-def test_failed_solve_empties_warm_start():
-    # weights without head-room for the sentinel raise; the warm start must
-    # not keep a state half moved to them
-    w = symmetric(4, np.arange(1, 7), np.int64)
-    mask = ~np.eye(4, dtype=bool)
-    warm = WarmStart()
-    match_dense(w, mask, warm)
-    assert warm
-    w[0, 1] = w[1, 0] = 2**60
-    with pytest.raises(MatchingError):
-        match_dense(w, mask, warm)
-    assert not warm
