@@ -87,7 +87,7 @@ def main() -> int:
             return 2
         r = json.loads(out.stdout.splitlines()[-1])
         print(f"{f'{n}x{n}':>9} {r['cpu_s']:7.2f} {r['bound']:14.10g} {r['batches']:7d} "
-              f"{r['dijkstra_s']:10.2f} {r['sources']:8d} {r['matching_s']:10.2f} "
+              f"{r['dijkstra_s']:10.4f} {r['sources']:8d} {r['matching_s']:10.4f} "
               f"{r['matchings']:9d} {r['peak_rss_mb']:11.0f}")
     return 0
 

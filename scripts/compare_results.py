@@ -9,7 +9,10 @@ the benchmark workloads (perfbench/workloads.py):
 * `planar-desk` seed 0, full bound loop;
 * `grid-gpb` seed 0, full bound loop;
 * `planar-desk` seed 2 with `max_batches=1`, so most runs are cut short;
-* `decode-recursive` seed 0, bound plus one recursive pass, as benchmarked.
+* `decode-recursive` seed 0, bound plus one recursive pass, as benchmarked;
+* the same with every weight times pi/3, whose lambdas lie off the
+  decimal grid, so the oracle solves them rounded up onto its
+  power-of-two grid (`cut_oracle._prepare_weights`).
 
 Per instance it hashes (SHA-256) the bound, lambda, batch and oracle-call
 counts, the convergence flag and the cut pool, then the result (labels,
@@ -36,16 +39,18 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import subprocess
 import sys
 import tempfile
 
-# (label, workload, seed, max_batches, recursive pass)
+# (label, workload, seed, max_batches, weight factor)
 SETS = (
-    ("planar-desk/s0", "planar-desk", 0, 1000, True),
-    ("grid-gpb/s0", "grid-gpb", 0, 1000, True),
-    ("planar-desk/s2/max_batches=1", "planar-desk", 2, 1, True),
-    ("decode-recursive/s0", "decode-recursive", 0, 1000, True),
+    ("planar-desk/s0", "planar-desk", 0, 1000, 1.0),
+    ("grid-gpb/s0", "grid-gpb", 0, 1000, 1.0),
+    ("planar-desk/s2/max_batches=1", "planar-desk", 2, 1, 1.0),
+    ("decode-recursive/s0", "decode-recursive", 0, 1000, 1.0),
+    ("decode-recursive/s0 x pi/3", "decode-recursive", 0, 1000, math.pi / 3),
 )
 
 
@@ -59,13 +64,13 @@ def _decode_record(h, res) -> list:
     return [res.energy, bool(res.certificate)]
 
 
-def _instance_record(pc, decode, W, wl, spec, seed, max_batches, recursive) -> dict:
+def _instance_record(pc, decode, W, wl, spec, seed, max_batches, factor) -> dict:
     """Digest, bound, counts and [energy, certificate] of each decode, by name."""
     h = hashlib.sha256()
     rec = {"bound": None, "batches": 0, "oracle_calls": 0, "decodes": {}}
     try:
         inst = W.make_instance(spec)
-        g, theta = inst.graph, inst.theta
+        g, theta = inst.graph, inst.theta * factor
         br = pc.optimize_lower_bound(g, theta, tol=W.TOL, max_batches=max_batches)
         rec.update(bound=br.bound, batches=br.batches, oracle_calls=br.oracle_calls)
         h.update(f"{br.bound!r} {br.batches} {br.oracle_calls} {br.converged};".encode())
@@ -77,9 +82,8 @@ def _instance_record(pc, decode, W, wl, spec, seed, max_batches, recursive) -> d
             decodes["best_decode"] = _decode_record(h, res)
             res = decode.decode_rounding(g, theta, br.pool, bound=br.bound)
             decodes["rounding"] = _decode_record(h, res)
-        if recursive:
-            res = decode.decode_recursive(g, theta, br.lam, seed=seed, bound=br.bound)
-            decodes["recursive"] = _decode_record(h, res)
+        res = decode.decode_recursive(g, theta, br.lam, seed=seed, bound=br.bound)
+        decodes["recursive"] = _decode_record(h, res)
     except Exception as exc:  # both checkouts must fail alike
         h.update(f"{type(exc).__name__}: {exc}".encode())
         rec["error"] = f"{type(exc).__name__}: {exc}"
@@ -95,10 +99,10 @@ def worker(checkout: str) -> None:
     import workloads as W
     from planarclust import decode
 
-    for label, name, seed, max_batches, recursive in SETS:
+    for label, name, seed, max_batches, factor in SETS:
         wl = W.WORKLOADS[name]
         records = [
-            _instance_record(pc, decode, W, wl, spec, seed, max_batches, recursive)
+            _instance_record(pc, decode, W, wl, spec, seed, max_batches, factor)
             for spec in W.instance_specs(wl, seed)
         ]
         print(json.dumps({"set": label, "records": records}), flush=True)

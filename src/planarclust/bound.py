@@ -22,13 +22,13 @@ subproblem's optimum is at least 1.5x the oracle's 2-coloring optimum
 
     sum_e min(theta_e - lambda_e, 0) + 1.5 * min(0, oracle value)
 
-is certified (`certified_bound`) for the lambda that the oracle solves:
+is certified (`certified_bound`) for the lambda as the oracle solves it:
 rounded up onto its grid unless a short decimal, which loses at most the
 edge count times the grid step and keeps every pooled cut nonnegative
 (`cut_oracle._prepare_weights`).  Every exit returns such a certificate
-and its lambda: at convergence the last one, on a stall or
-iteration-limit exit the best seen.  So `tol` only decides when the loop
-stops.
+with its lambda unrounded, inside its box: at convergence the LP's last
+one, on a stall or iteration-limit exit the best seen.  So `tol` only
+decides when the loop stops.
 
 Each batch only adds rows to the pool-restricted LP, so one run keeps one
 `lp.LpModel` of it, appends each batch's rows and re-solves from the
@@ -87,10 +87,8 @@ class BoundResult:
     converged: bool
     # the LP the loop solved last, when it converged: the rounding decoder's LP
     final_lp: LpSolution | None = None
-
-    @property
-    def oracle_calls(self) -> int:
-        return self.batches + 1  # one per finished batch, one that ended the loop
+    # `min_cut_2color` calls the loop made; 0 for a bound read from a file
+    oracle_calls: int = 0
 
 
 def lower_bound_value(theta, lam) -> float:
@@ -148,7 +146,7 @@ def optimize_lower_bound(
     alternates LP solves with oracle separation until no cut is violated
     by more than tol.  At convergence the bound is `certified_bound` of
     the last lambda, sum(min(theta - lambda, 0)) when the oracle value is
-    zero.  The result's `lam` is the lambda the oracle solved.
+    zero.  The result's `lam` is the LP's lambda, inside its box.
     """
     if not tol >= 0:  # NaN fails this too
         raise ValueError(f"tol must be a nonnegative number, got {tol!r}")
@@ -160,7 +158,7 @@ def optimize_lower_bound(
     model = LpModel(restricted_lp(theta, pool))
     batches = 0
 
-    # the trivially certified start, lambda = max(0, theta): no cut weighs < 0
+    # the trivially feasible start, lambda = max(0, theta): no cut weighs < 0
     best_bound, best_lam = float(np.minimum(theta, 0.0).sum()), None
 
     while True:
@@ -168,11 +166,11 @@ def optimize_lower_bound(
         if len(pool):
             lp = solve_lp(model.problem, model)
             lam[neg] = lp.x
-        lam = _prepare_weights(lam, graph)[2]
         certified, cut, value = certified_bound(graph, theta, lam)
         if value >= -tol:
             return BoundResult(
-                lam=lam, bound=certified, pool=pool, batches=batches, converged=True, final_lp=lp
+                lam=lam, bound=certified, pool=pool, batches=batches, converged=True,
+                final_lp=lp, oracle_calls=batches + 1,
             )
         if certified > best_bound:
             best_bound = certified
@@ -180,12 +178,15 @@ def optimize_lower_bound(
         new_cuts = [basic for basic in split_into_basic_cuts(graph, cut) if pool.add(basic)]
         if not new_cuts or batches >= max_batches:
             # stalled at solver precision or out of budget: return the best
-            # certified bound seen so far, the start's on the oracle's grid
+            # certified bound seen so far.  The start's plain sum can exceed
+            # its certificate by the edge count times one grid step
+            calls = batches + 1
             if best_lam is None:
-                best_lam = _prepare_weights(np.maximum(theta, 0.0), graph)[2]
-                best_bound = lower_bound_value(theta, best_lam)
+                best_lam, calls = np.maximum(theta, 0.0), calls + 1
+                best_bound = certified_bound(graph, theta, best_lam)[0]
             return BoundResult(
-                lam=best_lam, bound=best_bound, pool=pool, batches=batches, converged=False
+                lam=best_lam, bound=best_bound, pool=pool, batches=batches, converged=False,
+                oracle_calls=calls,
             )
         model.add_rows(*_cut_rows(theta, np.vstack(new_cuts)))
         batches += 1

@@ -37,9 +37,9 @@ again from the ends of each violating pair only, to the row's largest
 violating price, and solves the matching again only when a newly found
 pair is shorter than its price: every other new pair keeps the dual
 feasible, so the last mates and potentials stay optimal.  After
-REPAIR_ROUNDS rounds the rest is searched without a limit.
-Each matched pair i < j is walked on row i, extended first if it fell
-short.  The call keeps the T x T terminal distances, not T x F.
+REPAIR_ROUNDS rounds the rest is searched without a limit.  Each matched
+pair is walked on the row of an end that reached the other: an exactly
+shortest path.  The call keeps the T x T terminal distances, not T x F.
 
 Below SMALL_T terminals every pair is known and no potential is read, so
 up to TABLE_T terminals the matching is not solved but looked up: a
@@ -241,8 +241,8 @@ def _search(info, terminals, rows, radii, d_t, pred, lim):
 
 def _search_and_match(info: _DualInfo, gmin: np.ndarray, terminals: np.ndarray):
     """Min-weight perfect matching of the terminals under shortest-path
-    distances over `info.adj`: (matched pairs, Dijkstra predecessors whose
-    row i reaches the mate j of every matched pair i < j)."""
+    distances over `info.adj`: (matched pairs (i, j), Dijkstra predecessors
+    whose row i reaches j on a shortest path)."""
     t = terminals.size
     if t < SMALL_T:  # no limit, so every pair is found
         dist, pred = dijkstra(info.adj, indices=terminals, return_predecessors=True)
@@ -287,11 +287,8 @@ def _search_and_match(info: _DualInfo, gmin: np.ndarray, terminals: np.ndarray):
         else:
             rows, radii = np.flatnonzero(lim < np.inf), np.full(t, np.inf)
         del price, bad
-    # the path of each matched pair i < j is walked on row i
-    short = np.array([i for i, j in pairs if not own[i, j]], dtype=np.int64)
-    if short.size:
-        _search(info, terminals, short, np.full(t, np.inf), d_t, pred, lim)
-    return pairs, pred
+    # a row that reached the other end holds an exactly shortest path to it
+    return [(i, j) if own[i, j] else (j, i) for i, j in pairs], pred
 
 
 def _solve_even_subgraph(graph: PlanarGraph, w: np.ndarray):
@@ -372,9 +369,9 @@ def _prepare_weights(w, graph: PlanarGraph):
     own result unchanged.  Head-room: path sums 2 sum|int64| + 1 < 2**53,
     even with min_cut_forced's M, and 16 times the matching's sentinel
     over F + 1 terminals below 2**62 (`matching.match_dense`).  The graph's
-    dual data keep the last result: the bound loop asks for the weights
-    solved, then calls the oracle on them.  Raises ValueError unless w is
-    finite with one entry per edge."""
+    dual data keep the last result: `bound.certified_bound` asks for the
+    weights solved, then calls the oracle on them.  Raises ValueError
+    unless w is finite with one entry per edge."""
     w = np.asarray(w, dtype=float)
     if w.shape != (graph.edge_count,):
         raise ValueError("weight vector must have one entry per edge")

@@ -7,7 +7,6 @@ from hypothesis import assume, given, settings, strategies as st
 from planarclust.bound import (
     CutPool, _cut_rows, certified_bound, lower_bound_value, optimize_lower_bound, restricted_lp,
 )
-from planarclust import cut_oracle
 from planarclust.cut_oracle import min_cut_2color, scale_to_int, split_into_basic_cuts
 from planarclust.decode import best_decode
 from planarclust.instances import GpbLikeWeights, gen_grid, gen_random_planar, UniformWeights
@@ -153,17 +152,29 @@ def test_grid_bounds_are_sound(case):
 
 @given(grid_instances, st.sampled_from([0, 1000]))
 def test_grid_bound_is_recomputed_from_its_lambda(case, max_batches):
-    # the result's lambda is the one the oracle solved, on its grid, so
-    # rounding it again changes nothing; a copy of the graph keeps nothing
-    # from the loop's calls.  With no batch the loop often returns its
-    # start, lambda = max(0, theta), rounded up as well
+    # the bound is what the result's lambda certifies as the oracle solves
+    # it, on its grid; a copy of the graph keeps nothing from the loop's
+    # calls.  With no batch the loop often returns its start, lambda =
+    # max(0, theta).  The lambda itself is the LP's, inside its box
     inst, factor = case
     theta = inst.theta * factor
     res = optimize_lower_bound(inst.graph, theta, max_batches=max_batches)
     assume(scale_to_int(res.lam) is None)
     graph = copy.copy(inst.graph)
     assert certified_bound(graph, theta, res.lam)[0] == res.bound
-    assert np.array_equal(cut_oracle._prepare_weights(res.lam, graph)[2], res.lam)
+    slack = 1e-9 * np.maximum(1.0, np.abs(theta))
+    assert np.all(res.lam >= theta - slack) and np.all(res.lam <= np.maximum(theta, 0.0) + slack)
+
+
+@pytest.mark.parametrize("n, seed", [(8, 3), (8, 5), (10, 1)])
+def test_lambda_near_1e19_stays_in_its_box(n, seed):
+    # the oracle's grid step is 256 to 1024 here, so a lambda rounded onto
+    # it would leave the box that the LP's lambda holds to 1e-9
+    inst = gen_random_planar(n, seed)
+    theta = inst.theta * 1e19
+    res = optimize_lower_bound(inst.graph, theta)
+    assert res.converged
+    assert np.all(res.lam >= theta - 1e-9) and np.all(res.lam <= np.maximum(theta, 0.0) + 1e-9)
 
 
 def test_lp_check_scales_with_weights_near_1e19():

@@ -146,8 +146,9 @@ def test_decode_rejects_an_uncertified_bound(tmp_path, capsys, edit):
 @settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(st.integers(3, 10), st.integers(0, 2**32 - 1), st.sampled_from([np.pi, 1e19]))
 def test_decode_accepts_a_bound_whose_lambda_takes_the_grid(tmp_path, capsys, n, seed, factor):
-    # the oracle rounds such lambdas up onto its grid, and the saved lambda
-    # is the rounded one, so decode recomputes the saved bound exactly
+    # the oracle rounds such lambdas up onto its grid; the saved bound is
+    # what the saved lambda certifies as the oracle solves it, so decode
+    # recomputes it exactly
     inst = gen_random_planar(n, seed)
     path, bpath = tmp_path / "r.json", tmp_path / "b.json"
     write_instance(Instance(inst.graph, inst.theta * factor, "grid", {}), path)

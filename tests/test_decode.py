@@ -410,3 +410,15 @@ def test_rounding_resolves_without_a_current_lp(monkeypatch):
     assert len(calls) == 2
     ref = decode_rounding(inst.graph, inst.theta, br.pool)
     assert np.array_equal(res.partition, ref.partition) and res.energy == ref.energy
+
+
+def test_recursive_pass_certifies_on_weights_off_the_decimal_grid():
+    # the oracle solves these lambdas rounded up onto its grid, but the
+    # decoder reads the LP's lambda: no edge with theta >= 0 is must-cut,
+    # and one pass certifies
+    inst = gen_grid(14, 14, GpbLikeWeights(0.27), 0)
+    theta = inst.theta * (np.pi / 3)
+    br = optimize_lower_bound(inst.graph, theta)
+    must_cut = theta - br.lam < 0
+    assert not np.any(must_cut & (theta >= 0))
+    assert decode_recursive(inst.graph, theta, br.lam, bound=br.bound).certificate
