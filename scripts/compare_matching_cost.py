@@ -7,11 +7,8 @@ Runs one round of every benchmark workload (perfbench/workloads.py), or of
 the named ones and their first N instances, with OLD_CHECKOUT's library
 and records each terminal distance matrix passed to
 `cut_oracle._match_terminals`, with its mask of the pairs the oracle's
-search found (all pairs for a library whose `_match_terminals` takes the
-matrix alone).  Then both checkouts' `match_dense` solve every recorded
-int64 matrix under its mask.  An older OLD_CHECKOUT also matched in
-float64 where its weights did not scale to integers; those inputs are
-skipped, and their number is printed.  NEW_CHECKOUT's cut oracle matches
+search found.  Then both checkouts' `match_dense` solve every recorded
+int64 matrix under its mask.  NEW_CHECKOUT's cut oracle matches
 up to its `TABLE_T` terminals on its unlimited small path (fewer than
 `SMALL_T`) by enumeration, not by `match_dense`, so its
 `_match_terminals` also solves every recorded input of that size.  A
@@ -50,9 +47,7 @@ def load_match_dense(library):
     mod = library.matching
 
     def mate(d, mask):
-        out = mod.match_dense(d, mask)
-        # later versions also return the vertex potentials
-        return out[0] if isinstance(out, tuple) else out
+        return mod.match_dense(d, mask)[0]
 
     return mate
 
@@ -61,7 +56,7 @@ def load_enumeration(library):
     """The library's cut-oracle matching, as a mate array, for inputs its
     small path matches by enumeration, and None for other inputs."""
     oracle = library.cut_oracle
-    largest = min(getattr(oracle, "TABLE_T", 0), oracle.SMALL_T - 1)
+    largest = min(oracle.TABLE_T, oracle.SMALL_T - 1)
 
     def mate(d, mask):
         if len(d) > largest or not mask.all():
@@ -84,13 +79,9 @@ def record_inputs(checkout: str, seed: int, workloads, instances) -> list[tuple[
     name = ""
     match = cut_oracle._match_terminals
 
-    def hook(dist, *args, **kwargs):
-        # older libraries pass the matrix alone and match over all pairs;
-        # any argument after the mask, such as some checkouts' warm start,
-        # is passed on
-        mask = args[0] if args else kwargs.get("mask", ~np.eye(len(dist), dtype=bool))
+    def hook(dist, mask):
         recorded.append((name, np.array(dist), np.array(mask)))
-        return match(dist, *args, **kwargs)
+        return match(dist, mask)
 
     cut_oracle._match_terminals = hook
     for name in workloads or W.WORKLOADS:
@@ -127,11 +118,7 @@ def main() -> int:
     inputs = record_inputs(args.old, args.seed, args.workloads, args.instances)
     total, equal, same = collections.Counter(), collections.Counter(), collections.Counter()
     enumerated, enum_equal = collections.Counter(), collections.Counter()
-    skipped = 0
     for workload, d, mask in inputs:
-        if d.dtype != np.int64:
-            skipped += 1
-            continue
         mate_a, mate_b = old(d, mask), new(d, mask)
         a, b = cost(d, mask, mate_a), cost(d, mask, mate_b)
         total[workload] += 1
@@ -145,7 +132,6 @@ def main() -> int:
         print(key, "int64 recorded", f"{equal[key]}/{total[key]} equal costs, "
               f"{same[key]}/{total[key]} identical mates, "
               f"{enum_equal[key]}/{enumerated[key]} enumerated equal")
-    print(f"float64 inputs skipped: {skipped}")
     differ = sum(total[k] - equal[k] + enumerated[k] - enum_equal[k] for k in total)
     return 1 if differ else 0
 

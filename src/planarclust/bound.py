@@ -153,6 +153,8 @@ def optimize_lower_bound(
     if max_batches < 0:
         raise ValueError(f"max_batches must be nonnegative, got {max_batches!r}")
     theta = finite_weights(theta)
+    if theta.shape != (graph.edge_count,):
+        raise ValueError("theta must have one entry per edge")
     neg = theta < 0
     pool = CutPool()
     model = LpModel(restricted_lp(theta, pool))

@@ -415,6 +415,9 @@ def min_cut_forced(graph: PlanarGraph, w, e: int) -> tuple[np.ndarray, float]:
     Raises OracleError if the solution misses `e`.
     """
     w, scale, _ = _prepare_weights(w, graph)
+    # a bool is an int to Python, but numpy indexes with it as a mask
+    if isinstance(e, bool) or not isinstance(e, (int, np.integer)):
+        raise ValueError(f"edge id must be an integer, got {e!r}")
     if not (0 <= e < graph.edge_count):
         raise ValueError(f"edge id {e} out of range")
     big = 1 + np.abs(w).sum()

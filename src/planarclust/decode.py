@@ -114,6 +114,8 @@ def decode_rounding(
     m = graph.edge_count
     if theta.shape != (m,):
         raise ValueError("theta must have one entry per edge")
+    if any(cut.shape != (m,) for cut in pool):
+        raise ValueError("pooled cuts must have one entry per edge")
     if not len(pool) or not (theta < 0).any():
         # no cuts or nothing to cut: alpha = 0 is optimal
         z = np.zeros(m)

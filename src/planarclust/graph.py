@@ -78,8 +78,10 @@ def _check_edges(vertex_count: int, edges) -> None:
         seen.add(key)
 
 
-def component_count(vertex_count: int, edges) -> int:
-    """Number of connected components of the graph (union-find)."""
+def spanning_forest(vertex_count: int, edges) -> list[bool]:
+    """Kruskal's union-find sweep: per edge, in order, whether it joins two
+    components of the edges before it.  The joining edges form a spanning
+    forest, so the graph has vertex_count minus their number of components."""
     parent = list(range(vertex_count))
 
     def find(x):
@@ -88,13 +90,12 @@ def component_count(vertex_count: int, edges) -> int:
             x = parent[x]
         return x
 
-    count = vertex_count
+    joins = []
     for u, v in edges:
         ru, rv = find(u), find(v)
-        if ru != rv:
-            parent[ru] = rv
-            count -= 1
-    return count
+        joins.append(ru != rv)
+        parent[ru] = rv
+    return joins
 
 
 def _trace_faces(vertex_count, edges, rotation):
@@ -159,7 +160,7 @@ def build_graph(vertex_count, edges, rotation) -> PlanarGraph:
     if len(rotation) != vertex_count:
         raise MalformedInput("rotation must list every vertex")
     _check_edges(vertex_count, edges)
-    n_comp = component_count(vertex_count, edges)
+    n_comp = vertex_count - sum(spanning_forest(vertex_count, edges))
     if n_comp != 1:
         raise MalformedInput(f"graph is disconnected ({n_comp} components)")
     if not edges:

@@ -4,9 +4,12 @@ Grid instances mimic segmentation problems: a hidden partition of the grid
 into contiguous regions drives per-edge boundary probabilities (high across
 region boundaries, low inside, with noise and occasional clutter), which
 the log-odds transform turns into signed weights.  Random planar instances
-come from Delaunay triangulations of random points, sparsified by removing
-edges that keep the graph connected; the embedding is read directly off
-the coordinates.
+come from Delaunay triangulations of random points, sparsified by deleting
+edges in a seeded order, down to a seeded count, while the graph stays
+connected; the embedding is read directly off the coordinates.  One reverse
+Kruskal sweep (`graph.spanning_forest`) finds those edges: an edge may go
+exactly when the edges after it in the order join its ends, since an earlier
+edge that stayed was a bridge at its turn and lies on no cycle through a later one.
 
 Weights are rounded half-to-even to five decimals and serialized as decimal
 strings, so instances round-trip bit exactly.
@@ -22,7 +25,7 @@ from decimal import ROUND_HALF_EVEN, Decimal
 import numpy as np
 from scipy.spatial import Delaunay
 
-from .graph import PlanarGraph, build_graph, component_count
+from .graph import PlanarGraph, build_graph, spanning_forest
 
 FORMAT_VERSION = 1
 
@@ -181,27 +184,14 @@ def gen_random_planar(n: int, seed: int) -> Instance:
             continue
         if len(np.unique(tri.simplices)) == n:
             break
-    pairs = set()
-    for simplex in tri.simplices:
-        for i in range(3):
-            a, b = int(simplex[i]), int(simplex[(i + 1) % 3])
-            pairs.add((min(a, b), max(a, b)))
-    edges = sorted(pairs)
+    sides = np.sort(tri.simplices[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), axis=1)
+    edges = np.unique(sides, axis=0)
 
     target = int(rng.integers(n - 1, max(n, len(edges)) + 1))
     order = rng.permutation(len(edges))
-    keep = [True] * len(edges)
-    n_kept = len(edges)
-
-    for j in order.tolist():
-        if n_kept <= target:
-            break
-        rest = (e for k, e in enumerate(edges) if keep[k] and k != j)
-        if component_count(n, rest) == 1:
-            keep[j] = False
-            n_kept -= 1
-
-    final_edges = [e for j, e in enumerate(edges) if keep[j]]
+    # reverse-delete: an edge may go when the edges after it in `order` join its ends
+    joins = np.array(spanning_forest(n, edges[order[::-1]].tolist())[::-1])
+    final_edges = np.delete(edges, order[~joins][: len(edges) - target], axis=0).tolist()
     graph = build_graph(n, final_edges, rotation_from_positions(n, final_edges, points))
     theta = round_theta(rng.uniform(-1.0, 1.0, size=len(final_edges)))
     return Instance(

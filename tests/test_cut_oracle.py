@@ -100,6 +100,17 @@ def test_forced_missing_edge_raises(triangle, monkeypatch):
         min_cut_forced(triangle, [1.0, 1.0, 1.0], 0)
 
 
+@pytest.mark.parametrize(
+    "e", [2.0, 2.5, True, np.True_, "1"], ids=["float", "fraction", "bool", "numpy-bool", "str"]
+)
+def test_forced_edge_id_must_be_an_integer(triangle, e):
+    # a float edge id raised IndexError, and a bool indexed w as a mask:
+    # every weight was lowered and the call ended in numpy's truth-value error
+    with pytest.raises(ValueError, match="edge id must be an integer"):
+        min_cut_forced(triangle, [1.0, 1.0, 1.0], e)
+    assert min_cut_forced(triangle, [1.0, 1.0, 1.0], np.int64(2))[0][2]
+
+
 def test_oracle_matches_brute_force():
     # factor pi makes the weights non-decimal: they are rounded up to the grid
     for seed in range(150):

@@ -13,6 +13,7 @@ from planarclust.instances import GpbLikeWeights, gen_grid, gen_random_planar, U
 from planarclust.lp import LpError, LpModel, solve_lp
 from planarclust.oracle import all_bipartition_cuts, brute_cc, exact_cc_value, full_lp_bound
 
+from conftest import embedded
 from multicuts import is_valid_multicut
 
 
@@ -62,6 +63,14 @@ def test_rounding_triangle_isolating_cuts(triangle):
     assert res.energy == pytest.approx(-3.0)
     assert res.partition.max() == 2
     assert res.certificate
+
+
+def test_rounding_rejects_pooled_cuts_of_another_length():
+    # a 3-long cut on a 2-edge path used to raise numpy's broadcasting message
+    path = embedded(3, [(0, 1), (1, 2)], [(0, 0), (1, 0), (2, 0)])
+    pool = CutPool([np.ones(3, dtype=bool)])
+    with pytest.raises(ValueError, match="pooled cuts must have one entry per edge"):
+        decode_rounding(path, [-1.0, 1.0], pool)
 
 
 def test_no_certificate_from_an_empty_pool():
