@@ -95,6 +95,8 @@ def lower_bound_value(theta, lam) -> float:
     """sum_e min(theta_e - lambda_e, 0)."""
     theta = np.asarray(theta, dtype=float)
     lam = np.asarray(lam, dtype=float)
+    if theta.ndim != 1 or lam.shape != theta.shape:
+        raise ValueError("theta and lambda must have one entry per edge")
     return float(np.minimum(theta - lam, 0.0).sum())
 
 

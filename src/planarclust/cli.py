@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import concurrent.futures
 import csv
+import functools
 import json
 import sys
 import time
@@ -55,7 +56,6 @@ def _add_bound_flags(p):
 def _add_decode_flags(p):
     p.add_argument("--restarts", type=int, default=10, help="recursive decode restarts")
     p.add_argument("--seed", type=int, default=0, help="decode order seed")
-    p.add_argument("--threshold", type=float, default=0.5, help="rounding threshold")
 
 
 def build_parser():
@@ -117,13 +117,11 @@ def _emit(doc) -> None:
     sys.stdout.write("\n")
 
 
-def _solve_instance(instance, tol, max_batches, restarts, seed, threshold):
+def _solve_instance(instance, args):
     t0 = time.perf_counter()
-    br = optimize_lower_bound(instance.graph, instance.theta, tol=tol, max_batches=max_batches)
+    br = optimize_lower_bound(instance.graph, instance.theta, tol=args.tol, max_batches=args.max_batches)
     t1 = time.perf_counter()
-    res = best_decode(
-        instance.graph, instance.theta, br, restarts=restarts, seed=seed, threshold=threshold
-    )
+    res = best_decode(instance.graph, instance.theta, br, restarts=args.restarts, seed=args.seed)
     t2 = time.perf_counter()
     return br, res, (t1 - t0) * 1000.0, (t2 - t1) * 1000.0
 
@@ -144,9 +142,7 @@ def _result_fields(instance, br, res=None):
 
 def cmd_solve(args) -> int:
     instance = read_instance(args.instance)
-    br, res, ms_bound, ms_decode = _solve_instance(
-        instance, args.tol, args.max_batches, args.restarts, args.seed, args.threshold
-    )
+    br, res, ms_bound, ms_decode = _solve_instance(instance, args)
     _emit(
         {
             **_result_fields(instance, br, res),
@@ -158,7 +154,6 @@ def cmd_solve(args) -> int:
                 "tol": args.tol,
                 "restarts": args.restarts,
                 "seed": args.seed,
-                "threshold": args.threshold,
                 "max_batches": args.max_batches,
             },
         }
@@ -244,14 +239,7 @@ def cmd_decode(args) -> int:
     instance = read_instance(args.instance)
     br = _load_bound(args.bound, instance.graph, instance.theta)
     t0 = time.perf_counter()
-    res = best_decode(
-        instance.graph,
-        instance.theta,
-        br,
-        restarts=args.restarts,
-        seed=args.seed,
-        threshold=args.threshold,
-    )
+    res = best_decode(instance.graph, instance.theta, br, restarts=args.restarts, seed=args.seed)
     ms = (time.perf_counter() - t0) * 1000.0
     _emit({**_result_fields(instance, br, res), "wall_times": {"decode_ms": ms}})
     return 0 if res.certificate else 2
@@ -317,12 +305,9 @@ def cmd_gen(args) -> int:
     return 0
 
 
-def _bench_one(task):
-    path, tol, max_batches, restarts, seed, threshold = task
+def _bench_one(args, path):
     instance = read_instance(path)
-    br, res, ms_bound, ms_decode = _solve_instance(
-        instance, tol, max_batches, restarts, seed, threshold
-    )
+    br, res, ms_bound, ms_decode = _solve_instance(instance, args)
     return {
         **_result_fields(instance, br, res),
         "batches": br.batches,
@@ -338,14 +323,12 @@ def cmd_bench(args) -> int:
     if not paths:
         print(f"no instance files in {args.directory}", file=sys.stderr)
         return 1
-    tasks = [
-        (p, args.tol, args.max_batches, args.restarts, args.seed, args.threshold) for p in paths
-    ]
+    bench_one = functools.partial(_bench_one, args)
     if args.jobs > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            rows = list(pool.map(_bench_one, tasks))
+            rows = list(pool.map(bench_one, paths))
     else:
-        rows = [_bench_one(t) for t in tasks]
+        rows = list(map(bench_one, paths))
     fieldnames = ["name", "bound", "energy", "gap", "certificate", "batches", "ms_bound", "ms_decode"]
     with open(args.out, "w", newline="", encoding="utf-8") as fh:
         writer = csv.DictWriter(fh, fieldnames=fieldnames, extrasaction="ignore")

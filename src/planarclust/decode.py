@@ -12,7 +12,8 @@ Two decoders:
 * rounding: read the constraint multipliers alpha >= 0 of the bound LP
   restricted to the pooled cut rows C, which solve the dual LP (minimize
   theta.z with a penalty that neutralizes cutting any negative edge beyond
-  one, over z = C^T alpha); threshold the relaxed indicator z and repair.
+  one, over z = C^T alpha); cut where the relaxed indicator z reaches 1/2
+  and repair.
   A converged bound run already solved that LP last, and `best_decode`
   reuses its solution, one multiplier per pooled cut; the LP is solved
   again only when there is none or the pool has grown since.
@@ -33,6 +34,7 @@ from .graph import PlanarGraph, cut_energy, cut_from_partition, finite_weights, 
 from .lp import LpSolution, solve_lp
 
 CERTIFICATE_TOL = 1e-6
+ROUNDING_THRESHOLD = 0.5
 
 
 @dataclass(frozen=True)
@@ -95,7 +97,6 @@ def decode_rounding(
     graph: PlanarGraph,
     theta,
     pool: CutPool,
-    threshold: float = 0.5,
     bound: float | None = None,
     final_lp: LpSolution | None = None,
 ) -> DecodeResult:
@@ -103,14 +104,12 @@ def decode_rounding(
 
     The multipliers alpha >= 0 of the pooled cut rows solve the LP dual:
     minimize theta.z - sum_neg theta_e * max(z_e - 1, 0) over z = C^T alpha.
-    Edges with z >= threshold are cut.  Only a given `bound` certifies:
+    Edges with z >= 1/2 are cut.  Only a given `bound` certifies:
     over an incomplete pool the restricted LP's own value can exceed the
     optimum.  `final_lp`, a converged run's `BoundResult.final_lp`, is
     reused until the pool grows.
     """
     theta = finite_weights(theta)
-    if not (0.0 < threshold < 1.0):
-        raise ValueError("threshold must lie strictly between 0 and 1")
     m = graph.edge_count
     if theta.shape != (m,):
         raise ValueError("theta must have one entry per edge")
@@ -123,7 +122,7 @@ def decode_rounding(
         if final_lp is None or final_lp.duals.size != len(pool):
             final_lp = solve_lp(restricted_lp(theta, pool))
         z = pool.matrix(m).T @ final_lp.duals
-    return _result(graph, theta, z >= threshold, "rounding", bound)
+    return _result(graph, theta, z >= ROUNDING_THRESHOLD, "rounding", bound)
 
 
 def best_decode(
@@ -132,7 +131,6 @@ def best_decode(
     bound_result: BoundResult,
     restarts: int = 10,
     seed: int = 0,
-    threshold: float = 0.5,
 ) -> DecodeResult:
     """Rounding once plus up to `restarts` randomized recursive passes.
 
@@ -143,9 +141,7 @@ def best_decode(
         raise ValueError("restarts must be at least 1")
     theta = np.asarray(theta, dtype=float)
     bound = bound_result.bound
-    best = decode_rounding(
-        graph, theta, bound_result.pool, threshold, bound=bound, final_lp=bound_result.final_lp
-    )
+    best = decode_rounding(graph, theta, bound_result.pool, bound=bound, final_lp=bound_result.final_lp)
     if best.certificate:
         return best
     for r in range(restarts):

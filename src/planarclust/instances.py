@@ -12,7 +12,9 @@ exactly when the edges after it in the order join its ends, since an earlier
 edge that stayed was a bridge at its turn and lies on no cycle through a later one.
 
 Weights are rounded half-to-even to five decimals and serialized as decimal
-strings, so instances round-trip bit exactly.
+strings, so instances round-trip bit exactly.  A weight that is not finite,
+or of magnitude 1e23 or more (more than the 28 digits of decimal's default
+context at five decimals), cannot be rounded and raises DomainError.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from decimal import ROUND_HALF_EVEN, Decimal
+from decimal import ROUND_HALF_EVEN, Decimal, InvalidOperation
 
 import numpy as np
 from scipy.spatial import Delaunay
@@ -28,6 +30,8 @@ from scipy.spatial import Delaunay
 from .graph import PlanarGraph, build_graph, spanning_forest
 
 FORMAT_VERSION = 1
+# the fraction of a GPB-like grid's interior edges bumped into the ambiguous range
+CLUTTER = 0.05
 
 
 class DomainError(ValueError):
@@ -54,13 +58,19 @@ def gpb_to_theta(gpb: float, beta: float) -> float:
 
 
 def round_theta(theta) -> np.ndarray:
-    """Round each weight half-to-even at 1e-5 (decimal semantics)."""
+    """Round each weight half-to-even at 1e-5 (decimal semantics); DomainError
+    on a weight that is not finite or of magnitude 1e23 or more."""
     arr = np.asarray(theta, dtype=float)
+    if not np.isfinite(arr).all():
+        raise DomainError("weights must be finite to be rounded")
     q = Decimal("0.00001")
-    out = np.array(
-        [float(Decimal(repr(float(x))).quantize(q, rounding=ROUND_HALF_EVEN)) for x in arr.ravel()],
-        dtype=float,
-    )
+    try:
+        out = np.array(
+            [float(Decimal(repr(float(x))).quantize(q, rounding=ROUND_HALF_EVEN)) for x in arr.ravel()],
+            dtype=float,
+        )
+    except InvalidOperation:
+        raise DomainError("weights of magnitude 1e23 or more do not round to five decimals") from None
     return out.reshape(arr.shape)
 
 
@@ -99,13 +109,12 @@ class GpbLikeWeights:
     """Boundary-probability weights over a hidden region partition.
 
     Edges inside a region get low boundary probability, edges across
-    regions high, both with noise; `clutter` is the fraction of interior
-    edges bumped into the ambiguous range (false boundary fragments).
+    regions high, both with noise; a CLUTTER fraction of interior edges is
+    bumped into the ambiguous range (false boundary fragments).
     theta = log((1-gpb)/gpb) + beta.
     """
 
     beta: float
-    clutter: float = 0.05
 
     def sample(self, rng, graph, regions) -> np.ndarray:
         m = graph.edge_count
@@ -116,7 +125,7 @@ class GpbLikeWeights:
             rng.normal(0.82, 0.10, size=m),
             rng.normal(0.16, 0.07, size=m),
         )
-        bump = (~cross) & (rng.random(m) < self.clutter)
+        bump = (~cross) & (rng.random(m) < CLUTTER)
         gpb[bump] = rng.uniform(0.50, 0.75, size=int(bump.sum()))
         gpb = np.clip(gpb, 0.02, 0.98)
         return np.array([gpb_to_theta(g, self.beta) for g in gpb])

@@ -59,38 +59,31 @@ def brute_cc(graph: PlanarGraph, theta) -> tuple[np.ndarray, float]:
     return canonical_labels(best), best_val
 
 
-def exact_cc_value(graph: PlanarGraph, theta, order=None) -> float:
-    """Exact optimum by a frontier DP over a vertex elimination order.
+def exact_cc_value(graph: PlanarGraph, theta) -> float:
+    """Exact optimum by a frontier DP that eliminates vertices in id order.
 
     States are set partitions of the boundary between processed and
-    unprocessed vertices, so the cost is sum_i Bell(frontier_i); grids in
-    row-major order have frontier width+1.  Raises TooLarge when the state
-    space would explode.  Cross-checked against brute_cc in the tests.
+    unprocessed vertices, so the cost is sum_i Bell(frontier_i); grids,
+    numbered row-major, have frontier width+1.  Raises TooLarge when the
+    state space would explode.  Cross-checked against brute_cc in the tests.
     """
     n = graph.vertex_count
     theta = np.asarray(theta, dtype=float)
-    order = list(range(n)) if order is None else list(order)
-    if sorted(order) != list(range(n)):
-        raise ValueError("order must be a permutation of the vertices")
-    pos = {v: i for i, v in enumerate(order)}
 
     adj = [[] for _ in range(n)]
     for e, (u, v) in enumerate(graph.edges):
         adj[u].append((v, theta[e]))
         adj[v].append((u, theta[e]))
 
-    # frontier after step i: processed vertices with an unprocessed neighbor
-    last_needed = [pos[v] for v in range(n)]
-    for v in range(n):
-        for u, _ in adj[v]:
-            last_needed[v] = max(last_needed[v], pos[u])
+    # frontier after step v: processed vertices with an unprocessed neighbor
+    last_needed = [max([v] + [u for u, _ in adj[v]]) for v in range(n)]
 
     states: dict[tuple, float] = {(): 0.0}
     frontier: list[int] = []
-    for i, v in enumerate(order):
-        back = [(frontier.index(u), w) for u, w in adj[v] if pos[u] < i]
-        keep = [j for j, u in enumerate(frontier) if last_needed[u] > i]
-        keep_self = last_needed[v] > i
+    for v in range(n):
+        back = [(frontier.index(u), w) for u, w in adj[v] if u < v]
+        keep = [j for j, u in enumerate(frontier) if last_needed[u] > v]
+        keep_self = last_needed[v] > v
         new_states: dict[tuple, float] = {}
         for state, cost in states.items():
             nblocks = (max(state) + 1) if state else 0
@@ -110,7 +103,7 @@ def exact_cc_value(graph: PlanarGraph, theta, order=None) -> float:
                     new_states[key] = c2
         states = new_states
         if len(states) > 2_000_000:
-            raise TooLarge("frontier DP state space too large for this order")
+            raise TooLarge("frontier DP state space too large for this vertex numbering")
         frontier = [frontier[j] for j in keep] + ([v] if keep_self else [])
     return min(states.values())
 
@@ -192,8 +185,8 @@ class ColoringChainReport:
         return self.chain_ok and self.corollary_ok and self.merge_identity_ok
 
 
-def check_coloring_chain(graph: PlanarGraph, theta, tol: float = 1e-9) -> ColoringChainReport:
-    """Verify 0 >= CC2 >= CC4 >= 1.5*CC2 and the pair-merge identity.
+def check_coloring_chain(graph: PlanarGraph, theta) -> ColoringChainReport:
+    """Verify 0 >= CC2 >= CC4 >= 1.5*CC2 and the pair-merge identity, to 1e-9.
 
     From an optimal 4-labeling, merging label pairs {12|34}, {13|24},
     {14|23} yields three 2-colorings whose energies sum to twice the
@@ -209,6 +202,7 @@ def check_coloring_chain(graph: PlanarGraph, theta, tol: float = 1e-9) -> Colori
         two = m[labels4]
         energies.append(cut_energy(graph, theta, two[graph.tail] != two[graph.head]))
     e_a, e_b, e_c = energies
+    tol = 1e-9
     chain_ok = (
         0 >= cc2 - tol
         and cc2 >= cc4 - tol

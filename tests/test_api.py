@@ -133,13 +133,14 @@ def test_non_finite_weights_raise(entry, bad):
 @pytest.mark.parametrize(
     "entry",
     ["partition_from_cut", "cut_energy", "decode_recursive-theta", "decode_recursive-lam",
-     "decode_rounding", "optimize_lower_bound"],
+     "decode_rounding", "optimize_lower_bound", "lower_bound_value-theta", "lower_bound_value-lam"],
 )
 def test_edge_vectors_of_another_shape_raise(entry, shape):
     # a wrong-length cut used to raise IndexError in partition_from_cut, as
     # did a 2-D lambda in decode_recursive; a wrong-length theta or lambda
     # in the decoders, and a column theta in optimize_lower_bound, raised
-    # numpy's broadcasting message
+    # numpy's broadcasting message.  lower_bound_value broadcast silently:
+    # a column theta against a row lambda summed an E x E matrix
     inst = planarclust.gen_grid(3, 3, planarclust.GpbLikeWeights(0.27), seed=0)
     graph, theta = inst.graph, inst.theta
     br = planarclust.optimize_lower_bound(graph, theta)
@@ -150,6 +151,8 @@ def test_edge_vectors_of_another_shape_raise(entry, shape):
         "decode_recursive-lam": lambda v: planarclust.decode_recursive(graph, theta, v),
         "decode_rounding": lambda v: planarclust.decode_rounding(graph, v, br.pool),
         "optimize_lower_bound": lambda v: planarclust.optimize_lower_bound(graph, v),
+        "lower_bound_value-theta": lambda v: planarclust.lower_bound_value(v, br.lam),
+        "lower_bound_value-lam": lambda v: planarclust.lower_bound_value(theta, v),
     }[entry]
     call(theta)
     bad = {"short": theta[:-1], "long": np.r_[theta, theta[:1]], "column": theta[:, None]}[shape]

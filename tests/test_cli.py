@@ -41,7 +41,6 @@ def test_solve_certified_triangle(tmp_path, capsys):
         "tol": 1e-6,
         "restarts": 10,
         "seed": 0,
-        "threshold": 0.5,
         "max_batches": 1000,
     }
 
@@ -225,6 +224,25 @@ def test_gen_random(tmp_path, capsys):
 def test_gen_rejects_misused_uniform(tmp_path, capsys, argv, message):
     out = tmp_path / "g.json"
     code, _, err = run_cli(capsys, "gen", *argv, "--out", str(out))
+    assert code == 1 and not out.exists()
+    assert err.startswith("planarclust: error: ") and err.count("\n") == 1
+    assert message in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        # NaN weights used to be written, and then rejected by the reader;
+        # the others died with a decimal.InvalidOperation traceback
+        (("--beta", "nan"), "weights must be finite"),
+        (("--beta", "inf"), "weights must be finite"),
+        (("--beta", "1e308"), "magnitude 1e23 or more"),
+        (("--uniform", "0,1e300"), "magnitude 1e23 or more"),
+    ],
+)
+def test_gen_rejects_weights_it_cannot_round(tmp_path, capsys, argv, message):
+    out = tmp_path / "g.json"
+    code, _, err = run_cli(capsys, "gen", "--grid", "4x4", *argv, "--out", str(out))
     assert code == 1 and not out.exists()
     assert err.startswith("planarclust: error: ") and err.count("\n") == 1
     assert message in err

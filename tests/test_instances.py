@@ -44,6 +44,17 @@ def test_round_theta():
     assert out.tolist() == [1.23457, -0.5]
 
 
+def test_weights_that_cannot_be_rounded_raise():
+    # a NaN weight used to round to NaN; inf and weights of 1e23 and up
+    # raised decimal.InvalidOperation
+    with pytest.raises(DomainError, match="finite"):
+        gen_grid(3, 3, GpbLikeWeights(float("nan")), 0)
+    for bad, message in ((np.inf, "finite"), (1e23, "1e23"), (-1e308, "1e23")):
+        with pytest.raises(DomainError, match=message):
+            round_theta([0.5, bad])
+    assert round_theta([-9.9e22])[0] == -9.9e22
+
+
 def test_gen_grid_shapes():
     inst = gen_grid(2, 2, UniformWeights(), 0)
     assert inst.graph.vertex_count == 4
