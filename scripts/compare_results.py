@@ -26,8 +26,8 @@ Every set runs to the end.  Per set it prints each checkout's digest,
 batch and oracle-call totals and number of certified results per decode,
 then how many instances differ, the largest bound difference, how many
 instances changed an energy but no certificate, per decode how many
-energies went up and down, and one line per instance whose certificate
-flips in some decode.  Exits 1 if any
+energies went up and down and their sums, and one line per instance
+whose certificate flips in some decode.  Exits 1 if any
 instance's digest differs, so a change that is not bit-identical shows
 how far its results moved.  Both
 processes run at once, so the comparison takes about as long as one
@@ -165,7 +165,8 @@ def main() -> int:
             if pairs:
                 up = sum(ey > ex for ex, ey in pairs)
                 down = sum(ey < ex for ex, ey in pairs)
-                moves.append(f"{n} {up} up / {down} down")
+                sums = " -> ".join(f"{math.fsum(e):.3f}" for e in zip(*pairs))
+                moves.append(f"{n} {up} up / {down} down, sum {sums}")
         print(f"{a['set']:32s} energies: " + "  ".join(moves))
         for i, flipped in flips:
             x, y = ra[i], rb[i]

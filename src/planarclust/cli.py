@@ -285,6 +285,8 @@ def cmd_gen(args) -> int:
             raise ParseError(f"--uniform takes A,B, not {args.uniform!r}") from None
         if not np.isfinite([a, b]).all():
             raise ParseError(f"--uniform takes finite A,B, not {args.uniform!r}")
+        if a > b:
+            raise ParseError(f"--uniform takes A,B with A <= B, not {args.uniform!r}")
         model = UniformWeights(a, b)
     elif args.beta is not None:
         model = GpbLikeWeights(args.beta)

@@ -105,10 +105,7 @@ class _DualInfo:
     """Per-topology data reused across weight vectors."""
 
     def __init__(self, graph: PlanarGraph):
-        m = graph.edge_count
-        f1 = np.fromiter((a for a, _ in graph.edge_faces), dtype=np.int64, count=m)
-        f2 = np.fromiter((b for _, b in graph.edge_faces), dtype=np.int64, count=m)
-        self.f1, self.f2 = f1, f2
+        self.f1, self.f2 = f1, f2 = graph.edge_face_ids[:, 0], graph.edge_face_ids[:, 1]
         self.loop_mask = f1 == f2  # bridges: dual self-loops
         nl = np.flatnonzero(~self.loop_mask)
         lo = np.minimum(f1[nl], f2[nl])

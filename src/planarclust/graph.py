@@ -7,6 +7,14 @@ rotation system.  Euler's formula V - E + F = 2 on the derived faces then
 certifies that the rotation system describes a sphere (plane) embedding, so
 no separate planarity test is needed.
 
+A graph keeps its topology in flat int64 arrays: an (E, 2) endpoint array,
+the rotation system and the face cycles as CSR (start, index) pairs, and an
+(E, 2) array of the two faces beside each edge.  Tuples of Python ints held
+a 28x28 grid's graph in about 550 KB, and a benchmark keeps many graphs
+alive; the arrays take about 110 KB.  `edges`, `rotation`, `faces` and
+`edge_faces` read the same data as tuples, built on each access, for
+serialization and tests; the package's own readers use the arrays.
+
 Cuts are represented as boolean vectors indexed by edge id, partitions as
 integer label vectors indexed by vertex id.  Labels are always canonicalized
 by first occurrence in vertex order so that equality tests are deterministic.
@@ -33,49 +41,126 @@ class EulerViolation(GraphError):
     """Derived faces do not satisfy V - E + F = 2 (not a plane embedding)."""
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
+def _csr_tuples(start: np.ndarray, index: np.ndarray) -> tuple[tuple[int, ...], ...]:
+    s, idx = start.tolist(), index.tolist()
+    return tuple(tuple(idx[a:b]) for a, b in zip(s, s[1:]))
+
+
 @dataclass(frozen=True, eq=False)
 class PlanarGraph:
     """Immutable embedded planar graph.
 
-    Attributes:
-        vertex_count: number of vertices, ids 0..vertex_count-1.
-        edges: tuple of (u, v) pairs, ids 0..edge_count-1.
-        rotation: per vertex, cyclic (CCW) tuple of incident edge ids.
-        faces: derived face cycles, each a tuple of edge ids.
-        edge_faces: per edge, the pair of face ids it borders
-            (equal ids for a bridge).
+    Attributes, read-only int64 arrays:
+        endpoints: (E, 2), edge k joins tail endpoints[k, 0] and head
+            endpoints[k, 1]; column-major, so `tail` and `head` are
+            contiguous views.
+        rotation_start, rotation_index: the rotation system as CSR; vertex
+            v's CCW cyclic order of incident edge ids is
+            rotation_index[rotation_start[v]:rotation_start[v + 1]].
+        face_start, face_index: the derived face cycles, as CSR of edge ids.
+        edge_face_ids: (E, 2), column-major, the faces that edge k's dart
+            tail->head and its dart head->tail trace (equal for a bridge).
+
+    `edges`, `rotation`, `faces` and `edge_faces` give the same data as
+    tuples of tuples of ints, built on each access.
     """
 
     vertex_count: int
-    edges: tuple[tuple[int, int], ...]
-    rotation: tuple[tuple[int, ...], ...]
-    faces: tuple[tuple[int, ...], ...]
-    edge_faces: tuple[tuple[int, int], ...]
-    tail: np.ndarray = field(repr=False)
-    head: np.ndarray = field(repr=False)
+    endpoints: np.ndarray = field(repr=False)
+    rotation_start: np.ndarray = field(repr=False)
+    rotation_index: np.ndarray = field(repr=False)
+    face_start: np.ndarray = field(repr=False)
+    face_index: np.ndarray = field(repr=False)
+    edge_face_ids: np.ndarray = field(repr=False)
+
+    @property
+    def tail(self) -> np.ndarray:
+        return self.endpoints[:, 0]
+
+    @property
+    def head(self) -> np.ndarray:
+        return self.endpoints[:, 1]
 
     @property
     def edge_count(self) -> int:
-        return len(self.edges)
+        return self.endpoints.shape[0]
 
     @property
     def face_count(self) -> int:
-        return len(self.faces)
+        return self.face_start.size - 1
+
+    @property
+    def edges(self) -> tuple[tuple[int, int], ...]:
+        return tuple(map(tuple, self.endpoints.tolist()))
+
+    @property
+    def rotation(self) -> tuple[tuple[int, ...], ...]:
+        return _csr_tuples(self.rotation_start, self.rotation_index)
+
+    @property
+    def faces(self) -> tuple[tuple[int, ...], ...]:
+        return _csr_tuples(self.face_start, self.face_index)
+
+    @property
+    def edge_faces(self) -> tuple[tuple[int, int], ...]:
+        return tuple(map(tuple, self.edge_face_ids.tolist()))
 
 
-def _check_edges(vertex_count: int, edges) -> None:
-    if vertex_count <= 0:
-        raise MalformedInput("vertex_count must be positive")
+def _edge_error(vertex_count: int, edges) -> str:
+    """The first fault of the edge list, by the checks in order: endpoint
+    out of range, self-loop, repeat of an earlier edge; '' if none."""
     seen = set()
     for k, (u, v) in enumerate(edges):
         if not (0 <= u < vertex_count and 0 <= v < vertex_count):
-            raise MalformedInput(f"edge {k} endpoint out of range: ({u}, {v})")
+            return f"edge {k} endpoint out of range: ({u}, {v})"
         if u == v:
-            raise MalformedInput(f"edge {k} is a self-loop at vertex {u}")
+            return f"edge {k} is a self-loop at vertex {u}"
         key = (u, v) if u < v else (v, u)
         if key in seen:
-            raise MalformedInput(f"parallel edge {k}: {key} appears twice")
+            return f"parallel edge {k}: {key} appears twice"
         seen.add(key)
+    return ""
+
+
+def _rotation_error(edges, rotation) -> str:
+    """The first fault of the rotation system, by the checks in order: an
+    entry naming an unknown edge, repeating its list's edge or not incident,
+    then an edge missing from a list; '' if none."""
+    listed = [set() for _ in rotation]
+    for v, rot in enumerate(rotation):
+        for e in rot:
+            if not (0 <= e < len(edges)):
+                return f"rotation of vertex {v} names unknown edge {e}"
+            if e in listed[v]:
+                return f"rotation of vertex {v} repeats edge {e}"
+            if v not in edges[e]:
+                return f"edge {e} in rotation of {v} is not incident"
+            listed[v].add(e)
+    for k, (u, v) in enumerate(edges):
+        if k not in listed[u] or k not in listed[v]:
+            return f"edge {k} missing from a rotation list"
+    return ""
+
+
+def _arrivals(endpoints: np.ndarray, vertex: np.ndarray, index: np.ndarray):
+    """Per rotation entry p, the dart arriving at vertex[p] along edge
+    index[p]; None unless the rotation lists each edge once at each end and
+    nothing else."""
+    m = endpoints.shape[0]
+    if not ((index >= 0) & (index < m)).all():
+        return None
+    at_tail = endpoints[index, 0] == vertex
+    darts = 2 * index + at_tail
+    if (at_tail | (endpoints[index, 1] == vertex)).all() and (
+        np.bincount(darts, minlength=2 * m) == 1
+    ).all():
+        return darts
+    return None
 
 
 def spanning_forest(vertex_count: int, edges) -> list[bool]:
@@ -98,54 +183,42 @@ def spanning_forest(vertex_count: int, edges) -> list[bool]:
     return joins
 
 
-def _trace_faces(vertex_count, edges, rotation):
-    """Trace dart orbits of the rotation system.
+def _trace_faces(vertex, start, arrivals):
+    """Trace dart orbits of the rotation system: (face_start, face_index,
+    edge_face_ids).
 
-    Dart 2k is edge k traversed u->v, dart 2k+1 is v->u.  From a dart ending
-    at vertex x via edge e, the face continues along the edge following e in
-    the rotation at x.  Orbits of this successor map are the faces.
+    Dart 2k is edge k traversed tail->head, dart 2k+1 head->tail; the
+    rotation entry p at x = vertex[p] is reached by dart arrivals[p].  From
+    a dart ending at x via edge e, the face continues along the edge
+    following e in the rotation at x, leaving x.  Orbits of this successor
+    map are the faces, numbered in the order of their least dart and traced
+    from it.
     """
-    m = len(edges)
-    pos = [dict() for _ in range(vertex_count)]  # vertex -> edge id -> slot
-    for v in range(vertex_count):
-        for i, e in enumerate(rotation[v]):
-            if not (0 <= e < m):
-                raise MalformedInput(f"rotation of vertex {v} names unknown edge {e}")
-            if e in pos[v]:
-                raise MalformedInput(f"rotation of vertex {v} repeats edge {e}")
-            if v not in edges[e]:
-                raise MalformedInput(f"edge {e} in rotation of {v} is not incident")
-            pos[v][e] = i
-    for k, (u, v) in enumerate(edges):
-        if k not in pos[u] or k not in pos[v]:
-            raise MalformedInput(f"edge {k} missing from a rotation list")
+    m = arrivals.size // 2
+    after = np.arange(2 * m) + 1  # the rotation entry after each, cyclically
+    wrap = after == start[vertex + 1]
+    after[wrap] = start[vertex[wrap]]
+    successor = np.empty(2 * m, dtype=np.int64)
+    # the dart leaving x along an edge is the one arriving at x, reversed
+    successor[arrivals] = arrivals[after] ^ 1
 
-    next_dart = [0] * (2 * m)
-    for k, (u, v) in enumerate(edges):
-        for dart, x in ((2 * k, v), (2 * k + 1, u)):
-            rot = rotation[x]
-            e2 = rot[(pos[x][k] + 1) % len(rot)]
-            a, b = edges[e2]
-            # dart of e2 leaving x
-            next_dart[dart] = 2 * e2 if a == x else 2 * e2 + 1
-
+    successor = successor.tolist()
     face_of_dart = [-1] * (2 * m)
-    faces = []
+    darts, face_start = [], [0]
     for d0 in range(2 * m):
         if face_of_dart[d0] >= 0:
             continue
-        fid = len(faces)
-        cycle = []
         d = d0
         while face_of_dart[d] < 0:
-            face_of_dart[d] = fid
-            cycle.append(d // 2)
-            d = next_dart[d]
-        faces.append(tuple(cycle))
-    edge_faces = tuple(
-        (face_of_dart[2 * k], face_of_dart[2 * k + 1]) for k in range(m)
+            face_of_dart[d] = len(face_start) - 1
+            darts.append(d)
+            d = successor[d]
+        face_start.append(len(darts))
+    return (
+        np.array(face_start, dtype=np.int64),
+        np.array(darts, dtype=np.int64) // 2,
+        np.asfortranarray(np.array(face_of_dart, dtype=np.int64).reshape(m, 2)),
     )
-    return tuple(faces), edge_faces
 
 
 def build_graph(vertex_count, edges, rotation) -> PlanarGraph:
@@ -153,36 +226,53 @@ def build_graph(vertex_count, edges, rotation) -> PlanarGraph:
 
     Raises MalformedInput for structural problems (loops, parallel edges,
     disconnected graph, inconsistent rotation) and EulerViolation when the
-    traced faces show the rotation system is not a plane embedding.
+    traced faces show the rotation system is not a plane embedding.  The
+    checks run on arrays; only a failing one walks the input in Python, to
+    name the first fault.
     """
-    edges = tuple((int(u), int(v)) for u, v in edges)
-    rotation = tuple(tuple(int(e) for e in rot) for rot in rotation)
-    if len(rotation) != vertex_count:
+    endpoints = np.array(edges, dtype=np.int64)
+    if endpoints.size and (endpoints.ndim != 2 or endpoints.shape[1] != 2):
+        raise MalformedInput("edges must be (u, v) pairs")
+    endpoints = np.asfortranarray(endpoints.reshape(-1, 2))
+    m = endpoints.shape[0]
+    lengths = np.array([len(rot) for rot in rotation], dtype=np.int64)
+    index = np.array([e for rot in rotation for e in rot], dtype=np.int64)
+    if lengths.size != vertex_count:
         raise MalformedInput("rotation must list every vertex")
-    _check_edges(vertex_count, edges)
-    n_comp = vertex_count - sum(spanning_forest(vertex_count, edges))
+    if vertex_count <= 0:
+        raise MalformedInput("vertex_count must be positive")
+    tail, head = endpoints[:, 0], endpoints[:, 1]
+    lo, hi = np.minimum(tail, head), np.maximum(tail, head)
+    if m and not (
+        lo.min() >= 0 and hi.max() < vertex_count and (lo < hi).all()
+        and np.unique(lo * vertex_count + hi).size == m
+    ):
+        raise MalformedInput(_edge_error(vertex_count, endpoints.tolist()))
+    n_comp = int(_components(vertex_count, tail, head).max()) + 1
     if n_comp != 1:
         raise MalformedInput(f"graph is disconnected ({n_comp} components)")
-    if not edges:
-        faces, edge_faces = ((),), ()
-    else:
-        faces, edge_faces = _trace_faces(vertex_count, edges, rotation)
-    f = len(faces)
-    if vertex_count - len(edges) + f != 2:
+    start = np.concatenate(([0], np.cumsum(lengths)))
+    vertex = np.repeat(np.arange(vertex_count), lengths)
+    arrivals = _arrivals(endpoints, vertex, index)
+    if arrivals is None:
+        raise MalformedInput(_rotation_error(endpoints.tolist(), _csr_tuples(start, index)))
+    face_start, face_index, edge_face_ids = _trace_faces(vertex, start, arrivals)
+    if not m:  # a lone vertex: one face, bounded by no edge
+        face_start = np.zeros(2, dtype=np.int64)
+    f = face_start.size - 1
+    if vertex_count - m + f != 2:
         raise EulerViolation(
-            f"V - E + F = {vertex_count} - {len(edges)} + {f} != 2; "
+            f"V - E + F = {vertex_count} - {m} + {f} != 2; "
             "rotation system is not a plane embedding"
         )
-    tail = np.fromiter((u for u, _ in edges), dtype=np.int64, count=len(edges))
-    head = np.fromiter((v for _, v in edges), dtype=np.int64, count=len(edges))
     return PlanarGraph(
-        vertex_count=vertex_count,
-        edges=edges,
-        rotation=rotation,
-        faces=faces,
-        edge_faces=edge_faces,
-        tail=tail,
-        head=head,
+        vertex_count=int(vertex_count),
+        endpoints=_read_only(endpoints),
+        rotation_start=_read_only(start),
+        rotation_index=_read_only(index),
+        face_start=_read_only(face_start),
+        face_index=_read_only(face_index),
+        edge_face_ids=_read_only(edge_face_ids),
     )
 
 
@@ -217,27 +307,31 @@ def canonical_labels(labels: np.ndarray) -> np.ndarray:
     return rank[labels]
 
 
-def partition_from_cut(graph: PlanarGraph, x: np.ndarray) -> np.ndarray:
-    """Connected components of the subgraph of uncut edges, canonical labels.
+def _components(vertex_count: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Connected components of the edges (u[k], v[k]), canonical labels.
 
     A vectorized union-find: each root is hooked to the smaller root across
-    every uncut edge, then pointers jump until nothing changes.  Every
-    vertex ends up holding the smallest vertex id of its component, so the
-    rank of that id is already the first-occurrence label.
+    every edge, then pointers jump until nothing changes.  Every vertex ends
+    up holding the smallest vertex id of its component, so the rank of that
+    id among the roots is already the first-occurrence label.
     """
-    keep = ~np.asarray(x, dtype=bool)
-    if keep.shape != (graph.edge_count,):
-        raise ValueError("cut vector must have one entry per edge")
-    u, v = graph.tail[keep], graph.head[keep]
-    root = np.arange(graph.vertex_count)
+    root = np.arange(vertex_count)
     while True:
         ru, rv = root[u], root[v]
         if np.array_equal(ru, rv):
-            return np.unique(root, return_inverse=True)[1]
+            return (np.cumsum(root == np.arange(vertex_count)) - 1)[root]
         np.minimum.at(root, np.maximum(ru, rv), np.minimum(ru, rv))
         jumped = root[root]
         while not np.array_equal(jumped, root):
             root, jumped = jumped, jumped[jumped]
+
+
+def partition_from_cut(graph: PlanarGraph, x: np.ndarray) -> np.ndarray:
+    """Connected components of the subgraph of uncut edges, canonical labels."""
+    keep = ~np.asarray(x, dtype=bool)
+    if keep.shape != (graph.edge_count,):
+        raise ValueError("cut vector must have one entry per edge")
+    return _components(graph.vertex_count, graph.tail[keep], graph.head[keep])
 
 
 def cut_from_partition(graph: PlanarGraph, labels: np.ndarray) -> np.ndarray:

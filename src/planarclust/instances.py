@@ -75,22 +75,17 @@ def round_theta(theta) -> np.ndarray:
 
 
 def rotation_from_positions(vertex_count, edges, pos):
-    """CCW rotation system read off vertex coordinates."""
-    incident = [[] for _ in range(vertex_count)]
-    for k, (u, v) in enumerate(edges):
-        incident[u].append(k)
-        incident[v].append(k)
-    rotation = []
-    for v in range(vertex_count):
-        x0, y0 = pos[v]
-
-        def angle(k):
-            a, b = edges[k]
-            other = b if a == v else a
-            return math.atan2(pos[other][1] - y0, pos[other][0] - x0)
-
-        rotation.append(tuple(sorted(incident[v], key=angle)))
-    return tuple(rotation)
+    """CCW rotation system read off vertex coordinates: each vertex's edges
+    by the angle of their other end, ties by edge id."""
+    ends = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    pos = np.asarray(pos, dtype=float)
+    vertex, other = ends.ravel(), ends[:, ::-1].ravel()
+    d = pos[other] - pos[vertex]
+    edge = np.arange(vertex.size) // 2
+    order = np.lexsort((edge, np.arctan2(d[:, 1], d[:, 0]), vertex))
+    bounds = np.cumsum(np.bincount(vertex, minlength=vertex_count)).tolist()
+    listed = edge[order].tolist()
+    return tuple(tuple(listed[a:b]) for a, b in zip([0, *bounds], bounds))
 
 
 @dataclass(frozen=True)
@@ -215,15 +210,18 @@ def gen_random_planar(n: int, seed: int) -> Instance:
 
 
 def write_instance(instance: Instance, path) -> None:
+    graph = instance.graph
+    rotation = graph.rotation_index.tolist()
+    bounds = graph.rotation_start.tolist()
     doc = {
         "format_version": FORMAT_VERSION,
         "name": instance.name,
-        "vertex_count": instance.graph.vertex_count,
+        "vertex_count": graph.vertex_count,
         "edges": [
-            [int(u), int(v), repr(float(t))]
-            for (u, v), t in zip(instance.graph.edges, instance.theta)
+            [u, v, repr(t)]
+            for (u, v), t in zip(graph.endpoints.tolist(), np.asarray(instance.theta, float).tolist())
         ],
-        "rotation": [list(r) for r in instance.graph.rotation],
+        "rotation": [rotation[a:b] for a, b in zip(bounds, bounds[1:])],
         "metadata": instance.metadata,
     }
     with open(path, "w", encoding="utf-8") as fh:

@@ -71,7 +71,7 @@ def exact_cc_value(graph: PlanarGraph, theta) -> float:
     theta = np.asarray(theta, dtype=float)
 
     adj = [[] for _ in range(n)]
-    for e, (u, v) in enumerate(graph.edges):
+    for e, (u, v) in enumerate(graph.endpoints.tolist()):
         adj[u].append((v, theta[e]))
         adj[v].append((u, theta[e]))
 

@@ -40,8 +40,54 @@ def test_all_positive(triangle):
     res = optimize_lower_bound(triangle, [1.0, 0.5, 2.0])
     assert res.converged
     assert res.bound == 0.0
-    assert res.batches == 0
+    assert res.batches == 0 and len(res.pool) == 0
     assert np.array_equal(res.lam, [1.0, 0.5, 2.0])
+    # no negative edge, so no seeded row, zeros included
+    inst = gen_grid(5, 4, GpbLikeWeights(0.27), 2)
+    for theta in (np.abs(inst.theta), np.zeros(inst.graph.edge_count)):
+        res = optimize_lower_bound(inst.graph, theta)
+        assert (res.converged, res.bound, res.batches, len(res.pool)) == (True, 0.0, 0, 0)
+
+
+def test_pool_starts_with_the_negative_edge_clustering():
+    # the isolating cuts of the clustering by theta >= 0 edges are
+    # 2-colorable, so the first LP holds all of them, in split order
+    seeds = 0
+    for inst in [gen_grid(6, 5, GpbLikeWeights(0.27), s) for s in range(3)] + [
+        gen_random_planar(9 + s, 30 + s) for s in range(6)
+    ]:
+        seeded = split_into_basic_cuts(inst.graph, inst.theta < 0)
+        seeds += bool(seeded)
+        for max_batches in (0, 1000):
+            res = optimize_lower_bound(inst.graph, inst.theta, max_batches=max_batches)
+            assert len(res.pool) >= len(seeded)
+            assert all(np.array_equal(a, b) for a, b in zip(res.pool, seeded))
+    assert seeds >= 6
+
+
+@settings(max_examples=200)
+@given(
+    st.one_of(
+        st.builds(gen_random_planar, st.integers(3, 10), st.integers(0, 2**32 - 1)),
+        st.builds(
+            gen_grid, st.integers(2, 5), st.just(2), st.just(GpbLikeWeights(0.27)),
+            st.integers(0, 2**32 - 1),
+        ),
+    )
+)
+def test_seeded_bound_is_the_full_lp_bound(inst):
+    graph, theta = inst.graph, inst.theta
+    res = optimize_lower_bound(graph, theta, tol=1e-9)
+    assert res.converged
+    assert certified_bound(graph, theta, res.lam)[0] == res.bound
+    assert res.bound == pytest.approx(full_lp_bound(graph, theta, True), abs=1e-9)
+
+
+def test_seeded_50x50_grid_converges_in_three_batches():
+    # from an empty pool the loop took 7 batches here
+    inst = gen_grid(50, 50, GpbLikeWeights(0.27), seed=0)
+    res = optimize_lower_bound(inst.graph, inst.theta)
+    assert res.converged and res.batches <= 3
 
 
 def test_triangle_all_negative(triangle):
@@ -196,11 +242,17 @@ def test_small_grid():
 
 def _replay(graph, theta, max_batches=50):
     """The cutting-plane loop by hand, through one warm LP model as the loop
-    keeps it: yields the pool, the model and its solve after each batch."""
-    pool = CutPool()
+    keeps it, from the negative-edge clustering's cuts: yields the pool, the
+    model and its solve at the start and after each batch."""
+    pool = CutPool(split_into_basic_cuts(graph, theta < 0))
     model = LpModel(restricted_lp(theta, pool))
     lam = theta.copy()
-    for _ in range(max_batches):
+    for _ in range(max_batches + 1):
+        if len(pool):
+            lp = solve_lp(model.problem, model)
+            lam = theta.copy()
+            lam[theta < 0] = lp.x
+            yield pool, model, lp
         cut, value = min_cut_2color(graph, lam)
         if value >= -1e-9:
             return
@@ -208,10 +260,6 @@ def _replay(graph, theta, max_batches=50):
         if not new:
             return
         model.add_rows(*_cut_rows(theta, np.vstack(new)))
-        lp = solve_lp(model.problem, model)
-        lam = theta.copy()
-        lam[theta < 0] = lp.x
-        yield pool, model, lp
 
 
 def test_lp_objective_monotone_across_batches():

@@ -257,6 +257,16 @@ def test_gen_rejects_malformed_grid(tmp_path, capsys, grid):
     assert err == f"planarclust: error: --grid takes WxH, not {grid!r}\n"
 
 
+def test_gen_rejects_a_uniform_range_from_above(tmp_path, capsys):
+    # A > B used to exit with numpy's "high - low < 0"; A == B is a range
+    out = tmp_path / "g.json"
+    code, _, err = run_cli(capsys, "gen", "--grid", "2x2", "--uniform", "1,0", "--out", str(out))
+    assert code == 1 and not out.exists()
+    assert err == "planarclust: error: --uniform takes A,B with A <= B, not '1,0'\n"
+    code, _, _ = run_cli(capsys, "gen", "--grid", "2x2", "--uniform", "0.5,0.5", "--out", str(out))
+    assert code == 0 and out.exists()
+
+
 def test_bench(tmp_path, capsys):
     d = tmp_path / "instances"
     d.mkdir()

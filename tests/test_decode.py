@@ -84,8 +84,10 @@ def test_no_certificate_from_an_empty_pool():
 @pytest.mark.parametrize("max_batches", [0, 1])
 def test_no_certificate_from_a_cut_short_run_without_its_bound(max_batches):
     # cut short, lambda is infeasible and the pool incomplete: neither
-    # sum(min(theta - lambda, 0)) nor the restricted LP's value is a bound
-    inst = gen_random_planar(10, 352)
+    # sum(min(theta - lambda, 0)) nor the restricted LP's value is a bound.
+    # The seeded pool's rounding misses this instance's optimum by 0.70 at
+    # both budgets
+    inst = gen_random_planar(10, 57)
     optimum = exact_cc_value(inst.graph, inst.theta)
     br = optimize_lower_bound(inst.graph, inst.theta, max_batches=max_batches)
     assert not br.converged and br.bound < optimum
@@ -211,8 +213,10 @@ def test_rounding_multipliers_solve_the_dual(max_batches):
     # the bound LP's cut multipliers alpha solve the rounding decoder's dual:
     # min theta.z - sum_neg theta_e * max(z_e - 1, 0) over z = C^T alpha
     pools = certified = cut_short = 0
-    # the last instance has an integrality gap, so rounding cannot certify it
-    instances = [gen_random_planar(8 + seed % 13, 1100 + seed) for seed in range(40)]
+    # the last instance has an integrality gap, so rounding cannot certify it.
+    # The seeded pool lets 32 of the first 40 converge within one batch; with
+    # 50, 17 runs stay cut short
+    instances = [gen_random_planar(8 + seed % 13, 1100 + seed) for seed in range(50)]
     for inst in instances + [gen_random_planar(6, 4)]:
         theta = inst.theta
         br = optimize_lower_bound(inst.graph, theta, max_batches=max_batches)

@@ -6,7 +6,7 @@ import pytest
 
 from planarclust.bound import optimize_lower_bound
 from planarclust.decode import best_decode
-from planarclust.instances import GpbLikeWeights, gen_grid, gen_random_planar, read_instance
+from planarclust.instances import GpbLikeWeights, UniformWeights, gen_grid, gen_random_planar, read_instance
 
 GOLDEN = Path(__file__).resolve().parent.parent / "docs" / "golden"
 
@@ -70,3 +70,35 @@ def test_random_planar_instances_are_pinned(n, seed, digest):
     g = inst.graph
     data = repr((g.edges, g.rotation)).encode() + inst.theta.astype("<f8").tobytes()
     assert hashlib.sha256(data).hexdigest() == digest
+
+
+GRAPHS = {
+    "grid28": lambda: gen_grid(28, 28, GpbLikeWeights(0.27), 0).graph,
+    "grid5x2": lambda: gen_grid(5, 2, UniformWeights(), 3).graph,
+    "planar20": lambda: gen_random_planar(20, 0).graph,
+    "planar300": lambda: gen_random_planar(300, 3).graph,
+    **{name: lambda name=name: read_instance(GOLDEN / f"{name}.json").graph
+       for name in ("triangle", "planar8", "grid4x3")},
+}
+
+
+@pytest.mark.parametrize(
+    "name, digest",
+    [
+        # computed when the graph kept its topology in tuples of tuples
+        ("grid28", "e47788b49894649f34325c7e8ce1251315fbb6e52defa75304ee38e61a9c5c64"),
+        ("grid5x2", "5620402bd169cafb7efe8d7856b8553260c78f1ae672b6eeb4d5eba4857acc40"),
+        ("planar20", "9834bb13bb59ece606dda78809f600dd0f8aaf721cff72a53505f855694280ae"),
+        ("planar300", "ad2d76681378799f006cfa44e4a784e41f0da38956db7376ef09cdbf294d1e47"),
+        ("triangle", "90d9e78e3f88aa5ae7a0de950a194539ee01ebdbd190befeb4962c32a8cd9122"),
+        ("planar8", "a045b9fc9972126daf7e629f5a0733e87ded99f566b1411713ce51dd16880dc2"),
+        ("grid4x3", "5be5eb8b77b9dad1cb9e545aef647823c34ff7f34fe5bc040b080b4ec5e5c3f7"),
+    ],
+)
+def test_tuple_views_of_the_graph_are_pinned(name, digest):
+    # edges, rotation, faces and edge_faces read the flat arrays as the
+    # tuples of Python ints that the graph used to store
+    g = GRAPHS[name]()
+    views = (g.edges, g.rotation, g.faces, g.edge_faces)
+    assert all(type(x) is int for view in views for row in view for x in row)
+    assert hashlib.sha256(repr(views).encode()).hexdigest() == digest
