@@ -136,7 +136,7 @@ class _DualInfo:
             (np.zeros(indices.size), indices, indptr), shape=(graph.face_count, graph.face_count)
         )
         self.lock = threading.Lock()
-        self.prepared: tuple = (None,)  # the last `_prepare_weights` key and result
+        self.prepared: tuple = ((),)  # the last `_prepare_weights` keys and result
 
 
 def _dual_info(graph: PlanarGraph) -> _DualInfo:
@@ -366,15 +366,16 @@ def _prepare_weights(w, graph: PlanarGraph):
     own result unchanged.  Head-room: path sums 2 sum|int64| + 1 < 2**53,
     even with min_cut_forced's M, and 16 times the matching's sentinel
     over F + 1 terminals below 2**62 (`matching.match_dense`).  The graph's
-    dual data keep the last result: `bound.certified_bound` asks for the
-    weights solved, then calls the oracle on them.  Raises ValueError
-    unless w is finite with one entry per edge."""
+    dual data keep the last result under the keys of w and of the weights
+    solved: `bound.certified_bound` asks for the weights solved, then calls
+    the oracle on them, which prepares them no second time.  Raises
+    ValueError unless w is finite with one entry per edge."""
     w = np.asarray(w, dtype=float)
     if w.shape != (graph.edge_count,):
         raise ValueError("weight vector must have one entry per edge")
     info, key = _dual_info(graph), w.tobytes()
     prepared = info.prepared
-    if prepared[0] != key:  # an input equal to the last one is finite
+    if key not in prepared[0]:  # an input equal to an earlier one is finite
         finite_weights(w)
         # the largest sum|int64| with head-room
         budget = min(2**52 - 1, ((2**57 - 1) // (graph.face_count + 1) - 1) // 2)
@@ -388,7 +389,9 @@ def _prepare_weights(w, graph: PlanarGraph):
             while sum(np.abs(ints := np.ceil(np.ldexp(w, k)).astype(np.int64)).tolist()) > budget:
                 k -= 1
             scaled = ints, 2.0**k
-        info.prepared = prepared = (key, *scaled, on_grid)
+        # the weights solved, prepared, give this result again
+        keys = (key, (scaled[0] / scaled[1]).tobytes()) if on_grid else (key,)
+        info.prepared = prepared = (keys, *scaled, on_grid)
     _, ints, scale, on_grid = prepared
     return ints, scale, ints / scale if on_grid else w
 

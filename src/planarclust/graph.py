@@ -127,6 +127,26 @@ def _edge_error(vertex_count: int, edges) -> str:
     return ""
 
 
+def _is_id(x) -> bool:
+    return isinstance(x, (int, np.integer)) and not isinstance(x, (bool, np.bool_))
+
+
+def _shown(x) -> str:
+    return repr(x.item() if isinstance(x, np.generic) else x)
+
+
+def _id_error(edges, rotation) -> str:
+    """The first edge endpoint, else rotation entry, that is not an integer."""
+    for k, (u, v) in enumerate(edges):
+        if not (_is_id(u) and _is_id(v)):
+            return f"edge {k} endpoint is not an integer: ({_shown(u)}, {_shown(v)})"
+    for v, rot in enumerate(rotation):
+        for e in rot:
+            if not _is_id(e):
+                return f"rotation of vertex {v} names non-integer edge {_shown(e)}"
+    return "edge ids must be integers of one kind that fit in int64"
+
+
 def _rotation_error(edges, rotation) -> str:
     """The first fault of the rotation system, by the checks in order: an
     entry naming an unknown edge, repeating its list's edge or not incident,
@@ -224,19 +244,26 @@ def _trace_faces(vertex, start, arrivals):
 def build_graph(vertex_count, edges, rotation) -> PlanarGraph:
     """Validate inputs, derive faces, check Euler's formula.
 
-    Raises MalformedInput for structural problems (loops, parallel edges,
-    disconnected graph, inconsistent rotation) and EulerViolation when the
-    traced faces show the rotation system is not a plane embedding.  The
-    checks run on arrays; only a failing one walks the input in Python, to
-    name the first fault.
+    Raises MalformedInput for structural problems (endpoints or rotation
+    entries that are not integers, loops, parallel edges, disconnected
+    graph, inconsistent rotation) and EulerViolation when the traced faces
+    show the rotation system is not a plane embedding.  The checks run on
+    arrays; only a failing one walks the input in Python, to name the first
+    fault.
     """
-    endpoints = np.array(edges, dtype=np.int64)
+    endpoints = np.array(edges)
     if endpoints.size and (endpoints.ndim != 2 or endpoints.shape[1] != 2):
         raise MalformedInput("edges must be (u, v) pairs")
-    endpoints = np.asfortranarray(endpoints.reshape(-1, 2))
+    index = np.array([e for rot in rotation for e in rot])
+    # an int64 conversion would truncate 1.7 to 1
+    if (endpoints.size and endpoints.dtype.kind not in "iu") or (
+        index.size and index.dtype.kind not in "iu"
+    ):
+        raise MalformedInput(_id_error(edges, rotation))
+    endpoints = np.asfortranarray(endpoints.reshape(-1, 2), dtype=np.int64)
+    index = index.astype(np.int64, copy=False)
     m = endpoints.shape[0]
     lengths = np.array([len(rot) for rot in rotation], dtype=np.int64)
-    index = np.array([e for rot in rotation for e in rot], dtype=np.int64)
     if lengths.size != vertex_count:
         raise MalformedInput("rotation must list every vertex")
     if vertex_count <= 0:

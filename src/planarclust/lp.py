@@ -18,19 +18,30 @@ change the result and the post-solve check are linprog's, so a cold
 `solve_lp` is bit-identical to `linprog(method="highs")`, which the
 tests keep as the reference.
 
-The bound loop's LP only grows.  An `LpModel` owns its HiGHS model:
-`add_rows` appends rows, and `solve_lp(model.problem, model)` re-solves
-with dual simplex from the previous optimal basis (Huangfu & Hall 2018),
-which stays dual feasible when rows are added.  These warm solves run
-the same options, except that presolve is off, and the same post-solve
-check, and reach the same optimal value; but on a degenerate LP they may
-stop at another optimal vertex, so their x and duals need not equal a
-cold solve's.
+HiGHS solvers are reused.  Passing a desk-scale starting LP to a fresh
+`_Highs()` and solving it took 220-235 us, on a used solver 105-115 us
+(the bound loop's first LPs of 276 desk graphs, process CPU time), so
+solvers come from a module-level list of spares, made with their options
+set when the list is empty and put back when their user is done; a user
+never shares its solver.  `passModel` clears a solver's model, basis and
+solution, so a cold `solve_lp` on a used solver (presolve on, as
+linprog sets it) is still bit-identical to linprog.
+
+The bound loop's LP only grows.  An `LpModel` holds its HiGHS solver for
+its lifetime: `add_rows` appends rows, checking only the new ones, and
+`solve_lp(model.problem, model)` re-solves with dual simplex from the
+previous optimal basis (Huangfu & Hall 2018), which stays dual feasible
+when rows are added.  These warm solves run the same options, except
+that presolve is off, and the same post-solve check, and reach the same
+optimal value; but on a degenerate LP they may stop at another optimal
+vertex, so their x and duals need not equal a cold solve's.
 The binding is private to scipy; this is the only module that uses it.
 """
 
 from __future__ import annotations
 
+import math
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -107,6 +118,16 @@ _HIGHS_OPTS = {
 _CHECK_TOL = 10 * np.sqrt(1e-9)
 
 
+def _unchecked_problem(objective, lower, upper, constraints, rhs) -> LpProblem:
+    """An LpProblem of float arrays that already hold its invariants,
+    built without `LpProblem.__post_init__`'s checks."""
+    problem = object.__new__(LpProblem)
+    problem.__dict__.update(
+        objective=objective, lower=lower, upper=upper, constraints=constraints, rhs=rhs
+    )
+    return problem
+
+
 def _highs_model(problem: LpProblem) -> highs.HighsLp:
     """minimize -objective . x  s.t.  -constraints x <= -rhs, as linprog poses it."""
     n, m = problem.objective.size, problem.rhs.size
@@ -128,37 +149,73 @@ def _highs_model(problem: LpProblem) -> highs.HighsLp:
     return lp
 
 
-def _new_solver() -> highs._Highs:
-    solver = highs._Highs()
-    for name, value in _HIGHS_OPTS.items():
-        solver.setOptionValue(name, value)
-    return solver
+# solvers with `_HIGHS_OPTS` set that no one uses.  No cap: the list never
+# holds more solvers than were once in use at the same time
+_SPARES: list[highs._Highs] = []
+
+
+def _take_solver() -> highs._Highs:
+    """A spare solver, or a new one; give it back with `_SPARES.append`."""
+    try:
+        return _SPARES.pop()  # atomic: two threads never get the same one
+    except IndexError:
+        solver = highs._Highs()
+        for name, value in _HIGHS_OPTS.items():
+            solver.setOptionValue(name, value)
+        return solver
+
+
+def _size(problem: LpProblem) -> float:
+    """The largest magnitude of a lower bound or right-hand side."""
+    return max(np.abs(problem.lower).max(initial=0), np.abs(problem.rhs).max(initial=0))
+
+
+def _grown(buffer: np.ndarray, rows: int, capacity: int) -> np.ndarray:
+    """A buffer of `capacity` rows that starts with `buffer`'s first `rows`."""
+    out = np.empty((capacity, *buffer.shape[1:]))
+    out[:rows] = buffer[:rows]
+    return out
 
 
 class LpModel:
     """One HiGHS model of an LP whose rows only grow.
 
-    The constructor passes `problem` to HiGHS; `add_rows` appends rows to
-    HiGHS and to `self.problem`.  `solve_lp(model.problem, model)` then
-    re-solves from the last optimal basis.
+    The constructor passes `problem` to a solver that the model holds until
+    it is collected, then gives back to the spares.  `add_rows` appends
+    rows to HiGHS and, in place, to buffers whose capacity doubles;
+    `self.problem` is then a new LpProblem over views of the rows so far.
+    `solve_lp(model.problem, model)` re-solves from the last optimal basis.
     """
 
     def __init__(self, problem: LpProblem):
         self.problem = problem
-        self.solver = _new_solver()
-        # with presolve left on, the solves of the bound loop's desk-scale
-        # LPs took 0.34-0.40 ms each, without it 0.29-0.32 ms (three runs
-        # each over 1000 graphs, one core of an x86-64 host)
-        self.solver.setOptionValue("presolve", "off")
-        self.solver.passModel(_highs_model(problem))
+        self.solver = solver = _take_solver()
+        weakref.finalize(self, _SPARES.append, solver)
+        # with presolve on, the warm solves of the bound loop's desk-scale
+        # LPs took 0.27-0.28 ms each, without it 0.20-0.22 ms (three runs
+        # each over 1000 graphs, process CPU time, one core of an x86-64 host)
+        solver.setOptionValue("presolve", "off")
+        solver.passModel(_highs_model(problem))
+        rows, n = problem.constraints.shape
+        self._a = np.empty((max(2 * rows, 8), n))
+        self._b = np.empty(self._a.shape[0])
+        self._a[:rows], self._b[:rows] = problem.constraints, problem.rhs
+        self._size = _size(problem)
 
     def add_rows(self, constraints, rhs) -> None:
-        """Append the rows `constraints x >= rhs`."""
+        """Append the rows `constraints x >= rhs`.
+
+        Checks only the new rows: ValueError, and the model unchanged, unless
+        they form a (rows, n) array with one finite rhs per row, each below
+        1e20 in magnitude.
+        """
         p = self.problem
-        problem = LpProblem(
-            p.objective, p.lower, p.upper, np.vstack([p.constraints, constraints]), np.r_[p.rhs, rhs]
-        )
-        a, b = problem.constraints[p.rhs.size :], problem.rhs[p.rhs.size :]
+        a, b = np.asarray(constraints, dtype=float), np.asarray(rhs, dtype=float)
+        if b.ndim != 1 or a.shape != (b.size, p.objective.size):
+            raise ValueError("constraints must be a (rows, n) array with one rhs per row")
+        size = np.abs(b).max(initial=0)
+        if not size < 1e20:  # NaN fails this too
+            raise ValueError("right-hand sides must be finite and below 1e20 in magnitude")
         # -a x <= -b, as `_highs_model` poses the rows
         row, col = np.nonzero(a)  # row-major order: the CSR layout
         starts = np.searchsorted(row, np.arange(b.size)).astype(np.int32)
@@ -167,7 +224,16 @@ class LpModel:
         )
         if status == highs.HighsStatus.kError:
             raise LpError("LP solver rejected the new rows")
-        self.problem = problem
+        old = p.rhs.size
+        stop = old + b.size
+        if stop > self._b.size:
+            capacity = max(2 * self._b.size, stop)
+            self._a, self._b = _grown(self._a, old, capacity), _grown(self._b, old, capacity)
+        self._a[old:stop], self._b[old:stop] = a, b
+        self._size = max(self._size, size)
+        self.problem = _unchecked_problem(
+            p.objective, p.lower, p.upper, self._a[:stop], self._b[:stop]
+        )
 
 
 def solve_lp(problem: LpProblem, model: LpModel | None = None) -> LpSolution:
@@ -181,30 +247,37 @@ def solve_lp(problem: LpProblem, model: LpModel | None = None) -> LpSolution:
         raise ValueError("a warm solve takes the model's own problem")
     if problem.objective.size == 0:
         return LpSolution(np.zeros(0), np.zeros(problem.rhs.size), 0.0)
-    if model is None:
-        solver = _new_solver()
+    if model is not None:
+        return _run(model.solver, problem, model._size)
+    solver = _take_solver()
+    try:
+        solver.setOptionValue("presolve", "on")
         solver.passModel(_highs_model(problem))
-    else:
-        solver = model.solver
+        return _run(solver, problem, _size(problem))
+    finally:
+        _SPARES.append(solver)
+
+
+def _run(solver: highs._Highs, problem: LpProblem, size: float) -> LpSolution:
+    """Run `solver` on its model of `problem`, whose `_size` is `size`; read
+    and check the optimum."""
     solver.run()
     status = solver.getModelStatus()
     if status != highs.HighsModelStatus.kOptimal:
         raise LpError(f"LP solver failed: {solver.modelStatusToString(status)}")
     solution = solver.getSolution()
-    duals = -np.asarray(solution.row_dual, dtype=float)
+    duals = np.negative(solution.row_dual)
     # tiny negative multipliers are solver noise
     duals = np.where(np.abs(duals) < 1e-11, 0.0, duals)
     x = np.asarray(solution.col_value, dtype=float)
     value = -solver.getObjectiveValue()
-    slack = problem.constraints @ x - problem.rhs
     # relative 1e-9 where that is larger, above 3e5: near 1e19 an ulp is 2048
-    size = max(np.abs(problem.lower).max(initial=0), np.abs(problem.rhs).max(initial=0))
     tol = max(_CHECK_TOL, 1e-9 * size)
     if not (
-        np.isfinite(value)
-        and np.all(x >= problem.lower - tol)
-        and np.all(x <= problem.upper + tol)
-        and np.all(slack >= -tol)
+        math.isfinite(value)
+        and (x >= problem.lower - tol).all()
+        and (x <= problem.upper + tol).all()
+        and (problem.constraints @ x - problem.rhs).min(initial=np.inf) >= -tol
     ):
         raise LpError("LP solver reported an optimum that violates the problem")
     return LpSolution(x, duals, float(value))

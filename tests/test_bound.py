@@ -1,4 +1,6 @@
+import concurrent.futures
 import copy
+import sys
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ from hypothesis import assume, given, settings, strategies as st
 from planarclust.bound import (
     CutPool, _cut_rows, certified_bound, lower_bound_value, optimize_lower_bound, restricted_lp,
 )
+from planarclust import cut_oracle
 from planarclust.cut_oracle import min_cut_2color, scale_to_int, split_into_basic_cuts
 from planarclust.decode import best_decode
 from planarclust.instances import GpbLikeWeights, gen_grid, gen_random_planar, UniformWeights
@@ -212,6 +215,33 @@ def test_grid_bound_is_recomputed_from_its_lambda(case, max_batches):
     assert np.all(res.lam >= theta - slack) and np.all(res.lam <= np.maximum(theta, 0.0) + slack)
 
 
+@pytest.mark.parametrize("factor", [np.pi / 3, 1.0])
+def test_certified_bound_prepares_its_weights_once(monkeypatch, factor):
+    # off the decimal grid the oracle solves lambda rounded up, and
+    # certified_bound passes it the rounded weights: their preparation is
+    # the one kept from lambda's, as a graph without it prepares them
+    inst = gen_grid(14, 14, GpbLikeWeights(0.27), seed=0)
+    theta = inst.theta * factor
+    assert (scale_to_int(theta) is None) == (factor != 1.0)
+    lam = np.maximum(theta, 0.0)
+    lam[theta < 0] = theta[theta < 0] / 2
+    calls = []
+    monkeypatch.setattr(
+        cut_oracle, "scale_to_int", lambda w: calls.append(w) or scale_to_int(w)
+    )
+    for _ in range(2):
+        graph = copy.copy(inst.graph)
+        calls.clear()
+        certified, cut, value = certified_bound(graph, theta, lam)
+        assert len(calls) == 1
+        ints, scale, solved = cut_oracle._prepare_weights(lam, copy.copy(graph))
+        again = cut_oracle._prepare_weights(solved, copy.copy(graph))
+        assert np.array_equal(again[0], ints) and again[1] == scale
+        ref_cut, ref_value = min_cut_2color(copy.copy(graph), solved)
+        assert value == ref_value and np.array_equal(cut, ref_cut)
+        assert certified == lower_bound_value(theta, solved) + 1.5 * min(0.0, value)
+
+
 @pytest.mark.parametrize("n, seed", [(8, 3), (8, 5), (10, 1)])
 def test_lambda_near_1e19_stays_in_its_box(n, seed):
     # the oracle's grid step is 256 to 1024 here, so a lambda rounded onto
@@ -238,6 +268,35 @@ def test_small_grid():
     res = optimize_lower_bound(inst.graph, inst.theta)
     assert res.converged
     assert res.bound <= 1e-12
+
+
+def _bound_record(res) -> tuple:
+    """Every field of a BoundResult, as bytes and scalars."""
+    lp = res.final_lp
+    return (
+        res.lam.tobytes(), repr(res.bound), res.pool.matrix(res.lam.size).tobytes(), res.batches,
+        res.converged, res.oracle_calls,
+        None if lp is None else (lp.x.tobytes(), lp.duals.tobytes(), repr(lp.objective_value)),
+    )
+
+
+def test_bound_loops_in_threads_match_sequential_runs():
+    # each loop's LP model holds its own solver, taken from and given back
+    # to one shared list
+    insts = [gen_random_planar(12 + s % 9, 300 + s) for s in range(12)]
+    insts += [gen_grid(6, 6, GpbLikeWeights(0.27), seed=s) for s in range(4)]
+    want = [_bound_record(optimize_lower_bound(i.graph, i.theta)) for i in insts]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with concurrent.futures.ThreadPoolExecutor(max_workers=4) as pool:
+            futures = [
+                pool.submit(optimize_lower_bound, copy.copy(i.graph), i.theta) for i in insts
+            ]
+            got = [_bound_record(f.result(timeout=120)) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == want
 
 
 def _replay(graph, theta, max_batches=50):

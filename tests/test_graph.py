@@ -129,6 +129,32 @@ def test_build_graph_names_the_first_fault(vertex_count, edges, rotation, error,
     assert type(info.value) is error and str(info.value) == message
 
 
+@pytest.mark.parametrize(
+    "edges, rotation, message",
+    [
+        ([(0, 1.7)], [(0.4,), (0,)], "edge 0 endpoint is not an integer: (0, 1.7)"),
+        (np.array([[0.0, 1.0]]), [(0,), (0,)], "edge 0 endpoint is not an integer: (0.0, 1.0)"),
+        ([("0", "1")], [(0,), (0,)], "edge 0 endpoint is not an integer: ('0', '1')"),
+        ([(True, False)], [(0,), (0,)], "edge 0 endpoint is not an integer: (True, False)"),
+        ([(0, 1)], [(0.4,), (0,)], "rotation of vertex 0 names non-integer edge 0.4"),
+        ([(0, 1)], [(0,), (np.float64(0),)], "rotation of vertex 1 names non-integer edge 0.0"),
+    ],
+)
+def test_build_graph_rejects_ids_that_are_not_integers(edges, rotation, message):
+    # an int64 conversion truncated them: (0, 1.7) with rotation (0.4,), (0,)
+    # built the edge (0, 1)
+    with pytest.raises(MalformedInput) as info:
+        build_graph(2, edges, rotation)
+    assert str(info.value) == message
+
+
+def test_build_graph_takes_integer_ids_of_any_width():
+    rotation = [np.array([0], dtype=np.uint8), (np.int16(0),)]
+    g = build_graph(2, np.array([[0, 1]], dtype=np.int32), rotation)
+    assert g.edges == ((0, 1),) and g.rotation == ((0,), (0,))
+    assert g.endpoints.dtype == g.rotation_index.dtype == np.int64
+
+
 def test_a_lone_vertex_has_one_face_and_an_empty_rotation():
     g = build_graph(1, [], [()])
     assert (g.edge_count, g.face_count, g.faces, g.rotation) == (0, 1, ((),), ((),))

@@ -1,9 +1,11 @@
+import gc
 import itertools
 
 import numpy as np
 import pytest
 from scipy.optimize import linprog
 
+from planarclust import lp
 from planarclust.lp import LpError, LpModel, LpProblem, LpSolution, solve_lp
 
 
@@ -108,6 +110,128 @@ def test_warm_solve_refuses_a_problem_that_is_not_the_models():
     model.add_rows(p.constraints[:1], p.rhs[:1])
     with pytest.raises(ValueError):
         solve_lp(p, model)
+
+
+def _same(a: LpSolution, b: LpSolution) -> bool:
+    """Bit for bit the same solution."""
+    return (
+        np.array_equal(a.x, b.x) and np.array_equal(a.duals, b.duals)
+        and np.float64(a.objective_value).tobytes() == np.float64(b.objective_value).tobytes()
+    )
+
+
+def _growth(p, stops):
+    """An LpModel of p without rows, then one step per stop: append p's rows
+    up to it and solve warm; each step yields its solution."""
+    model = LpModel(LpProblem(p.objective, p.lower, p.upper))
+    last = 0
+    for stop in stops:
+        model.add_rows(p.constraints[last:stop], p.rhs[last:stop])
+        last = stop
+        yield solve_lp(model.problem, model)
+
+
+def test_interleaved_models_solve_as_they_do_alone():
+    # two live models never share a solver, so neither sees the other's rows
+    # or basis
+    rng = np.random.default_rng(11)
+    for _ in range(10):
+        cases = []
+        for _ in range(2):
+            p = _random_problem(rng, int(rng.integers(2, 20)), int(rng.integers(4, 40)))
+            cases.append((p, np.sort(rng.choice(np.arange(1, p.rhs.size + 1), size=4))))
+        alone = [list(_growth(p, stops)) for p, stops in cases]
+        first, second = (_growth(p, stops) for p, stops in cases)
+        for want_first, want_second in zip(*alone):
+            assert _same(next(first), want_first)
+            assert _same(next(second), want_second)
+
+
+def test_models_hold_their_own_solver_until_collected():
+    p = _random_problem(np.random.default_rng(12), 4, 5)
+    a, b = LpModel(p), LpModel(p)
+    assert a.solver is not b.solver
+    assert all(s is not a.solver and s is not b.solver for s in lp._SPARES)
+    solver = a.solver
+    del a
+    gc.collect()
+    assert sum(s is solver for s in lp._SPARES) == 1
+    assert all(s is not b.solver for s in lp._SPARES)
+
+
+def _fail(problem):
+    with pytest.raises(LpError):
+        solve_lp(problem)
+
+
+def _warm_model(problem):
+    # a model's solver comes back to the spares with presolve off
+    model = LpModel(problem)
+    solve_lp(model.problem, model)
+
+
+def test_cold_solve_on_a_used_solver_matches_linprog():
+    # a solver given back after an infeasible or unbounded run, or by a
+    # model, must still solve the next problem from scratch as linprog does
+    rng = np.random.default_rng(13)
+    infeasible = LpProblem(objective=[1.0], lower=[0.0], upper=[1.0], constraints=[[1.0]], rhs=[2.0])
+    unbounded = LpProblem(objective=[1.0], lower=[0.0], upper=[np.inf])
+    for _ in range(10):
+        p = _random_problem(rng, int(rng.integers(2, 30)), int(rng.integers(1, 60)))
+        before = [
+            lambda: _fail(infeasible), lambda: _fail(unbounded),
+            lambda: _warm_model(_random_problem(rng, 5, 8)),
+        ]
+        for use in before:
+            use()
+            gc.collect()
+            # the solver just given back is the one the next cold solve takes
+            spare = lp._SPARES[-1]
+            got = solve_lp(p)
+            assert lp._SPARES[-1] is spare
+            assert _same(got, _linprog_reference(p))
+
+
+@pytest.mark.parametrize(
+    "rows, rhs, match",
+    [
+        (np.ones((2, 3)), [0.0], "one rhs per row"),
+        (np.ones((1, 4)), [0.0], "one rhs per row"),
+        (np.ones(3), [0.0], "one rhs per row"),
+        (np.ones((1, 3)), [[0.0]], "one rhs per row"),
+        (np.ones((1, 3)), [1e20], "1e20"),
+        (np.ones((2, 3)), [0.0, -1e21], "1e20"),
+        (np.ones((1, 3)), [np.inf], "finite"),
+        (np.ones((1, 3)), [-np.inf], "finite"),
+        (np.ones((1, 3)), [np.nan], "finite"),
+    ],
+)
+def test_add_rows_rejects_bad_rows_and_keeps_the_model(rows, rhs, match):
+    p = _random_problem(np.random.default_rng(14), 3, 6)
+    model, fresh = LpModel(p), LpModel(p)
+    before = model.problem
+    with pytest.raises(ValueError, match=match):
+        model.add_rows(rows, rhs)
+    assert model.problem is before and model.solver.getNumRow() == p.rhs.size
+    assert _same(solve_lp(model.problem, model), solve_lp(fresh.problem, fresh))
+    model.add_rows(p.constraints[:2], p.rhs[:2])
+    fresh.add_rows(p.constraints[:2], p.rhs[:2])
+    assert _same(solve_lp(model.problem, model), solve_lp(fresh.problem, fresh))
+
+
+def test_add_rows_keeps_earlier_problems():
+    # rows go into buffers that grow in place: a problem read before an
+    # append keeps its rows, also when the buffers are reallocated
+    p = _random_problem(np.random.default_rng(15), 5, 40)
+    model = LpModel(LpProblem(p.objective, p.lower, p.upper, p.constraints[:1], p.rhs[:1]))
+    problems = [model.problem]
+    stops = [1, 2, 5, 9, 17, 30, 40]
+    for start, stop in zip(stops, stops[1:]):
+        model.add_rows(p.constraints[start:stop], p.rhs[start:stop])
+        problems.append(model.problem)
+    for q in problems:
+        rows = q.rhs.size
+        assert np.array_equal(q.constraints, p.constraints[:rows]) and np.array_equal(q.rhs, p.rhs[:rows])
 
 
 def test_unbounded_raises():
