@@ -83,7 +83,7 @@ class CutPool:
     def matrix(self, edge_count: int) -> np.ndarray:
         if not self.cuts:
             return np.zeros((0, edge_count), dtype=bool)
-        return np.vstack(self.cuts)
+        return np.array(self.cuts)
 
 
 @dataclass(frozen=True)
@@ -203,5 +203,5 @@ def optimize_lower_bound(
                 lam=best_lam, bound=best_bound, pool=pool, batches=batches, converged=False,
                 oracle_calls=calls,
             )
-        model.add_rows(*_cut_rows(theta, np.vstack(new_cuts)))
+        model.add_rows(*_cut_rows(theta, np.array(new_cuts)))
         batches += 1

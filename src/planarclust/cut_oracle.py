@@ -105,36 +105,34 @@ class _DualInfo:
     """Per-topology data reused across weight vectors."""
 
     def __init__(self, graph: PlanarGraph):
-        self.f1, self.f2 = f1, f2 = graph.edge_face_ids[:, 0], graph.edge_face_ids[:, 1]
-        self.loop_mask = f1 == f2  # bridges: dual self-loops
-        nl = np.flatnonzero(~self.loop_mask)
+        f1, f2 = graph.edge_face_ids[:, 0], graph.edge_face_ids[:, 1]
+        nl = np.flatnonzero(f1 != f2)  # bridges are dual self-loops
         lo = np.minimum(f1[nl], f2[nl])
         hi = np.maximum(f1[nl], f2[nl])
         order = np.lexsort((hi, lo))
         self.sorted_edges = nl[order]
-        if nl.size:
-            key = lo[order] * graph.face_count + hi[order]
-            starts = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
-        else:
-            starts = np.zeros(0, dtype=np.int64)
-        self.group_starts = starts
-        self.group_sizes = np.diff(np.r_[starts, nl.size])
-        self.group_lo, self.group_hi = group_lo, group_hi = lo[order][starts], hi[order][starts]
+        self.face_count = fc = graph.face_count
+        key = lo[order] * fc + hi[order]
+        first = np.ones(key.size, dtype=bool)  # a sorted edge starts a group
+        first[1:] = key[1:] != key[:-1]
+        self.group_starts = starts = np.flatnonzero(first)
+        # per sorted edge, its group and its position
+        self.group_of, self.positions = np.cumsum(first) - 1, np.arange(key.size)
         # sorted face-pair key per group: lookup of the group joining two faces
-        self.group_key = group_lo * graph.face_count + group_hi
-        self.face_count = graph.face_count
+        self.group_key = group_key = key[starts]
+        self.group_lo, self.group_hi = group_lo, group_hi = group_key // fc, group_key % fc
         # directed dual adjacency: both directions of every group, rows sorted
         # by column; int32, which scipy keeps without a copy per call
-        rows, cols = np.r_[group_lo, group_hi], np.r_[group_hi, group_lo]
+        rows = np.concatenate((group_lo, group_hi))
+        cols = np.concatenate((group_hi, group_lo))
         slots = np.lexsort((cols, rows))
         self.slot_group = (slots % starts.size).astype(np.int32)
         indices = cols[slots].astype(np.int32)
-        indptr = np.searchsorted(rows[slots], np.arange(graph.face_count + 1)).astype(np.int32)
-        # a call refills `adj.data` in place: building a csr_matrix costs
-        # more than a small graph's searches.  `lock` guards it while in use.
-        self.adj = csr_matrix(
-            (np.zeros(indices.size), indices, indptr), shape=(graph.face_count, graph.face_count)
-        )
+        indptr = np.searchsorted(rows[slots], np.arange(fc + 1)).astype(np.int32)
+        # a call refills `adj.data` in place: scipy builds a csr_matrix in
+        # 12-14 us (about 56 us inside the desk-scale bound loop), a refill
+        # takes 2 us.  `lock` guards it while in use.
+        self.adj = csr_matrix((np.zeros(indices.size), indices, indptr), shape=(fc, fc))
         self.lock = threading.Lock()
         self.prepared: tuple = ((),)  # the last `_prepare_weights` keys and result
 
@@ -295,36 +293,28 @@ def _solve_even_subgraph(graph: PlanarGraph, w: np.ndarray):
     Returns (cut bool array, value in the same units as w).
     """
     info = _dual_info(graph)
-    neg = w < 0
-    cut = neg.copy()
-
-    neg_nl = neg & ~info.loop_mask
-    deg = np.bincount(info.f1[neg_nl], minlength=info.face_count) + np.bincount(
-        info.f2[neg_nl], minlength=info.face_count
-    )
-    terminals = np.flatnonzero(deg % 2 == 1)
+    cut = w < 0
+    # a bridge's two sides are one face, which it adds 2 to
+    deg = np.bincount(graph.edge_face_ids[cut].ravel(), minlength=info.face_count)
+    terminals = (deg & 1).nonzero()[0]
     if terminals.size:
-        wa = np.abs(w[info.sorted_edges]).astype(float)
+        wa = np.abs(w[info.sorted_edges], dtype=float)
         gmin = np.minimum.reduceat(wa, info.group_starts)
         # representative edge per face pair: first group member achieving gmin
-        reach = np.repeat(gmin, info.group_sizes)
-        is_min = wa <= reach
-        pos = np.where(is_min, np.arange(wa.size), wa.size)
-        rep_pos = np.minimum.reduceat(pos, info.group_starts)
-        rep_edges = info.sorted_edges[rep_pos]
+        pos = np.where(wa <= gmin[info.group_of], info.positions, wa.size)
+        rep_edges = info.sorted_edges[np.minimum.reduceat(pos, info.group_starts)]
 
         with info.lock:
             np.take(gmin, info.slot_group, out=info.adj.data)
             pairs, pred = _search_and_match(info, gmin, terminals)
 
         # walk each matched path; a dual edge used an odd number of times flips
-        fc = info.face_count
+        fc, ends = info.face_count, terminals.tolist()
         steps = []
         for i, j in pairs:
-            src = int(terminals[i])
-            p = int(terminals[j])
+            src, p = ends[i], ends[j]
             while p != src:
-                q = int(pred[i, p])
+                q = pred.item(i, p)
                 steps.append(min(p, q) * fc + max(p, q))
                 p = q
         groups = np.searchsorted(info.group_key, steps)
@@ -335,6 +325,7 @@ def _solve_even_subgraph(graph: PlanarGraph, w: np.ndarray):
 
 
 MAX_DIGITS = 9  # the largest power of ten `scale_to_int` tries
+_POWERS = 10.0 ** np.arange(MAX_DIGITS + 1)[:, None]
 
 
 def scale_to_int(values):
@@ -348,15 +339,29 @@ def scale_to_int(values):
     # values that are not finite, or above about 1.8e299 and overflow at the
     # larger scales, leave inf - inf = NaN, which fails the test below
     with np.errstate(over="ignore", invalid="ignore"):
-        scaled = np.multiply.outer(10.0 ** np.arange(MAX_DIGITS + 1), arr)
+        scaled = _POWERS * arr
         rounded = np.rint(scaled)
         # a true decimal leaves only float64 representation error (~1e-16
-        # relative); anything larger means the value is not this decimal
-        tol = 1e-12 * np.maximum(1.0, np.abs(scaled))
-        passing = np.flatnonzero(np.all(np.abs(scaled - rounded) <= tol, axis=1))
-    if passing.size and np.abs(rounded[passing[0]]).max(initial=0) < 2**52:
-        return rounded[passing[0]].astype(np.int64), 10 ** int(passing[0])
+        # relative); anything larger means the value is not this decimal.
+        # In place: 1e-12 * max(1, |scaled|) against |scaled - rounded|
+        tol = np.abs(scaled)
+        np.maximum(tol, 1.0, out=tol)
+        tol *= 1e-12
+        scaled -= rounded
+        passing = (np.abs(scaled, out=scaled) <= tol).all(axis=1)
+    digits = int(passing.argmax())  # the first passing scale, if any
+    if passing[digits] and np.abs(rounded[digits]).max(initial=0) < 2**52:
+        return rounded[digits].astype(np.int64), 10**digits
     return None
+
+
+def _abs_sum(ints: np.ndarray) -> int:
+    """sum |ints|, exactly: in int64 when E * max|int| < 2**63, so that the
+    sum cannot wrap, else over Python ints."""
+    a = np.abs(ints)
+    if a.size * int(a.max(initial=0)) < 2**63:
+        return int(a.sum())
+    return sum(a.tolist())
 
 
 def _prepare_weights(w, graph: PlanarGraph):
@@ -376,17 +381,17 @@ def _prepare_weights(w, graph: PlanarGraph):
     info, key = _dual_info(graph), w.tobytes()
     prepared = info.prepared
     if key not in prepared[0]:  # an input equal to an earlier one is finite
-        finite_weights(w)
         # the largest sum|int64| with head-room
         budget = min(2**52 - 1, ((2**57 - 1) // (graph.face_count + 1) - 1) // 2)
-        scaled = scale_to_int(w)
-        on_grid = scaled is None or sum(np.abs(scaled[0]).tolist()) > budget
+        scaled = scale_to_int(w)  # None unless w is finite
+        on_grid = scaled is None or _abs_sum(scaled[0]) > budget
         if on_grid:
+            finite_weights(w)
             # sum|ceil(2**k w)| > 2**k sum|w| - m, so no grid 2**-k finer than
             # the first one tried fits; sum|w| over 2**top stays finite
             top = int(np.frexp(np.abs(w).max())[1])
             k = int(np.frexp((budget + w.size) / np.ldexp(np.abs(w), -top).sum())[1]) - top
-            while sum(np.abs(ints := np.ceil(np.ldexp(w, k)).astype(np.int64)).tolist()) > budget:
+            while _abs_sum(ints := np.ceil(np.ldexp(w, k)).astype(np.int64)) > budget:
                 k -= 1
             scaled = ints, 2.0**k
         # the weights solved, prepared, give this result again

@@ -18,8 +18,10 @@ serialization and tests; the package's own readers use the arrays.
 Cuts are represented as boolean vectors indexed by edge id, partitions as
 integer label vectors indexed by vertex id.  Labels are always canonicalized
 by first occurrence in vertex order so that equality tests are deterministic.
-Partitions of a cut come from a union-find over numpy arrays: the oracle
-and both decoders ask for many, and a sparse matrix per call cost more.
+Partitions of a cut come from a union-find: the oracle and both decoders
+ask for many, and a sparse matrix per call cost more.  Below SMALL_V
+vertices it runs in Python, where a numpy call's fixed cost outweighs the
+work, and from SMALL_V up over numpy arrays.
 """
 
 from __future__ import annotations
@@ -183,24 +185,31 @@ def _arrivals(endpoints: np.ndarray, vertex: np.ndarray, index: np.ndarray):
     return None
 
 
-def spanning_forest(vertex_count: int, edges) -> list[bool]:
-    """Kruskal's union-find sweep: per edge, in order, whether it joins two
-    components of the edges before it.  The joining edges form a spanning
-    forest, so the graph has vertex_count minus their number of components."""
+def _union_find(vertex_count: int, pairs) -> tuple[list[int], list[bool]]:
+    """Kruskal's union-find sweep over the edges `pairs`, in order: the
+    parent list, in which every root is the smallest vertex id of its tree
+    and every other vertex's parent a smaller id, and per edge whether it
+    joined two trees."""
     parent = list(range(vertex_count))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
     joins = []
-    for u, v in edges:
-        ru, rv = find(u), find(v)
-        joins.append(ru != rv)
-        parent[ru] = rv
-    return joins
+    for a, b in pairs:
+        while parent[a] != a:
+            parent[a] = a = parent[parent[a]]
+        while parent[b] != b:
+            parent[b] = b = parent[parent[b]]
+        joins.append(a != b)
+        if a < b:
+            parent[b] = a
+        elif b < a:
+            parent[a] = b
+    return parent, joins
+
+
+def spanning_forest(vertex_count: int, edges) -> list[bool]:
+    """Per edge, in order, whether it joins two components of the edges
+    before it.  The joining edges form a spanning forest, so the graph has
+    vertex_count minus their number of components."""
+    return _union_find(vertex_count, edges)[1]
 
 
 def _trace_faces(vertex, start, arrivals):
@@ -306,7 +315,7 @@ def build_graph(vertex_count, edges, rotation) -> PlanarGraph:
 def finite_weights(w) -> np.ndarray:
     """`w` as a float array; ValueError if a weight is NaN or infinite."""
     w = np.asarray(w, dtype=float)
-    if not np.all(np.isfinite(w)):
+    if not np.isfinite(w).all():
         raise ValueError("edge weights must be finite")
     return w
 
@@ -334,14 +343,35 @@ def canonical_labels(labels: np.ndarray) -> np.ndarray:
     return rank[labels]
 
 
+# below this many vertices `_components` runs in Python, from it up over
+# numpy arrays.  Per call on the edges with theta >= 0 of an instance
+# (2-core x86-64 host), Python against numpy: 3 against 24 us at V = 10,
+# 5 against 27 us at V = 20, 26 against 38 us on a 10x10 grid, 36 against
+# 39 us on 12x12 (V = 144), but 48 against 43 us on 14x14 and 220 against
+# 81 us on 28x28
+SMALL_V = 128
+
+
 def _components(vertex_count: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Connected components of the edges (u[k], v[k]), canonical labels.
 
-    A vectorized union-find: each root is hooked to the smaller root across
-    every edge, then pointers jump until nothing changes.  Every vertex ends
-    up holding the smallest vertex id of its component, so the rank of that
-    id among the roots is already the first-occurrence label.
+    A union-find in which every root is the smallest vertex id of its
+    tree, so that id's rank among the roots is already the first-occurrence
+    label.  Below SMALL_V vertices it is `_union_find`'s sweep in Python;
+    every parent there is a smaller id, so one pass in vertex order finds
+    each vertex's parent already labelled.  From SMALL_V up it is
+    vectorized: each root is hooked to the smaller root across every edge,
+    then pointers jump until nothing changes.
     """
+    if vertex_count < SMALL_V:
+        parent = _union_find(vertex_count, zip(u.tolist(), v.tolist()))[0]
+        roots = 0
+        for x, p in enumerate(parent):
+            if p == x:
+                parent[x], roots = roots, roots + 1
+            else:
+                parent[x] = parent[p]
+        return np.array(parent, dtype=np.int64)
     root = np.arange(vertex_count)
     while True:
         ru, rv = root[u], root[v]

@@ -16,7 +16,11 @@ graphs a call took 2.5 ms through linprog and 0.7 ms directly (scipy
 1.17.1, one core of an x86-64 host).  The model, the options that
 change the result and the post-solve check are linprog's, so a cold
 `solve_lp` is bit-identical to `linprog(method="highs")`, which the
-tests keep as the reference.
+tests keep as the reference.  The model goes in through the binding's
+array form of `passModel`, which reads numpy arrays in place: building
+a `HighsLp` attribute by attribute and passing that took 22 us for a
+desk-scale starting LP (3 rows, 16 columns), the array form 14 us.  It
+differs from linprog's only in listing every column as continuous.
 
 HiGHS solvers are reused.  Passing a desk-scale starting LP to a fresh
 `_Highs()` and solving it took 220-235 us, on a used solver 105-115 us
@@ -34,7 +38,11 @@ previous optimal basis (Huangfu & Hall 2018), which stays dual feasible
 when rows are added.  These warm solves run the same options, except
 that presolve is off, and the same post-solve check, and reach the same
 optimal value; but on a degenerate LP they may stop at another optimal
-vertex, so their x and duals need not equal a cold solve's.
+vertex, so their x and duals need not equal a cold solve's.  A model's
+first rows go in with it: passing a model without rows and appending
+them gave the same solves, but a model then cost 128 against 93 us in
+the desk-scale bound loop (both with a `HighsLp` built attribute by
+attribute).
 The binding is private to scipy; this is the only module that uses it.
 """
 
@@ -76,17 +84,17 @@ class LpProblem:
         hi = np.asarray(self.upper, dtype=float)
         if not (obj.ndim == 1 and obj.shape == lo.shape == hi.shape):
             raise ValueError("objective and bounds must share a shape")
-        if not np.all(np.isfinite(lo)):
+        if not np.isfinite(lo).all():
             raise ValueError("lower bounds must be finite")
-        if np.any(lo > hi):
+        if (lo > hi).any():
             raise ValueError("lower bound exceeds upper bound")
         a = np.zeros((0, obj.size)) if self.constraints is None else self.constraints
         b = np.zeros(0) if self.rhs is None else self.rhs
         a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
         if b.ndim != 1 or a.shape != (b.size, obj.size):
             raise ValueError("constraints must be a (rows, n) array with one rhs per row")
-        sides = np.abs(np.r_[lo, hi, b])
-        if (sides[np.isfinite(sides)] >= 1e20).any():
+        sides = np.abs(np.concatenate((lo, hi, b)))
+        if ((sides >= 1e20) & (sides < np.inf)).any():
             raise ValueError("LP bounds and right-hand sides must be below 1e20 in magnitude")
         fields = {"objective": obj, "lower": lo, "upper": hi, "constraints": a, "rhs": b}
         for name, value in fields.items():
@@ -113,6 +121,7 @@ _HIGHS_OPTS = {
     "primal_feasibility_tolerance": 1e-10,
     "dual_feasibility_tolerance": 1e-10,
 }
+_COLWISE, _MINIMIZE = int(highs.MatrixFormat.kColwise), int(highs.ObjSense.kMinimize)
 # linprog's post-solve check: an "optimal" point that misses its problem by
 # more than this is a solver failure
 _CHECK_TOL = 10 * np.sqrt(1e-9)
@@ -128,25 +137,21 @@ def _unchecked_problem(objective, lower, upper, constraints, rhs) -> LpProblem:
     return problem
 
 
-def _highs_model(problem: LpProblem) -> highs.HighsLp:
-    """minimize -objective . x  s.t.  -constraints x <= -rhs, as linprog poses it."""
+def _pass_model(solver: highs._Highs, problem: LpProblem) -> None:
+    """Pass `solver` the model minimize -objective . x  s.t.  -constraints x
+    <= -rhs, as linprog poses it, with every column continuous and the
+    matrix column-wise, through the binding's array form of `passModel`."""
     n, m = problem.objective.size, problem.rhs.size
-    cols = -problem.constraints.T
-    col, row = np.nonzero(cols)  # column-major order: the CSC layout
-    lp = highs.HighsLp()
-    lp.num_col_ = lp.a_matrix_.num_col_ = n
-    lp.num_row_ = lp.a_matrix_.num_row_ = m
-    lp.a_matrix_.format_ = highs.MatrixFormat.kColwise
-    # integer arrays convert faster to HiGHS's index vectors from lists
-    lp.a_matrix_.start_ = np.searchsorted(col, np.arange(n + 1)).tolist()
-    lp.a_matrix_.index_ = row.tolist()
-    lp.a_matrix_.value_ = cols[col, row]
-    lp.col_cost_ = -problem.objective
-    lp.col_lower_ = problem.lower
-    lp.col_upper_ = problem.upper
-    lp.row_lower_ = np.full(m, -np.inf)
-    lp.row_upper_ = -problem.rhs
-    return lp
+    cols = problem.constraints.T
+    col, row = cols.nonzero()  # column-major order: the CSC layout
+    status = solver.passModel(
+        n, m, row.size, _COLWISE, _MINIMIZE, 0.0,
+        -problem.objective, problem.lower, problem.upper, np.full(m, -np.inf), -problem.rhs,
+        col.searchsorted(np.arange(n)).astype(np.int32), row.astype(np.int32),
+        -cols[col, row], np.zeros(n, dtype=np.int32),
+    )
+    if status == highs.HighsStatus.kError:
+        raise LpError("LP solver rejected the model")
 
 
 # solvers with `_HIGHS_OPTS` set that no one uses.  No cap: the list never
@@ -195,7 +200,7 @@ class LpModel:
         # LPs took 0.27-0.28 ms each, without it 0.20-0.22 ms (three runs
         # each over 1000 graphs, process CPU time, one core of an x86-64 host)
         solver.setOptionValue("presolve", "off")
-        solver.passModel(_highs_model(problem))
+        _pass_model(solver, problem)
         rows, n = problem.constraints.shape
         self._a = np.empty((max(2 * rows, 8), n))
         self._b = np.empty(self._a.shape[0])
@@ -216,9 +221,9 @@ class LpModel:
         size = np.abs(b).max(initial=0)
         if not size < 1e20:  # NaN fails this too
             raise ValueError("right-hand sides must be finite and below 1e20 in magnitude")
-        # -a x <= -b, as `_highs_model` poses the rows
-        row, col = np.nonzero(a)  # row-major order: the CSR layout
-        starts = np.searchsorted(row, np.arange(b.size)).astype(np.int32)
+        # -a x <= -b, as `_pass_model` poses the rows
+        row, col = a.nonzero()  # row-major order: the CSR layout
+        starts = row.searchsorted(np.arange(b.size)).astype(np.int32)
         status = self.solver.addRows(
             b.size, np.full(b.size, -np.inf), -b, row.size, starts, col.astype(np.int32), -a[row, col]
         )
@@ -252,7 +257,7 @@ def solve_lp(problem: LpProblem, model: LpModel | None = None) -> LpSolution:
     solver = _take_solver()
     try:
         solver.setOptionValue("presolve", "on")
-        solver.passModel(_highs_model(problem))
+        _pass_model(solver, problem)
         return _run(solver, problem, _size(problem))
     finally:
         _SPARES.append(solver)

@@ -17,7 +17,7 @@ from planarclust.cut_oracle import (
     scale_to_int,
     split_into_basic_cuts,
 )
-from planarclust.graph import cut_from_partition, partition_from_cut
+from planarclust.graph import build_graph, cut_from_partition, partition_from_cut
 from planarclust.instances import GpbLikeWeights, gen_grid, gen_random_planar
 from planarclust.matching import _DenseBlossom, match_dense
 from planarclust.oracle import brute_cc2
@@ -472,6 +472,26 @@ def test_large_decimal_weights_solve_on_the_grid():
     # the 2-colorable minimum cut is a clustering, so it bounds from above
     res = optimize_lower_bound(inst.graph, w, max_batches=2)
     assert np.minimum(w, 0).sum() <= res.bound <= val
+
+
+def test_a_sum_that_would_wrap_in_int64_takes_the_grid_path():
+    # a path of 3000 edges (one face) with integral weights 4e15: short
+    # decimals below 2**52, but their absolute sum 1.2e19 passes 2**63, so
+    # an unguarded int64 sum wraps below the budget and would solve them as
+    # they are, without head-room
+    m = 3000
+    path = build_graph(m + 1, [(k, k + 1) for k in range(m)],
+                       [(0,)] + [(k - 1, k) for k in range(1, m)] + [(m - 1,)])
+    assert path.face_count == 1
+    w = np.where(np.arange(m) % 2 == 0, 4e15, -4e15)
+    ints = scale_to_int(w)[0]
+    assert np.abs(ints).sum() < 0  # wrapped
+    assert cut_oracle._abs_sum(ints) == 12 * 10**18
+    _, scale, _ = cut_oracle._prepare_weights(w, path)
+    assert scale < 1
+    cut, val = min_cut_2color(path, w)
+    check_grid_guarantee(path, w, cut, val)
+    assert np.array_equal(cut, w < 0)
 
 
 def _symmetric(t, entries, dtype):

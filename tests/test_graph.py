@@ -9,6 +9,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
 from planarclust.graph import (
+    SMALL_V,
     EulerViolation,
     MalformedInput,
     build_graph,
@@ -17,7 +18,7 @@ from planarclust.graph import (
     cut_from_partition,
     partition_from_cut,
 )
-from planarclust.instances import GpbLikeWeights, gen_grid
+from planarclust.instances import GpbLikeWeights, gen_grid, gen_random_planar
 
 from conftest import edge_masks, planar_graphs
 from multicuts import is_valid_multicut, repair_cut, same_clustering
@@ -282,11 +283,42 @@ def _partition_via_sparse(graph, x):
     return canonical_labels(connected_components(adj, directed=False)[1])
 
 
+# inputs on both sides of `graph.SMALL_V`, below which the union-find runs
+# in Python: the small planar graphs and grids, GPB grids up to 16x16 and
+# random planar graphs of 200 vertices
+partition_graphs = st.one_of(
+    planar_graphs,
+    st.builds(
+        gen_grid, st.integers(2, 16), st.integers(2, 16), st.just(GpbLikeWeights(0.27)),
+        st.integers(0, 2**32 - 1),
+    ).map(lambda inst: inst.graph),
+    st.builds(gen_random_planar, st.just(200), st.integers(0, 2**32 - 1)).map(
+        lambda inst: inst.graph
+    ),
+)
+
+
 @given(st.data())
 def test_partition_from_cut_matches_sparse_components(data):
-    graph = data.draw(planar_graphs)
+    graph = data.draw(partition_graphs)
     x = data.draw(edge_masks(graph.edge_count))
     labels = partition_from_cut(graph, x)
     ref = _partition_via_sparse(graph, x)
     assert labels.dtype == ref.dtype
     assert np.array_equal(labels, ref)
+
+
+def test_partition_from_cut_matches_sparse_components_around_the_size_switch():
+    graphs = [
+        inst.graph for inst in (
+            gen_random_planar(20, 1), gen_grid(11, 11, GpbLikeWeights(0.27), seed=1),
+            gen_grid(12, 12, GpbLikeWeights(0.27), seed=2), gen_random_planar(200, 3),
+        )
+    ]
+    # 20 and 121 vertices run the Python union-find, 144 and 200 the numpy one
+    assert [g.vertex_count < SMALL_V for g in graphs] == [True, True, False, False]
+    rng = np.random.default_rng(5)
+    for g in graphs:
+        for p in (0.0, 0.1, 0.5, 0.9, 1.0):
+            x = rng.random(g.edge_count) < p
+            assert np.array_equal(partition_from_cut(g, x), _partition_via_sparse(g, x))
