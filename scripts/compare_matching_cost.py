@@ -9,15 +9,15 @@ and records each terminal distance matrix passed to
 `cut_oracle._match_terminals`, with its mask of the pairs the oracle's
 search found.  Then both checkouts' `match_dense` solve every recorded
 int64 matrix under its mask.  NEW_CHECKOUT's cut oracle matches
-up to its `TABLE_T` terminals on its unlimited small path (fewer than
-`SMALL_T`) by enumeration, not by `match_dense`, so its
-`_match_terminals` also solves every recorded input of that size.  A
-cost is the number of matched pairs outside the mask, then the summed
-distance of the others.  Prints, per workload, how many inputs give
-equal costs and how many give identical mate arrays, and how many of the
-enumerated inputs cost the same as under OLD_CHECKOUT's `match_dense`,
-so a refactor of the solver can show that it is bit-identical.  Exits 1
-if any cost differs.
+up to its `TABLE_T` terminals by a table and up to its `DP_T` by a
+subset DP on its unlimited small path (fewer than `SMALL_T`), not by
+`match_dense`, so its `_match_terminals` also solves every recorded
+input of those sizes.  A cost is the number of matched pairs outside the
+mask, then the summed distance of the others.  Prints, per workload, how
+many inputs give equal costs and how many give identical mate arrays,
+and how many of the small path's inputs cost the same as under
+OLD_CHECKOUT's `match_dense`, so a refactor of the solver can show that
+it is bit-identical.  Exits 1 if any cost differs.
 """
 
 from __future__ import annotations
@@ -52,11 +52,13 @@ def load_match_dense(library):
     return mate
 
 
-def load_enumeration(library):
+def load_small_path(library):
     """The library's cut-oracle matching, as a mate array, for inputs its
-    small path matches by enumeration, and None for other inputs."""
+    small path matches without `match_dense` (by the table or the subset
+    DP; a checkout without the DP has `TABLE_T` alone), and None for other
+    inputs."""
     oracle = library.cut_oracle
-    largest = min(oracle.TABLE_T, oracle.SMALL_T - 1)
+    largest = min(getattr(oracle, "DP_T", oracle.TABLE_T), oracle.SMALL_T - 1)
 
     def mate(d, mask):
         if len(d) > largest or not mask.all():
@@ -114,25 +116,25 @@ def main() -> int:
     args = ap.parse_args()
     new_library = load_library(args.new, "planarclust_new")
     old = load_match_dense(load_library(args.old, "planarclust_old"))
-    new, enumerate_ = load_match_dense(new_library), load_enumeration(new_library)
+    new, small_path = load_match_dense(new_library), load_small_path(new_library)
     inputs = record_inputs(args.old, args.seed, args.workloads, args.instances)
     total, equal, same = collections.Counter(), collections.Counter(), collections.Counter()
-    enumerated, enum_equal = collections.Counter(), collections.Counter()
+    small, small_equal = collections.Counter(), collections.Counter()
     for workload, d, mask in inputs:
         mate_a, mate_b = old(d, mask), new(d, mask)
         a, b = cost(d, mask, mate_a), cost(d, mask, mate_b)
         total[workload] += 1
         same[workload] += np.array_equal(mate_a, mate_b)
         equal[workload] += a == b
-        mate_e = enumerate_(d, mask)
-        if mate_e is not None:
-            enumerated[workload] += 1
-            enum_equal[workload] += a == cost(d, mask, mate_e)
+        mate_s = small_path(d, mask)
+        if mate_s is not None:
+            small[workload] += 1
+            small_equal[workload] += a == cost(d, mask, mate_s)
     for key in sorted(total):
         print(key, "int64 recorded", f"{equal[key]}/{total[key]} equal costs, "
               f"{same[key]}/{total[key]} identical mates, "
-              f"{enum_equal[key]}/{enumerated[key]} enumerated equal")
-    differ = sum(total[k] - equal[k] + enumerated[k] - enum_equal[k] for k in total)
+              f"{small_equal[key]}/{small[key]} small-path equal")
+    differ = sum(total[k] - equal[k] + small[k] - small_equal[k] for k in total)
     return 1 if differ else 0
 
 

@@ -42,13 +42,19 @@ pair is walked on the row of an end that reached the other: an exactly
 shortest path.  The call keeps the T x T terminal distances, not T x F.
 
 Below SMALL_T terminals every pair is known and no potential is read, so
-up to TABLE_T terminals the matching is not solved but looked up: a
-table built at import lists every perfect matching ((T - 1)!! of them,
-945 at T = 10), and one gather prices them all, in a fraction of a
-blossom solve's per-call set-up.  Minimum matchings tie often on these
-inputs, and the one returned decides the recursive decoder's forced
-cuts, so ties go to the least sum of squared pair distances (the
-shortest pairs), then to table order.  Every other matching goes to
+up to DP_T terminals the matching is enumerated, in a fraction of a
+blossom solve's per-call set-up.  Up to TABLE_T terminals it is looked
+up: a table built at import lists every perfect matching ((T - 1)!! of
+them, 945 at T = 10), and one gather prices them all.  Minimum matchings
+tie often on these inputs, and the one returned decides the recursive
+decoder's forced cuts, so ties go to the least sum of squared pair
+distances (the shortest pairs), then to table order.  From TABLE_T + 2
+to DP_T terminals a dynamic program over subsets (Held & Karp's, for
+matching) pairs the least free terminal with each other one in turn:
+Fibonacci-many states (233 at T = 12, 4181 at T = 18), their transitions
+built at import, and one gather, add and segment minimum per two
+terminals.  Its ties go to table order alone, since a sum-of-squares
+tie-break there doubled its cost.  Every other matching goes to
 `matching.match_dense`, the one entry to the blossom solver.
 
 Every call runs in exact int64 arithmetic with head-room: path sums stay
@@ -85,6 +91,12 @@ SMALL_T = 24
 # (`_least_in_table`): 7-13 us, where a blossom solve of 4-10 terminals took
 # 207-520 us on planar-desk (2-core x86-64 host)
 TABLE_T = 10
+# up to this many terminals the small path matches by a dynamic program
+# over subsets (`_least_by_dp`): 19-125 us at 12-18 terminals, where a
+# blossom solve took 240-390 us on the same random matrices (timeit) and
+# 460-800 us per planar-desk call.  At 20 the two ran even and the DP
+# would need 260k transitions (same host)
+DP_T = 18
 # a terminal's first search radius, in multiples of its distance to its
 # nearest other terminal
 LIMIT_FACTOR = 2.0
@@ -183,20 +195,85 @@ def _least_in_table(dist: np.ndarray) -> list[tuple[int, int]]:
     return [divmod(k, t) for k in table[:, col].tolist()]
 
 
+def _subset_levels(t: int):
+    """The transitions of `_least_by_dp` for t terminals, level by level
+    from states of 2 free terminals up to t: (every transition's flat pair
+    index i * t + j, where each level starts among them, per level each
+    transition's child state one level down, per level each state's first
+    transition).
+
+    A state is the set of terminals still free, reached from range(t) by
+    pairing the least free one, i, with another, j: one transition per j,
+    in increasing order, to the state without i and j.  Fibonacci-many
+    states are reached: 4181 at t = 18."""
+    states = {(1 << t) - 1: 0}  # bit mask -> index in its level
+    levels = []
+    for _ in range(t // 2):
+        below, pairs, children = {}, [], []
+        for s in states:  # in index order
+            i = (s & -s).bit_length() - 1
+            rest = s ^ (1 << i)
+            r = rest
+            while r:
+                b = r & -r
+                pairs.append(i * t + b.bit_length() - 1)
+                children.append(below.setdefault(rest ^ b, len(below)))
+                r ^= b
+        levels.append((pairs, children))
+        states = below
+    levels.reverse()
+    starts = np.cumsum([0] + [len(p) for p, _ in levels])
+    return (
+        np.array([k for p, _ in levels for k in p]),
+        starts.tolist(),
+        [np.array(c) for _, c in levels],
+        [np.arange(0, len(p), 2 * k + 1) for k, (p, _) in enumerate(levels)],
+    )
+
+
+_LEVELS = {t: _subset_levels(t) for t in range(TABLE_T + 2, DP_T + 1, 2)}
+
+
+def _least_by_dp(dist: np.ndarray) -> list[tuple[int, int]]:
+    """The perfect matching of least summed distance, by a dynamic program
+    over the states of `_subset_levels`: a state's least cost is its least
+    transition's pair distance plus its child's least cost.  Among tied
+    minima it takes, from the full set down, the least partner of the
+    least free terminal, which is table order.  int64 sums are exact: at
+    most DP_T / 2 terms below 2**53."""
+    t = dist.shape[0]
+    pairs, starts, children, firsts = _LEVELS[t]
+    cost = dist.take(pairs)  # per transition: its pair, then plus its child's least
+    least = cost[: starts[1]]  # a state of two terminals has one transition
+    for k in range(1, t // 2):
+        level = cost[starts[k] : starts[k + 1]]
+        level += least.take(children[k])
+        least = np.minimum.reduceat(level, firsts[k])
+    matching, s = [], 0
+    for k in range(t // 2 - 1, -1, -1):
+        w = 2 * k + 1  # transitions per state of 2k + 2 terminals
+        first = starts[k] + s * w
+        x = first + int(cost[first : first + w].argmin())
+        matching.append(divmod(pairs.item(x), t))
+        s = children[k].item(x - starts[k])
+    return matching
+
+
 def _match_terminals(dist: np.ndarray, mask: np.ndarray):
     """Min-weight perfect matching of the terminals over the pairs in `mask`
     (its diagonal is ignored): (pairs of terminal indices, potentials).
 
     On the unlimited small path (fewer than SMALL_T terminals: every pair
     known, potentials unused) up to TABLE_T terminals are matched by
-    `_least_in_table`, with potentials None, since a blossom solve's set-up
-    there costs many times the table's pricing.  Minimum matchings tie
-    often on those inputs and the one returned decides the recursive
-    decoder's forced cuts, hence its shortest-pairs tie-break.  Every
-    other call goes to `match_dense`, the one entry to the blossom solver."""
+    `_least_in_table` and up to DP_T by `_least_by_dp`, with potentials
+    None, since a blossom solve's set-up there costs many times theirs.
+    Every other call goes to `match_dense`, the one entry to the blossom
+    solver."""
     t = dist.shape[0]
     if t < SMALL_T and t <= TABLE_T:
         return _least_in_table(dist), None
+    if t < SMALL_T and t <= DP_T:
+        return _least_by_dp(dist), None
     mate, pi = match_dense(dist, mask)
     return [(v, int(mate[v])) for v in range(t) if v < mate[v]], pi
 

@@ -500,7 +500,7 @@ def _symmetric(t, entries, dtype):
     return d + d.T
 
 
-table_inputs = st.sampled_from(range(2, cut_oracle.TABLE_T + 1, 2)).flatmap(
+small_path_inputs = st.sampled_from(range(2, cut_oracle.DP_T + 1, 2)).flatmap(
     lambda t: st.tuples(
         st.just(t),
         st.one_of(
@@ -515,8 +515,10 @@ table_inputs = st.sampled_from(range(2, cut_oracle.TABLE_T + 1, 2)).flatmap(
 )
 
 
-@given(table_inputs)
+@given(small_path_inputs)
 def test_enumeration_matches_brute_force_and_blossom(case):
+    # the table up to TABLE_T terminals, the subset DP up to DP_T; int64
+    # sums of DP_T / 2 entries near 2**52 stay below 2**56
     t, d = case
     pairs, pi = cut_oracle._match_terminals(d, np.ones((t, t), dtype=bool))
     assert pi is None
@@ -525,11 +527,13 @@ def test_enumeration_matches_brute_force_and_blossom(case):
     got = sum(d[i, j].item() for i, j in pairs)
     mate = match_dense(d, np.ones((t, t), dtype=bool))[0]
     blossom = sum(d[v, mate[v]].item() for v in range(t) if v < mate[v])
-    # the reference sums in float64, so the entries go in less their least
-    # one: every perfect matching then costs t / 2 times it less
-    base = d[np.triu_indices(t, 1)].min().item()
-    edges = [(i, j, d[i, j].item() - base) for i in range(t) for j in range(i + 1, t)]
-    assert got == blossom == int(brute_force_min_perfect(t, edges)[0]) + t // 2 * base
+    assert got == blossom
+    if t <= 12:  # (t - 1)!! matchings: 10395 at t = 12
+        # the reference sums in float64, so the entries go in less their
+        # least one: every perfect matching then costs t / 2 times it less
+        base = d[np.triu_indices(t, 1)].min().item()
+        edges = [(i, j, d[i, j].item() - base) for i in range(t) for j in range(i + 1, t)]
+        assert got == int(brute_force_min_perfect(t, edges)[0]) + t // 2 * base
 
 
 def test_enumeration_breaks_ties_toward_shorter_pairs():
@@ -540,25 +544,47 @@ def test_enumeration_breaks_ties_toward_shorter_pairs():
     assert pairs == [(0, 2), (1, 3)]
 
 
+def test_dp_breaks_ties_in_table_order():
+    # {0,2},{1,3} and {0,3},{1,2} both cost 4 with the other pairs at 0;
+    # the DP takes the least partner of terminal 0, although the second
+    # has the smaller sum of squares (8 against 10)
+    d = np.full((12, 12), 10, dtype=np.int64)
+    for i in range(4, 12, 2):
+        d[i, i + 1] = d[i + 1, i] = 0
+    for (i, j), x in {(0, 2): 1, (1, 3): 3, (0, 3): 2, (1, 2): 2}.items():
+        d[i, j] = d[j, i] = x
+    assert cut_oracle._least_by_dp(d) == [(0, 2), (1, 3), (4, 5), (6, 7), (8, 9), (10, 11)]
+    # on heavy ties it returns the first minimum of every perfect matching
+    # listed in table order
+    table = np.array([[i * 12 + j for i, j in m] for m in cut_oracle._pairings(tuple(range(12)))])
+    rng = np.random.default_rng(0)
+    for _ in range(20):
+        d = _symmetric(12, rng.integers(0, 3, 66), np.int64)
+        first = table[d.take(table).sum(axis=1).argmin()]
+        assert cut_oracle._least_by_dp(d) == [divmod(k, 12) for k in first.tolist()]
+
+
 def test_bounded_path_never_enumerates(monkeypatch):
-    calls = []
-    enumerate_ = cut_oracle._least_in_table
+    calls = {"_least_in_table": [], "_least_by_dp": []}
+    for name, found in calls.items():
+        def counting(dist, found=found, enumerate_=getattr(cut_oracle, name)):
+            found.append(len(dist))
+            return enumerate_(dist)
 
-    def counting(dist):
-        calls.append(len(dist))
-        return enumerate_(dist)
-
-    monkeypatch.setattr(cut_oracle, "_least_in_table", counting)
-    instances = [gen_random_planar(10, seed) for seed in range(10)]
+        monkeypatch.setattr(cut_oracle, name, counting)
+    instances = [gen_random_planar(v, seed) for v in (10, 20) for seed in range(10)]
     for small_t in (cut_oracle.SMALL_T, 0):
-        calls.clear()
+        for found in calls.values():
+            found.clear()
         monkeypatch.setattr(cut_oracle, "SMALL_T", small_t)
         for inst in instances:
             min_cut_2color(inst.graph, inst.theta)
             min_cut_forced(inst.graph, inst.theta, 0)
         if small_t:
-            assert len(calls) >= 10 and max(calls) <= cut_oracle.TABLE_T
-    assert calls == []
+            table, dp = calls["_least_in_table"], calls["_least_by_dp"]
+            assert len(table) >= 10 and max(table) <= cut_oracle.TABLE_T
+            assert dp and cut_oracle.TABLE_T < min(dp) and max(dp) <= cut_oracle.DP_T
+    assert calls == {"_least_in_table": [], "_least_by_dp": []}
 
 
 @pytest.mark.filterwarnings("error")

@@ -23,8 +23,9 @@ def test_bound_ladder_counts_searches_and_matchings():
 
 
 def test_compare_matching_cost_checks_the_enumeration():
-    # planar-desk's small calls are matched by enumeration: the script must
-    # price them against match_dense, not only compare the two solvers
+    # planar-desk's small calls are matched by the table or the subset DP:
+    # the script must price them against match_dense, not only compare the
+    # two solvers
     out = subprocess.run(
         [sys.executable, str(REPO / "scripts" / "compare_matching_cost.py"), str(REPO), str(REPO),
          "--workloads", "planar-desk", "--instances", "20"],
@@ -32,5 +33,5 @@ def test_compare_matching_cost_checks_the_enumeration():
     )
     lines = {tuple(line.split()[:3]): line for line in out.stdout.splitlines()}
     recorded = lines["planar-desk", "int64", "recorded"]
-    equal, enumerated = recorded.split(", ")[2].split()[0].split("/")
-    assert int(enumerated) > 0 and equal == enumerated
+    equal, small_path = recorded.split(", ")[2].split()[0].split("/")
+    assert int(small_path) > 0 and equal == small_path
