@@ -112,8 +112,8 @@ def certified_bound(graph: PlanarGraph, theta, lam) -> tuple[float, np.ndarray, 
     """The bound that `lam`, as the oracle solves it, certifies: sum_e
     min(theta_e - lambda_e, 0) + 1.5 * min(0, value), with the oracle's
     most violated cut and its value."""
-    lam = _prepare_weights(lam, graph)[2]
     cut, value = min_cut_2color(graph, lam)
+    lam = _prepare_weights(lam, graph)[2]  # the weights solved, kept from the call
     return lower_bound_value(theta, lam) + 1.5 * min(0.0, value), cut, value
 
 

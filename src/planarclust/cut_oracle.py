@@ -18,10 +18,10 @@ which is why the pattern is cached.
 
 The matching only uses short terminal pairs, so the search from terminal
 i stops at its own radius lim_i instead of covering all F faces.  From
-SMALL_T terminals up (below it the pricing costs more than the limit
-saves), one multi-source run gives each terminal its nearest-other-terminal
-distance exactly, through the dual edges between Voronoi cells, and lim_i
-starts at LIMIT_FACTOR times it; rows are searched in quantile groups of
+SMALL_T terminals up (below it all pairs are searched), one multi-source
+run gives each terminal its nearest-other-terminal distance exactly,
+through the dual edges between Voronoi cells, and lim_i starts at
+LIMIT_FACTOR times it; rows are searched in quantile groups of
 radius, each to its largest one: one group per ROWS_PER_GROUP rows, at
 most six.  So calls under 2 * ROWS_PER_GROUP = 48 terminals, such as the
 recursive decoder's on 14x14 grids, search in one group, and the 28x28
@@ -42,20 +42,17 @@ pair is walked on the row of an end that reached the other: an exactly
 shortest path.  The call keeps the T x T terminal distances, not T x F.
 
 Below SMALL_T terminals every pair is known and no potential is read, so
-up to DP_T terminals the matching is enumerated, in a fraction of a
-blossom solve's per-call set-up.  Up to TABLE_T terminals it is looked
-up: a table built at import lists every perfect matching ((T - 1)!! of
-them, 945 at T = 10), and one gather prices them all.  Minimum matchings
-tie often on these inputs, and the one returned decides the recursive
-decoder's forced cuts, so ties go to the least sum of squared pair
-distances (the shortest pairs), then to table order.  From TABLE_T + 2
-to DP_T terminals a dynamic program over subsets (Held & Karp's, for
-matching) pairs the least free terminal with each other one in turn:
-Fibonacci-many states (233 at T = 12, 4181 at T = 18), their transitions
-built at import, and one gather, add and segment minimum per two
-terminals.  Its ties go to table order alone, since a sum-of-squares
-tie-break there doubled its cost.  Every other matching goes to
-`matching.match_dense`, the one entry to the blossom solver.
+the matching is enumerated for a fraction of a blossom solve's set-up.
+Up to TABLE_T terminals a table built at import lists every perfect
+matching ((T - 1)!! of them, 945 at T = 10) and one gather prices them
+all; minimum matchings tie often here, and the one returned decides the
+recursive decoder's forced cuts, so ties go to the least sum of squared
+pair distances, then to table order.  Above TABLE_T a dynamic program over
+subsets (Held & Karp's, for matching) pairs the least free terminal with
+each other one in turn: Fibonacci-many states (4181 at T = 18), one
+gather, add and segment minimum per two terminals, ties to table order (a
+sum-of-squares tie-break doubled its cost).  Every other matching follows
+a bounded search and goes to `matching.match_dense`, the blossom solver.
 
 Every call runs in exact int64 arithmetic with head-room: path sums stay
 below 2**53, so float Dijkstra distances are exact integers, and the
@@ -82,21 +79,21 @@ class OracleError(RuntimeError):
     """The oracle's result violates a condition it guarantees."""
 
 
-# below this many terminals the search starts without a limit.  Measured on
-# the benchmark's oracle inputs: on planar graphs of up to 36 faces (at most
-# 22 terminals) the limit lost at every terminal count; on 14x14 and 28x28
-# grids it won from 8 terminals up.
-SMALL_T = 24
+# below this many terminals the search has no limit and the matching is
+# enumerated; from it up the search is bounded and only then does the
+# blossom solver match.  The limit won from 8 terminals up on 14x14 and
+# 28x28 grids and lost on planar graphs of up to 36 faces, by about 130 us
+# per 20-terminal call; at 20 the subset DP and a blossom solve ran even.
+# 20 or 22 terminals: 28 of 2831 planar-desk and 74 of 338 decode-recursive
+# calls of a seed-0 round, no grid-gpb call (2-core x86-64 host)
+SMALL_T = 20
 # up to this many terminals the small path prices every perfect matching
 # (`_least_in_table`): 7-13 us, where a blossom solve of 4-10 terminals took
-# 207-520 us on planar-desk (2-core x86-64 host)
+# 207-520 us on planar-desk.  The subset DP is as fast, but the table stays
+# for its sum-of-squares tie-break: with the DP alone the decoders reached
+# -0.44852, not -0.45042, on test_known_integrality_gap_instance, and a
+# summed energy of -5197.085, not -5197.571, on planar-desk/s0
 TABLE_T = 10
-# up to this many terminals the small path matches by a dynamic program
-# over subsets (`_least_by_dp`): 19-125 us at 12-18 terminals, where a
-# blossom solve took 240-390 us on the same random matrices (timeit) and
-# 460-800 us per planar-desk call.  At 20 the two ran even and the DP
-# would need 260k transitions (same host)
-DP_T = 18
 # a terminal's first search radius, in multiples of its distance to its
 # nearest other terminal
 LIMIT_FACTOR = 2.0
@@ -146,7 +143,7 @@ class _DualInfo:
         # takes 2 us.  `lock` guards it while in use.
         self.adj = csr_matrix((np.zeros(indices.size), indices, indptr), shape=(fc, fc))
         self.lock = threading.Lock()
-        self.prepared: tuple = ((),)  # the last `_prepare_weights` keys and result
+        self.prepared: tuple = (None,)  # the last `_prepare_weights` key and result
 
 
 def _dual_info(graph: PlanarGraph) -> _DualInfo:
@@ -231,7 +228,7 @@ def _subset_levels(t: int):
     )
 
 
-_LEVELS = {t: _subset_levels(t) for t in range(TABLE_T + 2, DP_T + 1, 2)}
+_LEVELS = {t: _subset_levels(t) for t in range(TABLE_T + 2, SMALL_T, 2)}
 
 
 def _least_by_dp(dist: np.ndarray) -> list[tuple[int, int]]:
@@ -240,7 +237,7 @@ def _least_by_dp(dist: np.ndarray) -> list[tuple[int, int]]:
     transition's pair distance plus its child's least cost.  Among tied
     minima it takes, from the full set down, the least partner of the
     least free terminal, which is table order.  int64 sums are exact: at
-    most DP_T / 2 terms below 2**53."""
+    most SMALL_T / 2 terms below 2**53."""
     t = dist.shape[0]
     pairs, starts, children, firsts = _LEVELS[t]
     cost = dist.take(pairs)  # per transition: its pair, then plus its child's least
@@ -263,16 +260,14 @@ def _match_terminals(dist: np.ndarray, mask: np.ndarray):
     """Min-weight perfect matching of the terminals over the pairs in `mask`
     (its diagonal is ignored): (pairs of terminal indices, potentials).
 
-    On the unlimited small path (fewer than SMALL_T terminals: every pair
-    known, potentials unused) up to TABLE_T terminals are matched by
-    `_least_in_table` and up to DP_T by `_least_by_dp`, with potentials
-    None, since a blossom solve's set-up there costs many times theirs.
-    Every other call goes to `match_dense`, the one entry to the blossom
-    solver."""
+    Below SMALL_T terminals (every pair known, potentials unused) it
+    enumerates: `_least_in_table` up to TABLE_T, `_least_by_dp` above, with
+    potentials None.  Every other call, made after a bounded search, goes
+    to `match_dense`, the one entry to the blossom solver."""
     t = dist.shape[0]
     if t < SMALL_T and t <= TABLE_T:
         return _least_in_table(dist), None
-    if t < SMALL_T and t <= DP_T:
+    if t < SMALL_T and t in _LEVELS:
         return _least_by_dp(dist), None
     mate, pi = match_dense(dist, mask)
     return [(v, int(mate[v])) for v in range(t) if v < mate[v]], pi
@@ -448,16 +443,14 @@ def _prepare_weights(w, graph: PlanarGraph):
     own result unchanged.  Head-room: path sums 2 sum|int64| + 1 < 2**53,
     even with min_cut_forced's M, and 16 times the matching's sentinel
     over F + 1 terminals below 2**62 (`matching.match_dense`).  The graph's
-    dual data keep the last result under the keys of w and of the weights
-    solved: `bound.certified_bound` asks for the weights solved, then calls
-    the oracle on them, which prepares them no second time.  Raises
-    ValueError unless w is finite with one entry per edge."""
+    dual data keep the last result under the key of w.  Raises ValueError
+    unless w is finite with one entry per edge."""
     w = np.asarray(w, dtype=float)
     if w.shape != (graph.edge_count,):
         raise ValueError("weight vector must have one entry per edge")
     info, key = _dual_info(graph), w.tobytes()
     prepared = info.prepared
-    if key not in prepared[0]:  # an input equal to an earlier one is finite
+    if key != prepared[0]:  # an input equal to an earlier one is finite
         # the largest sum|int64| with head-room
         budget = min(2**52 - 1, ((2**57 - 1) // (graph.face_count + 1) - 1) // 2)
         scaled = scale_to_int(w)  # None unless w is finite
@@ -471,9 +464,7 @@ def _prepare_weights(w, graph: PlanarGraph):
             while _abs_sum(ints := np.ceil(np.ldexp(w, k)).astype(np.int64)) > budget:
                 k -= 1
             scaled = ints, 2.0**k
-        # the weights solved, prepared, give this result again
-        keys = (key, (scaled[0] / scaled[1]).tobytes()) if on_grid else (key,)
-        info.prepared = prepared = (keys, *scaled, on_grid)
+        info.prepared = prepared = (key, *scaled, on_grid)
     _, ints, scale, on_grid = prepared
     return ints, scale, ints / scale if on_grid else w
 

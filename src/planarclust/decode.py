@@ -72,6 +72,8 @@ def decode_recursive(
     lam = np.array(lam, dtype=float, copy=True)
     if theta.shape != (graph.edge_count,) or lam.shape != theta.shape:
         raise ValueError("theta and lambda must have one entry per edge")
+    if seed < 0 or restart < 0:
+        raise ValueError(f"seed and restart must be non-negative, got {seed} and {restart}")
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence([seed, restart])))
     must_cut = np.flatnonzero(theta - lam < 0.0)
     order = rng.permutation(must_cut)
@@ -139,6 +141,8 @@ def best_decode(
     """
     if restarts < 1:
         raise ValueError("restarts must be at least 1")
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
     theta = np.asarray(theta, dtype=float)
     bound = bound_result.bound
     best = decode_rounding(graph, theta, bound_result.pool, bound=bound, final_lp=bound_result.final_lp)

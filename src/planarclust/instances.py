@@ -145,6 +145,8 @@ def gen_grid(width: int, height: int, weight_model, seed: int) -> Instance:
     """Grid instance with a canonical embedding; deterministic in seed."""
     if width < 2 or height < 2:
         raise ValueError("grid must be at least 2x2")
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
     rng = np.random.Generator(np.random.Philox(key=seed))
     edges, pos = _grid_topology(width, height)
     graph = build_graph(width * height, edges, rotation_from_positions(len(pos), edges, pos))
@@ -179,6 +181,8 @@ def gen_random_planar(n: int, seed: int) -> Instance:
     """Random connected planar instance: sparsified Delaunay triangulation."""
     if n < 3:
         raise ValueError("need at least 3 vertices")
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
     rng = np.random.Generator(np.random.Philox(key=seed))
     while True:
         points = rng.random((n, 2))

@@ -218,8 +218,8 @@ def test_grid_bound_is_recomputed_from_its_lambda(case, max_batches):
 @pytest.mark.parametrize("factor", [np.pi / 3, 1.0])
 def test_certified_bound_prepares_its_weights_once(monkeypatch, factor):
     # off the decimal grid the oracle solves lambda rounded up, and
-    # certified_bound passes it the rounded weights: their preparation is
-    # the one kept from lambda's, as a graph without it prepares them
+    # certified_bound reads the rounded weights from the preparation its
+    # oracle call kept; a graph without it prepares them to the same ints
     inst = gen_grid(14, 14, GpbLikeWeights(0.27), seed=0)
     theta = inst.theta * factor
     assert (scale_to_int(theta) is None) == (factor != 1.0)

@@ -267,6 +267,19 @@ def test_gen_rejects_a_uniform_range_from_above(tmp_path, capsys):
     assert code == 0 and out.exists()
 
 
+@pytest.mark.parametrize("n, seed", [(8, 1), (6, 4)])
+def test_negative_seeds_fail_in_one_line(tmp_path, capsys, n, seed):
+    # solve used to exit 0 on the first instance, whose rounding certifies
+    # before any recursive pass reads the seed, and with numpy's "expected
+    # non-negative integer" on the second
+    path = tmp_path / "r.json"
+    assert run_cli(capsys, "gen", "--random", str(n), "--seed", str(seed), "--out", str(path))[0] == 0
+    for argv in (("solve", str(path)), ("gen", "--random", str(n), "--out", str(tmp_path / "g.json"))):
+        code, out, err = run_cli(capsys, *argv, "--seed", "-1")
+        assert code == 1 and out == ""
+        assert err == "planarclust: error: seed must be non-negative, got -1\n"
+
+
 def test_bench(tmp_path, capsys):
     d = tmp_path / "instances"
     d.mkdir()

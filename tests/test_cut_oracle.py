@@ -500,7 +500,7 @@ def _symmetric(t, entries, dtype):
     return d + d.T
 
 
-small_path_inputs = st.sampled_from(range(2, cut_oracle.DP_T + 1, 2)).flatmap(
+small_path_inputs = st.sampled_from(range(2, cut_oracle.SMALL_T, 2)).flatmap(
     lambda t: st.tuples(
         st.just(t),
         st.one_of(
@@ -517,8 +517,8 @@ small_path_inputs = st.sampled_from(range(2, cut_oracle.DP_T + 1, 2)).flatmap(
 
 @given(small_path_inputs)
 def test_enumeration_matches_brute_force_and_blossom(case):
-    # the table up to TABLE_T terminals, the subset DP up to DP_T; int64
-    # sums of DP_T / 2 entries near 2**52 stay below 2**56
+    # the table up to TABLE_T terminals, the subset DP below SMALL_T; int64
+    # sums of SMALL_T / 2 entries near 2**52 stay below 2**56
     t, d = case
     pairs, pi = cut_oracle._match_terminals(d, np.ones((t, t), dtype=bool))
     assert pi is None
@@ -583,8 +583,33 @@ def test_bounded_path_never_enumerates(monkeypatch):
         if small_t:
             table, dp = calls["_least_in_table"], calls["_least_by_dp"]
             assert len(table) >= 10 and max(table) <= cut_oracle.TABLE_T
-            assert dp and cut_oracle.TABLE_T < min(dp) and max(dp) <= cut_oracle.DP_T
+            assert dp and cut_oracle.TABLE_T < min(dp) and max(dp) < cut_oracle.SMALL_T
     assert calls == {"_least_in_table": [], "_least_by_dp": []}
+
+
+def test_every_blossom_solve_follows_a_bounded_search(monkeypatch):
+    # both oracle calls on this instance have SMALL_T = 20 terminals: each
+    # first runs the min_only search for its radii, then matches by the
+    # blossom solver
+    calls = []
+
+    def counting_dijkstra(*args, **kwargs):
+        calls.append("radii" if kwargs.get("min_only") else "search")
+        return dijkstra(*args, **kwargs)
+
+    def counting_match(dist, mask):
+        calls.append(len(dist))
+        return match_dense(dist, mask)
+
+    monkeypatch.setattr(cut_oracle, "dijkstra", counting_dijkstra)
+    monkeypatch.setattr(cut_oracle, "match_dense", counting_match)
+    inst = gen_random_planar(20, 3)
+    for solve in (min_cut_2color, lambda g, w: min_cut_forced(g, w, 0)):
+        calls.clear()
+        solve(inst.graph, inst.theta)
+        assert calls[0] == "radii" and calls.count("radii") == 1
+        sizes = [c for c in calls if isinstance(c, int)]
+        assert sizes and set(sizes) == {cut_oracle.SMALL_T}
 
 
 @pytest.mark.filterwarnings("error")

@@ -298,6 +298,23 @@ def test_known_integrality_gap_instance():
     assert res.energy == pytest.approx(cc, abs=1e-6)  # decoders still find the optimum
 
 
+def test_negative_seeds_are_rejected_up_front():
+    # best_decode passed its seed to SeedSequence only when a recursive pass
+    # ran, so a negative seed went through whenever the rounding certified
+    inst = gen_random_planar(8, 1)
+    br = optimize_lower_bound(inst.graph, inst.theta)
+    assert decode_rounding(inst.graph, inst.theta, br.pool, br.bound, br.final_lp).certificate
+    with pytest.raises(ValueError, match="seed must be non-negative, got -1"):
+        best_decode(inst.graph, inst.theta, br, seed=-1)
+    for seed, restart in ((-1, 0), (0, -1)):
+        with pytest.raises(ValueError, match="seed and restart must be non-negative"):
+            decode_recursive(inst.graph, inst.theta, br.lam, seed=seed, restart=restart)
+    with pytest.raises(ValueError, match="seed must be non-negative, got -2"):
+        gen_grid(3, 3, UniformWeights(), -2)
+    with pytest.raises(ValueError, match="seed must be non-negative, got -2"):
+        gen_random_planar(8, -2)
+
+
 def test_recursive_deterministic_given_seed():
     inst = gen_random_planar(8, 900)
     br = optimize_lower_bound(inst.graph, inst.theta)

@@ -25,7 +25,7 @@ def test_bound_ladder_counts_searches_and_matchings():
 def test_compare_matching_cost_checks_the_enumeration():
     # planar-desk's small calls are matched by the table or the subset DP:
     # the script must price them against match_dense, not only compare the
-    # two solvers
+    # two solvers, and reach the DP's sizes above TABLE_T
     out = subprocess.run(
         [sys.executable, str(REPO / "scripts" / "compare_matching_cost.py"), str(REPO), str(REPO),
          "--workloads", "planar-desk", "--instances", "20"],
@@ -35,3 +35,4 @@ def test_compare_matching_cost_checks_the_enumeration():
     recorded = lines["planar-desk", "int64", "recorded"]
     equal, small_path = recorded.split(", ")[2].split()[0].split("/")
     assert int(small_path) > 0 and equal == small_path
+    assert int(recorded.split(", ")[3].split()[0]) > 0
