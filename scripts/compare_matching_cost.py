@@ -9,16 +9,14 @@ and records each terminal distance matrix passed to
 `cut_oracle._match_terminals`, with its mask of the pairs the oracle's
 search found.  Then both checkouts' `match_dense` solve every recorded
 int64 matrix under its mask.  NEW_CHECKOUT's cut oracle matches
-fewer than its `SMALL_T` terminals on its unlimited small path, up to its
-`TABLE_T` by a table and above by a subset DP, not by `match_dense`, so
-its `_match_terminals` also solves every recorded input of those sizes.
-A cost is the number of matched pairs outside the mask, then the summed
-distance of the others.  Prints, per workload, how many inputs give
-equal costs and how many give identical mate arrays, how many of the
-small path's inputs cost the same as under OLD_CHECKOUT's `match_dense`,
-and how many of those have more than `TABLE_T` terminals, so a refactor
-of the solver can show that it is bit-identical.  Exits 1 if any cost
-differs.
+fewer than its `SMALL_T` terminals on its unlimited small path by a
+subset DP, not by `match_dense`, so its `_match_terminals` also solves
+every recorded input of those sizes.  A cost is the number of matched
+pairs outside the mask, then the summed distance of the others.  Prints,
+per workload, how many inputs give equal costs and how many give
+identical mate arrays, and how many of the small path's inputs cost the
+same as under OLD_CHECKOUT's `match_dense`, so a refactor of the solver
+can show that it is bit-identical.  Exits 1 if any cost differs.
 """
 
 from __future__ import annotations
@@ -55,8 +53,8 @@ def load_match_dense(library):
 
 def load_small_path(library):
     """The library's cut-oracle matching, as a mate array, for inputs its
-    small path matches without `match_dense` (by the table or the subset
-    DP), and None for other inputs."""
+    small path matches without `match_dense` (by the subset DP), and None
+    for other inputs."""
     oracle = library.cut_oracle
     largest = oracle.SMALL_T - 1
 
@@ -117,10 +115,9 @@ def main() -> int:
     new_library = load_library(args.new, "planarclust_new")
     old = load_match_dense(load_library(args.old, "planarclust_old"))
     new, small_path = load_match_dense(new_library), load_small_path(new_library)
-    table_t = new_library.cut_oracle.TABLE_T
     inputs = record_inputs(args.old, args.seed, args.workloads, args.instances)
     total, equal, same = collections.Counter(), collections.Counter(), collections.Counter()
-    small, small_equal, above = collections.Counter(), collections.Counter(), collections.Counter()
+    small, small_equal = collections.Counter(), collections.Counter()
     for workload, d, mask in inputs:
         mate_a, mate_b = old(d, mask), new(d, mask)
         a, b = cost(d, mask, mate_a), cost(d, mask, mate_b)
@@ -131,12 +128,10 @@ def main() -> int:
         if mate_s is not None:
             small[workload] += 1
             small_equal[workload] += a == cost(d, mask, mate_s)
-            above[workload] += len(d) > table_t
     for key in sorted(total):
         print(key, "int64 recorded", f"{equal[key]}/{total[key]} equal costs, "
               f"{same[key]}/{total[key]} identical mates, "
-              f"{small_equal[key]}/{small[key]} small-path equal, "
-              f"{above[key]} small-path above TABLE_T = {table_t}")
+              f"{small_equal[key]}/{small[key]} small-path equal")
     differ = sum(total[k] - equal[k] + small[k] - small_equal[k] for k in total)
     return 1 if differ else 0
 

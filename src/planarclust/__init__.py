@@ -2,9 +2,9 @@
 
 Lower bounds come from a cutting-plane LP whose separation oracle is an
 exact minimum-weight 2-colorable cut solved by perfect matching in the
-dual; upper bounds come from recursive bipartitioning and dual-LP rounding
-decoders.  Equality of the two, within tolerance, certifies global
-optimality of the clustering.
+dual; upper bounds come from dual-LP rounding and recursive bipartitioning,
+polished by a local search.  Equality of the two, within tolerance,
+certifies global optimality of the clustering.
 
 The brute-force reference solvers live in `planarclust.oracle`, LP and
 matching internals in `planarclust.lp` and `planarclust.matching`.

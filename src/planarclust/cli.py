@@ -54,7 +54,7 @@ def _add_bound_flags(p):
 
 
 def _add_decode_flags(p):
-    p.add_argument("--restarts", type=int, default=10, help="recursive decode restarts")
+    p.add_argument("--restarts", type=int, default=10, help="polished recursive passes after rounding")
     p.add_argument("--seed", type=int, default=0, help="decode order seed")
 
 

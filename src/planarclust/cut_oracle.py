@@ -42,17 +42,10 @@ pair is walked on the row of an end that reached the other: an exactly
 shortest path.  The call keeps the T x T terminal distances, not T x F.
 
 Below SMALL_T terminals every pair is known and no potential is read, so
-the matching is enumerated for a fraction of a blossom solve's set-up.
-Up to TABLE_T terminals a table built at import lists every perfect
-matching ((T - 1)!! of them, 945 at T = 10) and one gather prices them
-all; minimum matchings tie often here, and the one returned decides the
-recursive decoder's forced cuts, so ties go to the least sum of squared
-pair distances, then to table order.  Above TABLE_T a dynamic program over
-subsets (Held & Karp's, for matching) pairs the least free terminal with
-each other one in turn: Fibonacci-many states (4181 at T = 18), one
-gather, add and segment minimum per two terminals, ties to table order (a
-sum-of-squares tie-break doubled its cost).  Every other matching follows
-a bounded search and goes to `matching.match_dense`, the blossom solver.
+a dynamic program over subsets (Held & Karp's, for matching) enumerates
+the matchings for a fraction of a blossom solve's set-up: one gather, add
+and segment minimum per two terminals.  Every other matching follows a
+bounded search and goes to `matching.match_dense`, the blossom solver.
 
 Every call runs in exact int64 arithmetic with head-room: path sums stay
 below 2**53, so float Dijkstra distances are exact integers, and the
@@ -87,13 +80,6 @@ class OracleError(RuntimeError):
 # 20 or 22 terminals: 28 of 2831 planar-desk and 74 of 338 decode-recursive
 # calls of a seed-0 round, no grid-gpb call (2-core x86-64 host)
 SMALL_T = 20
-# up to this many terminals the small path prices every perfect matching
-# (`_least_in_table`): 7-13 us, where a blossom solve of 4-10 terminals took
-# 207-520 us on planar-desk.  The subset DP is as fast, but the table stays
-# for its sum-of-squares tie-break: with the DP alone the decoders reached
-# -0.44852, not -0.45042, on test_known_integrality_gap_instance, and a
-# summed energy of -5197.085, not -5197.571, on planar-desk/s0
-TABLE_T = 10
 # a terminal's first search radius, in multiples of its distance to its
 # nearest other terminal
 LIMIT_FACTOR = 2.0
@@ -154,44 +140,6 @@ def _dual_info(graph: PlanarGraph) -> _DualInfo:
     return info
 
 
-def _pairings(rest: tuple) -> list[list[tuple[int, int]]]:
-    """Every perfect matching of `rest`: its first element paired with each
-    later one in turn, then the matchings of what is left."""
-    if not rest:
-        return [[]]
-    return [
-        [(rest[0], rest[k]), *tail]
-        for k in range(1, len(rest))
-        for tail in _pairings(rest[1:k] + rest[k + 1 :])
-    ]
-
-
-# every perfect matching of range(t), even t <= TABLE_T, as one column of
-# flat pair indices i * t + j (i < j); columns sum faster than rows
-_TABLES = {
-    t: np.array([[i * t + j for i, j in m] for m in _pairings(tuple(range(t)))]).T.copy()
-    for t in range(2, TABLE_T + 1, 2)
-}
-
-
-def _least_in_table(dist: np.ndarray) -> list[tuple[int, int]]:
-    """The perfect matching of least summed distance, by pricing every
-    column of its table at once.  Among tied minima it takes the least sum
-    of squared pair distances, so the shortest pairs, then the first in
-    table order.  int64 sums are exact: at most TABLE_T / 2 terms below
-    2**53."""
-    t = dist.shape[0]
-    table = _TABLES[t]
-    d = dist.take(table)
-    total = d.sum(axis=0)
-    tied = np.flatnonzero(total == total.min())
-    col = tied[0]
-    if tied.size > 1:
-        sq = d[:, tied].astype(float)
-        col = tied[np.argmin((sq * sq).sum(axis=0))]
-    return [divmod(k, t) for k in table[:, col].tolist()]
-
-
 def _subset_levels(t: int):
     """The transitions of `_least_by_dp` for t terminals, level by level
     from states of 2 free terminals up to t: (every transition's flat pair
@@ -228,7 +176,7 @@ def _subset_levels(t: int):
     )
 
 
-_LEVELS = {t: _subset_levels(t) for t in range(TABLE_T + 2, SMALL_T, 2)}
+_LEVELS = {t: _subset_levels(t) for t in range(2, SMALL_T, 2)}
 
 
 def _least_by_dp(dist: np.ndarray) -> list[tuple[int, int]]:
@@ -236,8 +184,8 @@ def _least_by_dp(dist: np.ndarray) -> list[tuple[int, int]]:
     over the states of `_subset_levels`: a state's least cost is its least
     transition's pair distance plus its child's least cost.  Among tied
     minima it takes, from the full set down, the least partner of the
-    least free terminal, which is table order.  int64 sums are exact: at
-    most SMALL_T / 2 terms below 2**53."""
+    least free terminal.  int64 sums are exact: at most SMALL_T / 2 terms
+    below 2**53."""
     t = dist.shape[0]
     pairs, starts, children, firsts = _LEVELS[t]
     cost = dist.take(pairs)  # per transition: its pair, then plus its child's least
@@ -261,13 +209,11 @@ def _match_terminals(dist: np.ndarray, mask: np.ndarray):
     (its diagonal is ignored): (pairs of terminal indices, potentials).
 
     Below SMALL_T terminals (every pair known, potentials unused) it
-    enumerates: `_least_in_table` up to TABLE_T, `_least_by_dp` above, with
-    potentials None.  Every other call, made after a bounded search, goes
-    to `match_dense`, the one entry to the blossom solver."""
+    enumerates by `_least_by_dp`, with potentials None.  Every other call,
+    made after a bounded search, goes to `match_dense`, the one entry to
+    the blossom solver."""
     t = dist.shape[0]
-    if t < SMALL_T and t <= TABLE_T:
-        return _least_in_table(dist), None
-    if t < SMALL_T and t in _LEVELS:
+    if t < SMALL_T and t in _LEVELS:  # _LEVELS covers the SMALL_T it was built for
         return _least_by_dp(dist), None
     mate, pi = match_dense(dist, mask)
     return [(v, int(mate[v])) for v in range(t) if v < mate[v]], pi

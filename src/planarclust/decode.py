@@ -1,6 +1,6 @@
 """Feasible clusterings (upper bounds) from an optimized lower bound.
 
-Two decoders:
+Two decoders and a polish:
 
 * recursive bipartitioning: visit the must-cut edges (theta < lambda) in
   random order, force each that the solution does not cut yet into an
@@ -18,6 +18,11 @@ Two decoders:
   reuses its solution, one multiplier per pooled cut; the LP is solved
   again only when there is none or the pool has grown since.
 
+* local search (Kernighan & Lin 1970; Keuper et al. 2015's KLj for
+  multicuts), `best_decode`'s polish: move a vertex into a neighbouring
+  cluster or a new singleton, or merge two adjacent clusters, while that
+  lowers the energy; no oracle call.
+
 Energies always refer to the repaired cut (connected components of the
 uncut subgraph), so every result is a feasible clustering.
 """
@@ -30,7 +35,9 @@ import numpy as np
 
 from .bound import BoundResult, CutPool, restricted_lp
 from .cut_oracle import min_cut_forced
-from .graph import PlanarGraph, cut_energy, cut_from_partition, finite_weights, partition_from_cut
+from .graph import (
+    PlanarGraph, check_seeds, cut_energy, cut_from_partition, finite_weights, partition_from_cut,
+)
 from .lp import LpSolution, solve_lp
 
 CERTIFICATE_TOL = 1e-6
@@ -41,7 +48,7 @@ ROUNDING_THRESHOLD = 0.5
 class DecodeResult:
     partition: np.ndarray
     energy: float
-    method: str  # "recursive" | "rounding"
+    method: str  # "recursive" | "rounding", the decoder a polish started from
     certificate: bool  # energy meets a given lower bound to CERTIFICATE_TOL
 
 
@@ -72,8 +79,7 @@ def decode_recursive(
     lam = np.array(lam, dtype=float, copy=True)
     if theta.shape != (graph.edge_count,) or lam.shape != theta.shape:
         raise ValueError("theta and lambda must have one entry per edge")
-    if seed < 0 or restart < 0:
-        raise ValueError(f"seed and restart must be non-negative, got {seed} and {restart}")
+    check_seeds(seed=seed, restart=restart)
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence([seed, restart])))
     must_cut = np.flatnonzero(theta - lam < 0.0)
     order = rng.permutation(must_cut)
@@ -127,6 +133,44 @@ def decode_rounding(
     return _result(graph, theta, z >= ROUNDING_THRESHOLD, "rounding", bound)
 
 
+def _local_search(graph: PlanarGraph, theta: np.ndarray, labels) -> np.ndarray:
+    """Descend from the clustering `labels` one move at a time: (labels).
+
+    A sweep moves each vertex to its best place, the neighbouring cluster
+    joined by the most weight or a new singleton; after a sweep that moves
+    nothing, the two adjacent clusters joined by the most weight merge.
+    Each move lowers the energy by more than `tol`, far above rounding, so
+    the search ends.  A cluster that a move splits keeps one label: the
+    labels cut the same edges as their components do."""
+    nbrs = [[] for _ in range(graph.vertex_count)]
+    for u, v, t in zip(graph.tail.tolist(), graph.head.tolist(), theta.tolist()):
+        nbrs[u].append((v, t))
+        nbrs[v].append((u, t))
+    label = np.asarray(labels).tolist()
+    fresh, tol = max(label) + 1, 1e-12 * float(np.abs(theta).sum())
+    while True:
+        moved, shared = False, {}  # per pair of adjacent clusters, the weight between them
+        for v, near in enumerate(nbrs):
+            into = {}  # per neighbouring cluster, the weight of v's edges into it
+            for u, t in near:
+                into[label[u]] = into.get(label[u], 0.0) + t
+            # leaving cuts v's edges into its own cluster a, joining b uncuts those into b
+            a = label[v]
+            own, b, most = into.pop(a, 0.0), fresh, 0.0
+            for c, t in into.items():
+                if t > most:
+                    b, most = c, t
+                if a < c:
+                    shared[a, c] = shared.get((a, c), 0.0) + t
+            if own - most < -tol:
+                label[v], moved, fresh = b, True, max(fresh, b + 1)
+        if not moved:  # the labels held for the whole sweep, so `shared` is theirs
+            (a, b), t = max(shared.items(), key=lambda item: item[1], default=((0, 0), 0.0))
+            if t <= tol:
+                return np.array(label)
+            label = [a if x == b else x for x in label]
+
+
 def best_decode(
     graph: PlanarGraph,
     theta,
@@ -134,24 +178,29 @@ def best_decode(
     restarts: int = 10,
     seed: int = 0,
 ) -> DecodeResult:
-    """Rounding once plus up to `restarts` randomized recursive passes.
+    """Rounding, then up to `restarts` randomized recursive passes; every
+    result but a certifying rounding is polished by `_local_search`.
 
     Returns the minimum-energy result, stopping early as soon as the
     energy matches the lower bound to certificate tolerance.
     """
     if restarts < 1:
         raise ValueError("restarts must be at least 1")
-    if seed < 0:
-        raise ValueError(f"seed must be non-negative, got {seed}")
+    check_seeds(seed=seed)
     theta = np.asarray(theta, dtype=float)
     bound = bound_result.bound
+
+    def polished(res):
+        cut = cut_from_partition(graph, _local_search(graph, theta, res.partition))
+        return _result(graph, theta, cut, res.method, bound)
+
     best = decode_rounding(graph, theta, bound_result.pool, bound=bound, final_lp=bound_result.final_lp)
-    if best.certificate:
-        return best
+    if not best.certificate:
+        best = polished(best)
     for r in range(restarts):
-        res = decode_recursive(graph, theta, bound_result.lam, seed=seed, restart=r, bound=bound)
-        if res.energy < best.energy:
-            best = res
         if best.certificate:
             break
+        res = decode_recursive(graph, theta, bound_result.lam, seed=seed, restart=r, bound=bound)
+        if (res := polished(res)).energy < best.energy:
+            best = res
     return best

@@ -137,6 +137,16 @@ def _shown(x) -> str:
     return repr(x.item() if isinstance(x, np.generic) else x)
 
 
+def check_seeds(**seeds) -> None:
+    """ValueError unless each seed is a non-negative integer: a numpy one, not a bool."""
+    for name, x in seeds.items():
+        if not _is_id(x):
+            raise ValueError(f"{name} must be an integer, got {_shown(x)}")
+        if x < 0:
+            got = " and ".join(map(str, seeds.values()))
+            raise ValueError(f"{' and '.join(seeds)} must be non-negative, got {got}")
+
+
 def _id_error(edges, rotation) -> str:
     """The first edge endpoint, else rotation entry, that is not an integer."""
     for k, (u, v) in enumerate(edges):

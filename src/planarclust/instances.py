@@ -27,7 +27,7 @@ from decimal import ROUND_HALF_EVEN, Decimal, InvalidOperation
 import numpy as np
 from scipy.spatial import Delaunay
 
-from .graph import PlanarGraph, build_graph, spanning_forest
+from .graph import PlanarGraph, build_graph, check_seeds, spanning_forest
 
 FORMAT_VERSION = 1
 # the fraction of a GPB-like grid's interior edges bumped into the ambiguous range
@@ -145,8 +145,7 @@ def gen_grid(width: int, height: int, weight_model, seed: int) -> Instance:
     """Grid instance with a canonical embedding; deterministic in seed."""
     if width < 2 or height < 2:
         raise ValueError("grid must be at least 2x2")
-    if seed < 0:
-        raise ValueError(f"seed must be non-negative, got {seed}")
+    check_seeds(seed=seed)
     rng = np.random.Generator(np.random.Philox(key=seed))
     edges, pos = _grid_topology(width, height)
     graph = build_graph(width * height, edges, rotation_from_positions(len(pos), edges, pos))
@@ -163,7 +162,7 @@ def gen_grid(width: int, height: int, weight_model, seed: int) -> Instance:
         "generator": "grid",
         "width": width,
         "height": height,
-        "seed": seed,
+        "seed": int(seed),  # numpy integers are seeds too, but not JSON
         "weight_model": _model_tag(weight_model),
     }
     return Instance(graph=graph, theta=theta, name=name, metadata=meta)
@@ -181,8 +180,7 @@ def gen_random_planar(n: int, seed: int) -> Instance:
     """Random connected planar instance: sparsified Delaunay triangulation."""
     if n < 3:
         raise ValueError("need at least 3 vertices")
-    if seed < 0:
-        raise ValueError(f"seed must be non-negative, got {seed}")
+    check_seeds(seed=seed)
     rng = np.random.Generator(np.random.Philox(key=seed))
     while True:
         points = rng.random((n, 2))
@@ -206,7 +204,7 @@ def gen_random_planar(n: int, seed: int) -> Instance:
         graph=graph,
         theta=theta,
         name=f"planar{n}-s{seed}",
-        metadata={"generator": "random_planar", "n": n, "seed": seed},
+        metadata={"generator": "random_planar", "n": n, "seed": int(seed)},
     )
 
 

@@ -517,8 +517,8 @@ small_path_inputs = st.sampled_from(range(2, cut_oracle.SMALL_T, 2)).flatmap(
 
 @given(small_path_inputs)
 def test_enumeration_matches_brute_force_and_blossom(case):
-    # the table up to TABLE_T terminals, the subset DP below SMALL_T; int64
-    # sums of SMALL_T / 2 entries near 2**52 stay below 2**56
+    # the subset DP below SMALL_T; int64 sums of SMALL_T / 2 entries near
+    # 2**52 stay below 2**56
     t, d = case
     pairs, pi = cut_oracle._match_terminals(d, np.ones((t, t), dtype=bool))
     assert pi is None
@@ -536,12 +536,16 @@ def test_enumeration_matches_brute_force_and_blossom(case):
         assert got == int(brute_force_min_perfect(t, edges)[0]) + t // 2 * base
 
 
-def test_enumeration_breaks_ties_toward_shorter_pairs():
-    # {0,1},{2,3} and {0,2},{1,3} both cost 4; the second, later in table
-    # order, has the smaller sum of squares (8 against 10)
-    d = np.array([[0, 1, 2, 5], [1, 0, 5, 2], [2, 5, 0, 3], [5, 2, 3, 0]], dtype=np.int64)
-    pairs, _ = cut_oracle._match_terminals(d, np.ones((4, 4), dtype=bool))
-    assert pairs == [(0, 2), (1, 3)]
+def _pairings(rest: tuple) -> list[list[tuple[int, int]]]:
+    """Every perfect matching of `rest`, in table order: its first element
+    paired with each later one in turn, then the matchings of what is left."""
+    if not rest:
+        return [[]]
+    return [
+        [(rest[0], rest[k]), *tail]
+        for k in range(1, len(rest))
+        for tail in _pairings(rest[1:k] + rest[k + 1 :])
+    ]
 
 
 def test_dp_breaks_ties_in_table_order():
@@ -556,7 +560,7 @@ def test_dp_breaks_ties_in_table_order():
     assert cut_oracle._least_by_dp(d) == [(0, 2), (1, 3), (4, 5), (6, 7), (8, 9), (10, 11)]
     # on heavy ties it returns the first minimum of every perfect matching
     # listed in table order
-    table = np.array([[i * 12 + j for i, j in m] for m in cut_oracle._pairings(tuple(range(12)))])
+    table = np.array([[i * 12 + j for i, j in m] for m in _pairings(tuple(range(12)))])
     rng = np.random.default_rng(0)
     for _ in range(20):
         d = _symmetric(12, rng.integers(0, 3, 66), np.int64)
@@ -565,26 +569,25 @@ def test_dp_breaks_ties_in_table_order():
 
 
 def test_bounded_path_never_enumerates(monkeypatch):
-    calls = {"_least_in_table": [], "_least_by_dp": []}
-    for name, found in calls.items():
-        def counting(dist, found=found, enumerate_=getattr(cut_oracle, name)):
-            found.append(len(dist))
-            return enumerate_(dist)
+    # below SMALL_T the subset DP matches every call, from two terminals up
+    sizes, least_by_dp = [], cut_oracle._least_by_dp
 
-        monkeypatch.setattr(cut_oracle, name, counting)
+    def counting(dist):
+        sizes.append(len(dist))
+        return least_by_dp(dist)
+
+    monkeypatch.setattr(cut_oracle, "_least_by_dp", counting)
     instances = [gen_random_planar(v, seed) for v in (10, 20) for seed in range(10)]
     for small_t in (cut_oracle.SMALL_T, 0):
-        for found in calls.values():
-            found.clear()
+        sizes.clear()
         monkeypatch.setattr(cut_oracle, "SMALL_T", small_t)
         for inst in instances:
             min_cut_2color(inst.graph, inst.theta)
             min_cut_forced(inst.graph, inst.theta, 0)
         if small_t:
-            table, dp = calls["_least_in_table"], calls["_least_by_dp"]
-            assert len(table) >= 10 and max(table) <= cut_oracle.TABLE_T
-            assert dp and cut_oracle.TABLE_T < min(dp) and max(dp) < cut_oracle.SMALL_T
-    assert calls == {"_least_in_table": [], "_least_by_dp": []}
+            assert sum(t <= 10 for t in sizes) >= 10
+            assert any(12 <= t for t in sizes) and max(sizes) < cut_oracle.SMALL_T
+    assert sizes == []
 
 
 def test_every_blossom_solve_follows_a_bounded_search(monkeypatch):

@@ -298,6 +298,53 @@ def test_known_integrality_gap_instance():
     assert res.energy == pytest.approx(cc, abs=1e-6)  # decoders still find the optimum
 
 
+def test_one_polished_pass_reaches_the_gap_instances_optimum():
+    # rounding stops 0.195 above the optimum of test_known_integrality_gap_instance;
+    # the local search from there reaches it without a second recursive pass
+    inst = gen_random_planar(6, 4)
+    br = optimize_lower_bound(inst.graph, inst.theta)
+    res = best_decode(inst.graph, inst.theta, br, restarts=1)
+    assert res.energy == pytest.approx(-0.45042, abs=1e-9)
+    assert res.energy == pytest.approx(brute_cc(inst.graph, inst.theta)[1], abs=1e-9)
+
+
+# V <= 10, so that brute_cc enumerates every partition in under a second
+tiny_instances = st.one_of(
+    st.builds(gen_random_planar, st.integers(3, 10), st.integers(0, 2**32 - 1)),
+    st.builds(
+        gen_grid, st.integers(2, 3), st.integers(2, 3), st.just(GpbLikeWeights(0.27)),
+        st.integers(0, 2**32 - 1),
+    ),
+)
+
+
+@settings(max_examples=60)
+@given(tiny_instances, st.sampled_from([0, 1, 1000]), st.data())
+def test_local_search_descends_to_a_local_minimum(inst, max_batches, data):
+    g, theta, n = inst.graph, inst.theta, inst.graph.vertex_count
+
+    def energy(labels):
+        return cut_energy(g, theta, cut_from_partition(g, labels))
+
+    start = np.array(data.draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n)))
+    labels = decode_module._local_search(g, theta, start)
+    assert labels.shape == (n,)
+    assert energy(labels) <= energy(start)
+    # no vertex move and no merge of adjacent clusters lowers it further
+    for v in range(n):
+        for b in {*labels[g.head[g.tail == v]], *labels[g.tail[g.head == v]], labels.max() + 1}:
+            assert energy(np.where(np.arange(n) == v, b, labels)) >= energy(labels) - 1e-9
+    for a, b in zip(labels[g.tail], labels[g.head]):
+        assert energy(np.where(labels == b, a, labels)) >= energy(labels) - 1e-9
+    # polished, best_decode lies between the optimum and the rounding alone
+    br = optimize_lower_bound(g, theta, max_batches=max_batches)
+    res = best_decode(g, theta, br, restarts=2)
+    rounded = decode_rounding(g, theta, br.pool, bound=br.bound, final_lp=br.final_lp)
+    assert brute_cc(g, theta)[1] - 1e-9 <= res.energy <= rounded.energy
+    assert res.energy == pytest.approx(energy(res.partition))
+    assert res.certificate == (res.energy - br.bound <= CERTIFICATE_TOL)
+
+
 def test_negative_seeds_are_rejected_up_front():
     # best_decode passed its seed to SeedSequence only when a recursive pass
     # ran, so a negative seed went through whenever the rounding certified
@@ -313,6 +360,23 @@ def test_negative_seeds_are_rejected_up_front():
         gen_grid(3, 3, UniformWeights(), -2)
     with pytest.raises(ValueError, match="seed must be non-negative, got -2"):
         gen_random_planar(8, -2)
+    # a float seed named a float instance for the integer one's graph, and a
+    # bool went in as 0 or 1; numpy integers stay seeds
+    for bad, shown in ((1.5, "1.5"), (True, "True"), (np.float64(2.0), "2.0")):
+        for name, call in (
+            ("seed", lambda: gen_grid(3, 3, UniformWeights(), bad)),
+            ("seed", lambda: gen_random_planar(8, bad)),
+            ("seed", lambda: best_decode(inst.graph, inst.theta, br, seed=bad)),
+            ("seed", lambda: decode_recursive(inst.graph, inst.theta, br.lam, seed=bad)),
+            ("restart", lambda: decode_recursive(inst.graph, inst.theta, br.lam, restart=bad)),
+        ):
+            with pytest.raises(ValueError, match=f"^{name} must be an integer, got {shown}$"):
+                call()
+    # and their instances carry a Python int, so write_instance can save them
+    for inst_of in (lambda s: gen_random_planar(8, s), lambda s: gen_grid(3, 3, UniformWeights(), s)):
+        assert inst_of(np.int64(1)).name == inst_of(1).name
+        assert type(inst_of(np.uint32(1)).metadata["seed"]) is int
+    assert best_decode(inst.graph, inst.theta, br, seed=np.uint32(3)).certificate
 
 
 def test_recursive_deterministic_given_seed():
