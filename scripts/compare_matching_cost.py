@@ -7,7 +7,7 @@ Runs one round of every benchmark workload (perfbench/workloads.py), or of
 the named ones and their first N instances, with OLD_CHECKOUT's library
 and records each terminal distance matrix passed to
 `cut_oracle._match_terminals`, with its mask of the pairs the oracle's
-search found.  Then both checkouts' `match_dense` solve every recorded
+search found (every pair where it passes no mask).  Then both checkouts' `match_dense` solve every recorded
 int64 matrix under its mask.  NEW_CHECKOUT's cut oracle matches
 fewer than its `SMALL_T` terminals on its unlimited small path by a
 subset DP, not by `match_dense`, so its `_match_terminals` also solves
@@ -80,7 +80,8 @@ def record_inputs(checkout: str, seed: int, workloads, instances) -> list[tuple[
     match = cut_oracle._match_terminals
 
     def hook(dist, mask):
-        recorded.append((name, np.array(dist), np.array(mask)))
+        found = np.ones(np.shape(dist), dtype=bool) if mask is None else np.array(mask)
+        recorded.append((name, np.array(dist), found))
         return match(dist, mask)
 
     cut_oracle._match_terminals = hook

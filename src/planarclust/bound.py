@@ -52,7 +52,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cut_oracle import _prepare_weights, min_cut_2color, split_into_basic_cuts
-from .graph import PlanarGraph, finite_weights
+from .graph import PlanarGraph, check_integers, finite_weights
 from .lp import LpModel, LpProblem, LpSolution, solve_lp
 
 
@@ -117,13 +117,19 @@ def certified_bound(graph: PlanarGraph, theta, lam) -> tuple[float, np.ndarray, 
     return lower_bound_value(theta, lam) + 1.5 * min(0.0, value), cut, value
 
 
-def _cut_rows(theta: np.ndarray, cuts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The bound LP's constraint rows and right-hand sides for the cut rows
-    `cuts`, one row per cut."""
+def _fixed(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(theta < 0, theta with its negative entries zeroed): what the bound
+    LP's rows read of theta, once per run."""
     neg = theta < 0
+    return neg, np.where(neg, 0.0, theta)
+
+
+def _cut_rows(neg: np.ndarray, fixed: np.ndarray, cuts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The bound LP's constraint rows and right-hand sides for the cut rows
+    `cuts`, one row per cut, given `_fixed(theta)`."""
     # a row sum, not a matrix product: each right-hand side is then the same
     # whether its cut's rows are built alone or with the whole pool
-    rhs = -np.where(cuts, np.where(neg, 0.0, theta), 0.0).sum(axis=1)
+    rhs = -np.where(cuts, fixed, 0.0).sum(axis=1)
     return cuts[:, neg], rhs
 
 
@@ -136,8 +142,9 @@ def restricted_lp(theta: np.ndarray, pool: CutPool) -> LpProblem:
     multipliers are the rounding decoder's cut weights.
     """
     theta = np.asarray(theta, dtype=float)
-    lower = theta[theta < 0]
-    constraints, rhs = _cut_rows(theta, pool.matrix(theta.size))
+    neg, fixed = _fixed(theta)
+    lower = theta[neg]
+    constraints, rhs = _cut_rows(neg, fixed, pool.matrix(theta.size))
     return LpProblem(
         objective=-np.ones(lower.size), lower=lower, upper=np.zeros(lower.size),
         constraints=constraints, rhs=rhs,
@@ -163,12 +170,13 @@ def optimize_lower_bound(
     """
     if not tol >= 0:  # NaN fails this too
         raise ValueError(f"tol must be a nonnegative number, got {tol!r}")
+    check_integers(max_batches=max_batches)
     if max_batches < 0:
         raise ValueError(f"max_batches must be nonnegative, got {max_batches!r}")
     theta = finite_weights(theta)
     if theta.shape != (graph.edge_count,):
         raise ValueError("theta must have one entry per edge")
-    neg = theta < 0
+    neg, fixed = _fixed(theta)
     pool = CutPool(split_into_basic_cuts(graph, neg))
     model = LpModel(restricted_lp(theta, pool))
     batches = 0
@@ -203,5 +211,5 @@ def optimize_lower_bound(
                 lam=best_lam, bound=best_bound, pool=pool, batches=batches, converged=False,
                 oracle_calls=calls,
             )
-        model.add_rows(*_cut_rows(theta, np.array(new_cuts)))
+        model.add_rows(*_cut_rows(neg, fixed, np.array(new_cuts)))
         batches += 1

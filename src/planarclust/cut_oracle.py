@@ -100,36 +100,55 @@ class _DualInfo:
     """Per-topology data reused across weight vectors."""
 
     def __init__(self, graph: PlanarGraph):
+        self.face_count = fc = graph.face_count
         f1, f2 = graph.edge_face_ids[:, 0], graph.edge_face_ids[:, 1]
         nl = np.flatnonzero(f1 != f2)  # bridges are dual self-loops
-        lo = np.minimum(f1[nl], f2[nl])
-        hi = np.maximum(f1[nl], f2[nl])
-        order = np.lexsort((hi, lo))
-        self.sorted_edges = nl[order]
-        self.face_count = fc = graph.face_count
-        key = lo[order] * fc + hi[order]
+        # the face pair (lo, hi) as one key lo * F + hi; a stable sort of it
+        # orders edges as a lexsort by (lo, hi) does
+        f1, f2 = f1[nl], f2[nl]
+        key = np.minimum(f1, f2) * fc + np.maximum(f1, f2)
+        order = key.argsort(kind="stable")
+        self.sorted_edges, key = nl[order], key[order]
         first = np.ones(key.size, dtype=bool)  # a sorted edge starts a group
         first[1:] = key[1:] != key[:-1]
         self.group_starts = starts = np.flatnonzero(first)
-        # per sorted edge, its group and its position
-        self.group_of, self.positions = np.cumsum(first) - 1, np.arange(key.size)
-        # sorted face-pair key per group: lookup of the group joining two faces
+        # sorted face-pair key per group
         self.group_key = group_key = key[starts]
-        self.group_lo, self.group_hi = group_lo, group_hi = group_key // fc, group_key % fc
+        self.group_lo, self.group_hi = group_lo, group_hi = np.divmod(group_key, fc)
         # directed dual adjacency: both directions of every group, rows sorted
-        # by column; int32, which scipy keeps without a copy per call
-        rows = np.concatenate((group_lo, group_hi))
-        cols = np.concatenate((group_hi, group_lo))
-        slots = np.lexsort((cols, rows))
+        # by column, so by the unique key row * F + column; int32, which
+        # scipy keeps without a copy per call
+        keys = np.concatenate((group_key, group_hi * fc + group_lo))
+        # the walk of a matched path looks up the group of each directed
+        # dual edge, then the group's edges in sorted order: its first one,
+        # and all of them where it has more
+        self.group_at = dict(zip(keys.tolist(), [*range(starts.size)] * 2))
+        edges, bounds = self.sorted_edges.tolist(), [*starts.tolist(), key.size]
+        self.first_edge = [edges[a] for a in bounds[:-1]]
+        self.shared = {g: edges[a:b] for g, (a, b) in enumerate(zip(bounds, bounds[1:])) if b - a > 1}
+        slots = keys.argsort()
         self.slot_group = (slots % starts.size).astype(np.int32)
-        indices = cols[slots].astype(np.int32)
-        indptr = np.searchsorted(rows[slots], np.arange(fc + 1)).astype(np.int32)
-        # a call refills `adj.data` in place: scipy builds a csr_matrix in
-        # 12-14 us (about 56 us inside the desk-scale bound loop), a refill
-        # takes 2 us.  `lock` guards it while in use.
-        self.adj = csr_matrix((np.zeros(indices.size), indices, indptr), shape=(fc, fc))
+        keys = keys[slots]
+        # a call refills `adj.data` in place, and `lock` guards it while in
+        # use.  The matrix is assembled as scipy's constructor leaves it but
+        # without the constructor, whose format check and index casts took
+        # 56-61 us per graph inside the desk-scale bound loop.  Face r's row
+        # starts at its first key at or past r * F
+        self.adj = adj = object.__new__(csr_matrix)
+        adj.__dict__.update(
+            _EMPTY_CSR.__dict__, _shape=(fc, fc), data=np.zeros(keys.size),
+            indices=(keys % fc).astype(np.int32),
+            indptr=keys.searchsorted(np.arange(0, (fc + 1) * fc, fc)).astype(np.int32),
+        )
         self.lock = threading.Lock()
+        # the largest sum|int64| with head-room (`_prepare_weights`)
+        self.budget = min(2**52 - 1, ((2**57 - 1) // (fc + 1) - 1) // 2)
         self.prepared: tuple = (None,)  # the last `_prepare_weights` key and result
+
+
+# every attribute scipy's constructor sets on a csr_matrix, which `_DualInfo`
+# copies before it sets the arrays and the shape
+_EMPTY_CSR = csr_matrix((0, 0))
 
 
 def _dual_info(graph: PlanarGraph) -> _DualInfo:
@@ -193,20 +212,23 @@ def _least_by_dp(dist: np.ndarray) -> list[tuple[int, int]]:
     for k in range(1, t // 2):
         level = cost[starts[k] : starts[k + 1]]
         level += least.take(children[k])
-        least = np.minimum.reduceat(level, firsts[k])
+        if k < t // 2 - 1:  # the walk below reads no least of the full set
+            least = np.minimum.reduceat(level, firsts[k])
     matching, s = [], 0
-    for k in range(t // 2 - 1, -1, -1):
+    for k in range(t // 2 - 1, 0, -1):
         w = 2 * k + 1  # transitions per state of 2k + 2 terminals
         first = starts[k] + s * w
         x = first + int(cost[first : first + w].argmin())
         matching.append(divmod(pairs.item(x), t))
         s = children[k].item(x - starts[k])
+    matching.append(divmod(pairs.item(s), t))  # the last two terminals' one transition
     return matching
 
 
-def _match_terminals(dist: np.ndarray, mask: np.ndarray):
+def _match_terminals(dist: np.ndarray, mask: np.ndarray | None):
     """Min-weight perfect matching of the terminals over the pairs in `mask`
-    (its diagonal is ignored): (pairs of terminal indices, potentials).
+    (its diagonal is ignored; None, below SMALL_T only: every pair):
+    (pairs of terminal indices, potentials).
 
     Below SMALL_T terminals (every pair known, potentials unused) it
     enumerates by `_least_by_dp`, with potentials None.  Every other call,
@@ -261,7 +283,7 @@ def _search_and_match(info: _DualInfo, gmin: np.ndarray, terminals: np.ndarray):
         dist, pred = dijkstra(info.adj, indices=terminals, return_predecessors=True)
         # distances are exact integers (`_prepare_weights`)
         d_t = dist[:, terminals].astype(np.int64)
-        return _match_terminals(d_t, np.ones((t, t), dtype=bool))[0], pred
+        return _match_terminals(d_t, None)[0], pred
     radii, rows = _first_radii(info, gmin, terminals), np.arange(t)
     d_t, lim, pred = np.empty((t, t)), np.empty(t), np.empty((t, info.face_count), dtype=np.int32)
     solved = None  # the pairs the last matching is optimal over; None solves again
@@ -316,28 +338,25 @@ def _solve_even_subgraph(graph: PlanarGraph, w: np.ndarray):
     deg = np.bincount(graph.edge_face_ids[cut].ravel(), minlength=info.face_count)
     terminals = (deg & 1).nonzero()[0]
     if terminals.size:
-        wa = np.abs(w[info.sorted_edges], dtype=float)
-        gmin = np.minimum.reduceat(wa, info.group_starts)
-        # representative edge per face pair: first group member achieving gmin
-        pos = np.where(wa <= gmin[info.group_of], info.positions, wa.size)
-        rep_edges = info.sorted_edges[np.minimum.reduceat(pos, info.group_starts)]
-
+        gmin = np.minimum.reduceat(np.abs(w[info.sorted_edges], dtype=float), info.group_starts)
         with info.lock:
-            np.take(gmin, info.slot_group, out=info.adj.data)
+            gmin.take(info.slot_group, out=info.adj.data)
             pairs, pred = _search_and_match(info, gmin, terminals)
 
-        # walk each matched path; a dual edge used an odd number of times flips
-        fc, ends = info.face_count, terminals.tolist()
-        steps = []
+        # walk each matched path; a dual edge used an odd number of times
+        # flips its group's first edge of least |w|, whose weight it carried
+        fc, ends, group_at, odd = info.face_count, terminals.tolist(), info.group_at, set()
         for i, j in pairs:
             src, p = ends[i], ends[j]
             while p != src:
                 q = pred.item(i, p)
-                steps.append(min(p, q) * fc + max(p, q))
+                odd ^= {group_at[p * fc + q]}
                 p = q
-        groups = np.searchsorted(info.group_key, steps)
-        odd = np.bincount(groups, minlength=info.group_key.size) % 2 == 1
-        cut[rep_edges[odd]] ^= True
+        for g in odd:
+            e = info.first_edge[g]
+            if g in info.shared:
+                e = min(info.shared[g], key=lambda e: abs(w.item(e)))
+            cut[e] = not cut[e]
     value = w[cut].sum()
     return cut, value
 
@@ -354,21 +373,25 @@ def scale_to_int(values):
     inputs are not decimal-representable at that precision.
     """
     arr = np.asarray(values, dtype=float)
-    # values that are not finite, or above about 1.8e299 and overflow at the
-    # larger scales, leave inf - inf = NaN, which fails the test below
-    with np.errstate(over="ignore", invalid="ignore"):
-        scaled = _POWERS * arr
-        rounded = np.rint(scaled)
-        # a true decimal leaves only float64 representation error (~1e-16
-        # relative); anything larger means the value is not this decimal.
-        # In place: 1e-12 * max(1, |scaled|) against |scaled - rounded|
-        tol = np.abs(scaled)
-        np.maximum(tol, 1.0, out=tol)
-        tol *= 1e-12
-        scaled -= rounded
-        passing = (np.abs(scaled, out=scaled) <= tol).all(axis=1)
+    # a value that is not finite, or of 2**52 or more, is no int64 with
+    # head-room at any scale; below that no scale overflows
+    top = np.abs(arr).max(initial=0)
+    if not top < 2**52:
+        return None
+    scaled = _POWERS * arr
+    rounded = np.rint(scaled)
+    # a true decimal leaves only float64 representation error (~1e-16
+    # relative); anything larger means the value is not this decimal.
+    # In place: 1e-12 * max(1, |scaled|) against |scaled - rounded|
+    tol = np.abs(scaled)
+    np.maximum(tol, 1.0, out=tol)
+    tol *= 1e-12
+    scaled -= rounded
+    passing = (np.abs(scaled, out=scaled) <= tol).all(axis=1)
     digits = int(passing.argmax())  # the first passing scale, if any
-    if passing[digits] and np.abs(rounded[digits]).max(initial=0) < 2**52:
+    # scaling and rounding keep order by magnitude, so the largest value
+    # gives the largest |rounded|
+    if passing[digits] and np.rint(_POWERS[digits, 0] * top) < 2**52:
         return rounded[digits].astype(np.int64), 10**digits
     return None
 
@@ -397,8 +420,7 @@ def _prepare_weights(w, graph: PlanarGraph):
     info, key = _dual_info(graph), w.tobytes()
     prepared = info.prepared
     if key != prepared[0]:  # an input equal to an earlier one is finite
-        # the largest sum|int64| with head-room
-        budget = min(2**52 - 1, ((2**57 - 1) // (graph.face_count + 1) - 1) // 2)
+        budget = info.budget
         scaled = scale_to_int(w)  # None unless w is finite
         on_grid = scaled is None or _abs_sum(scaled[0]) > budget
         if on_grid:
@@ -461,6 +483,9 @@ def split_into_basic_cuts(graph: PlanarGraph, x) -> list[np.ndarray]:
     k = int(labels.max()) + 1
     if k <= 1:
         return []
-    lt = labels[graph.tail]
-    lh = labels[graph.head]
-    return [(lt == c) ^ (lh == c) for c in range(1 if k == 2 else k)]
+    ends = labels[graph.endpoints]
+    lt, lh = ends[:, 0], ends[:, 1]
+    if k == 2:  # both components isolate the cut between them
+        return [lt != lh]
+    c = np.arange(k)[:, None]
+    return list((lt == c) ^ (lh == c))

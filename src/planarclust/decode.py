@@ -36,7 +36,7 @@ import numpy as np
 from .bound import BoundResult, CutPool, restricted_lp
 from .cut_oracle import min_cut_forced
 from .graph import (
-    PlanarGraph, check_seeds, cut_energy, cut_from_partition, finite_weights, partition_from_cut,
+    PlanarGraph, check_integers, check_seeds, cut_energy, cut_from_partition, finite_weights, partition_from_cut,
 )
 from .lp import LpSolution, solve_lp
 
@@ -184,6 +184,7 @@ def best_decode(
     Returns the minimum-energy result, stopping early as soon as the
     energy matches the lower bound to certificate tolerance.
     """
+    check_integers(restarts=restarts)
     if restarts < 1:
         raise ValueError("restarts must be at least 1")
     check_seeds(seed=seed)

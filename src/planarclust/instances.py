@@ -27,7 +27,7 @@ from decimal import ROUND_HALF_EVEN, Decimal, InvalidOperation
 import numpy as np
 from scipy.spatial import Delaunay
 
-from .graph import PlanarGraph, build_graph, check_seeds, spanning_forest
+from .graph import PlanarGraph, build_graph, check_integers, check_seeds, spanning_forest
 
 FORMAT_VERSION = 1
 # the fraction of a GPB-like grid's interior edges bumped into the ambiguous range
@@ -143,6 +143,8 @@ def _grid_topology(width: int, height: int):
 
 def gen_grid(width: int, height: int, weight_model, seed: int) -> Instance:
     """Grid instance with a canonical embedding; deterministic in seed."""
+    check_integers(width=width, height=height)
+    width, height = int(width), int(height)  # numpy integers are sizes too, but not JSON
     if width < 2 or height < 2:
         raise ValueError("grid must be at least 2x2")
     check_seeds(seed=seed)
@@ -178,6 +180,8 @@ def _model_tag(model) -> str:
 
 def gen_random_planar(n: int, seed: int) -> Instance:
     """Random connected planar instance: sparsified Delaunay triangulation."""
+    check_integers(n=n)
+    n = int(n)  # numpy integers are sizes too, but not JSON
     if n < 3:
         raise ValueError("need at least 3 vertices")
     check_seeds(seed=seed)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from planarclust.bound import (
-    CutPool, _cut_rows, certified_bound, lower_bound_value, optimize_lower_bound, restricted_lp,
+    CutPool, _cut_rows, _fixed, certified_bound, lower_bound_value, optimize_lower_bound, restricted_lp,
 )
 from planarclust import cut_oracle
 from planarclust.cut_oracle import min_cut_2color, scale_to_int, split_into_basic_cuts
@@ -168,6 +168,18 @@ def test_invalid_loop_parameters_raise(kwargs):
         optimize_lower_bound(inst.graph, inst.theta, **kwargs)
 
 
+def test_a_batch_budget_that_is_no_integer_raises():
+    # NaN ran the loop without a budget (nan < 0 and batches >= nan are
+    # both False); 1.5 and True were taken as budgets
+    inst = gen_random_planar(8, 3)
+    for bad, shown in ((float("nan"), "nan"), (1.5, "1.5"), (True, "True"), (np.float64(2.0), "2.0")):
+        with pytest.raises(ValueError, match=f"^max_batches must be an integer, got {shown}$"):
+            optimize_lower_bound(inst.graph, inst.theta, max_batches=bad)
+    ref = optimize_lower_bound(inst.graph, inst.theta, max_batches=1)
+    res = optimize_lower_bound(inst.graph, inst.theta, max_batches=np.int64(1))
+    assert res.bound == ref.bound and res.batches == ref.batches
+
+
 def test_weights_the_lp_solver_reads_as_infinite_raise():
     # HiGHS reads magnitudes of 1e20 or more as infinite; at 1e22 the box
     # theta <= lambda lost its lower side and the LP came back unbounded
@@ -318,7 +330,7 @@ def _replay(graph, theta, max_batches=50):
         new = [b for b in split_into_basic_cuts(graph, cut) if pool.add(b)]
         if not new:
             return
-        model.add_rows(*_cut_rows(theta, np.vstack(new)))
+        model.add_rows(*_cut_rows(*_fixed(theta), np.vstack(new)))
 
 
 def test_lp_objective_monotone_across_batches():

@@ -244,6 +244,13 @@ def test_directed_dual_pattern_matches_undirected_dijkstra(data):
     graph = data.draw(planar_graphs)
     info = cut_oracle._dual_info(graph)
     fc, groups = info.face_count, info.group_key.size
+    # a valid scipy matrix, however it is built: float64 data, int32
+    # indices, rows sorted by column
+    adj = info.adj
+    adj.check_format(full_check=True)
+    assert adj.format == "csr" and adj.shape == (fc, fc) and adj.has_sorted_indices
+    assert adj.data.dtype == np.float64 and adj.data.shape == adj.indices.shape
+    assert adj.indices.dtype == np.int32 and adj.indptr.dtype == np.int32
     weights = st.one_of(st.sampled_from([0.0, 1.0, 2.0]), st.floats(0.0, 10.0))
     gmin = np.array(data.draw(st.lists(weights, min_size=groups, max_size=groups)))
     terminals = np.flatnonzero(data.draw(edge_masks(fc)))

@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from planarclust import bound as bound_module, decode as decode_module
 from planarclust.bound import (
-    CutPool, _cut_rows, lower_bound_value, optimize_lower_bound, restricted_lp,
+    CutPool, _cut_rows, _fixed, lower_bound_value, optimize_lower_bound, restricted_lp,
 )
 from planarclust.cut_oracle import min_cut_forced
 from planarclust.decode import CERTIFICATE_TOL, best_decode, decode_recursive, decode_rounding
@@ -130,7 +130,7 @@ def test_infeasible_restricted_lp_raises_lp_error(triangle, monkeypatch):
     # the box [-1, 0]^3 meets: the real solver finds no feasible point, on
     # the bound loop's rows appended to its warm model and on the rounding
     # decoder's restricted_lp alike
-    def infeasible(theta, cuts):
+    def infeasible(neg, fixed, cuts):
         return np.ones((len(cuts), 3)), np.ones(len(cuts))
 
     monkeypatch.setattr(bound_module, "_cut_rows", infeasible)
@@ -265,7 +265,7 @@ def test_rows_of_cuts_without_negative_edges_change_no_rounding():
         extra = [cut for cut in incident if np.all(theta[cut] >= 0) and pool.add(cut)]
         if not extra:
             continue
-        model.add_rows(*_cut_rows(theta, np.vstack(extra)))
+        model.add_rows(*_cut_rows(*_fixed(theta), np.vstack(extra)))
         assert not model.problem.constraints[-len(extra) :].any()
         extended = solve_lp(model.problem, model)
         assert extended.duals.shape == (len(pool),)
@@ -377,6 +377,20 @@ def test_negative_seeds_are_rejected_up_front():
         assert inst_of(np.int64(1)).name == inst_of(1).name
         assert type(inst_of(np.uint32(1)).metadata["seed"]) is int
     assert best_decode(inst.graph, inst.theta, br, seed=np.uint32(3)).certificate
+
+
+def test_a_restart_count_that_is_no_integer_raises():
+    # 1.5 died in range() with a TypeError, and True ran one pass
+    inst = gen_random_planar(8, 900)
+    br = optimize_lower_bound(inst.graph, inst.theta)
+    for bad, shown in ((1.5, "1.5"), (True, "True"), (float("nan"), "nan"), (np.float64(2.0), "2.0")):
+        with pytest.raises(ValueError, match=f"^restarts must be an integer, got {shown}$"):
+            best_decode(inst.graph, inst.theta, br, restarts=bad)
+    with pytest.raises(ValueError, match="^restarts must be at least 1$"):
+        best_decode(inst.graph, inst.theta, br, restarts=np.int64(0))
+    ref = best_decode(inst.graph, inst.theta, br, restarts=2)
+    res = best_decode(inst.graph, inst.theta, br, restarts=np.int64(2))
+    assert res.energy == ref.energy and np.array_equal(res.partition, ref.partition)
 
 
 def test_recursive_deterministic_given_seed():

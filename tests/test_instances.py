@@ -81,6 +81,37 @@ def test_theta_is_5_decimal():
     assert np.allclose(scaled, np.rint(scaled), atol=1e-7)
 
 
+def test_numpy_integer_sizes_give_the_same_savable_instance(tmp_path):
+    # numpy integers stayed in the metadata, which json cannot write
+    for make in (
+        lambda n: gen_random_planar(n, 1),
+        lambda n: gen_grid(n, 3, UniformWeights(), 2),
+        lambda n: gen_grid(3, n, UniformWeights(), 2),
+    ):
+        inst, ref = make(np.int64(8)), make(8)
+        assert inst.name == ref.name and inst.metadata == ref.metadata
+        assert all(type(v) is int for v in inst.metadata.values() if not isinstance(v, str))
+        assert inst.graph.edges == ref.graph.edges and np.array_equal(inst.theta, ref.theta)
+        write_instance(inst, tmp_path / "i.json")
+        assert read_instance(tmp_path / "i.json").metadata == ref.metadata
+
+
+def test_non_integer_sizes_raise():
+    # a float size died in numpy's TypeError, and a bool went in as 0 or 1
+    for bad, shown in ((8.5, "8.5"), (np.float64(8.0), "8.0"), (True, "True")):
+        for name, call in (
+            ("n", lambda: gen_random_planar(bad, 1)),
+            ("width", lambda: gen_grid(bad, 3, UniformWeights(), 0)),
+            ("height", lambda: gen_grid(3, bad, UniformWeights(), 0)),
+        ):
+            with pytest.raises(ValueError, match=f"^{name} must be an integer, got {shown}$"):
+                call()
+    with pytest.raises(ValueError, match="^need at least 3 vertices$"):
+        gen_random_planar(np.int64(2), 1)
+    with pytest.raises(ValueError, match="^grid must be at least 2x2$"):
+        gen_grid(3, np.int32(1), UniformWeights(), 0)
+
+
 def test_gen_random_planar_valid():
     seen = set()
     for seed in range(100):

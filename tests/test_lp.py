@@ -234,6 +234,73 @@ def test_add_rows_keeps_earlier_problems():
         assert np.array_equal(q.constraints, p.constraints[:rows]) and np.array_equal(q.rhs, p.rhs[:rows])
 
 
+class _ReportingSolver:
+    """Stands in for a HiGHS solver that reports the optimum `x` with
+    `value` as its (minimization) objective."""
+
+    def __init__(self, x, value):
+        self.x, self.value = list(x), value
+
+    def run(self):
+        pass
+
+    def getModelStatus(self):
+        return lp.highs.HighsModelStatus.kOptimal
+
+    def modelStatusToString(self, status):
+        return str(status)
+
+    def getSolution(self):
+        return type("Solution", (), {"col_value": self.x, "row_dual": [-1.0]})()
+
+    def getObjectiveValue(self):
+        return self.value
+
+    def addRows(self, *rows):
+        return lp.highs.HighsStatus.kOk
+
+
+@pytest.mark.parametrize(
+    "x, value",
+    [
+        ([-1e-3, 1.0], -1.0),  # below its lower bound
+        ([1.0, 1.001], -2.0),  # above its upper bound
+        ([0.2, 0.2], -0.4),  # x0 + x1 >= 0.5 missed
+        ([float("nan"), 1.0], -1.0),
+        ([0.5, 0.5], float("inf")),
+        ([0.5, 0.5], float("nan")),
+    ],
+)
+def test_an_optimum_that_violates_the_problem_raises(x, value):
+    # the post-solve check, on a warm model whose solver reports x; each x
+    # misses the problem in one way by more than the tolerance, about 3e-4
+    problem = LpProblem(
+        objective=[1.0, 1.0], lower=[0.0, 0.0], upper=[1.0, 1.0], constraints=[[1.0, 1.0]], rhs=[0.5]
+    )
+    model = LpModel(problem)
+    model.solver = _ReportingSolver([0.5, 0.25], -0.75)
+    sol = solve_lp(model.problem, model)
+    assert sol.x.tolist() == [0.5, 0.25] and sol.objective_value == 0.75
+    assert sol.duals.tolist() == [1.0]
+    model.solver = _ReportingSolver(x, value)
+    with pytest.raises(LpError, match="optimum that violates the problem"):
+        solve_lp(model.problem, model)
+
+
+def test_post_solve_tolerance_grows_with_the_rows():
+    # the check's tolerance is relative 1e-9 above sides of about 3e5; a
+    # row added with a right-hand side of -1e8 widens it to 0.1
+    problem = LpProblem(
+        objective=[1.0, 1.0], lower=[0.0, 0.0], upper=[1.0, 1.0], constraints=[[1.0, 1.0]], rhs=[0.5]
+    )
+    model = LpModel(problem)
+    model.solver = _ReportingSolver([-0.05, 1.0], -0.95)
+    with pytest.raises(LpError, match="violates"):
+        solve_lp(model.problem, model)
+    model.add_rows([[1.0, 0.0]], [-1e8])
+    assert solve_lp(model.problem, model).x.tolist() == [-0.05, 1.0]
+
+
 def test_unbounded_raises():
     with pytest.raises(LpError):
         solve_lp(LpProblem(objective=[1.0], lower=[0.0], upper=[np.inf]))
