@@ -120,35 +120,25 @@ class _DualInfo:
         # scipy keeps without a copy per call
         keys = np.concatenate((group_key, group_hi * fc + group_lo))
         # the walk of a matched path looks up the group of each directed
-        # dual edge, then the group's edges in sorted order: its first one,
-        # and all of them where it has more
+        # dual edge, then the group's edges in sorted order
         self.group_at = dict(zip(keys.tolist(), [*range(starts.size)] * 2))
         edges, bounds = self.sorted_edges.tolist(), [*starts.tolist(), key.size]
-        self.first_edge = [edges[a] for a in bounds[:-1]]
-        self.shared = {g: edges[a:b] for g, (a, b) in enumerate(zip(bounds, bounds[1:])) if b - a > 1}
+        self.group_edges = [edges[a:b] for a, b in zip(bounds, bounds[1:])]
         slots = keys.argsort()
         self.slot_group = (slots % starts.size).astype(np.int32)
         keys = keys[slots]
-        # a call refills `adj.data` in place, and `lock` guards it while in
-        # use.  The matrix is assembled as scipy's constructor leaves it but
-        # without the constructor, whose format check and index casts took
-        # 56-61 us per graph inside the desk-scale bound loop.  Face r's row
-        # starts at its first key at or past r * F
-        self.adj = adj = object.__new__(csr_matrix)
-        adj.__dict__.update(
-            _EMPTY_CSR.__dict__, _shape=(fc, fc), data=np.zeros(keys.size),
-            indices=(keys % fc).astype(np.int32),
-            indptr=keys.searchsorted(np.arange(0, (fc + 1) * fc, fc)).astype(np.int32),
+        # face r's row starts at its first key at or past r * F
+        indptr = keys.searchsorted(np.arange(0, (fc + 1) * fc, fc)).astype(np.int32)
+        # a call refills `adj.data` in place: scipy builds a csr_matrix in
+        # 12-14 us (about 56 us inside the desk-scale bound loop), a refill
+        # takes 2 us.  `lock` guards it while in use.
+        self.adj = csr_matrix(
+            (np.zeros(keys.size), (keys % fc).astype(np.int32), indptr), shape=(fc, fc)
         )
         self.lock = threading.Lock()
         # the largest sum|int64| with head-room (`_prepare_weights`)
         self.budget = min(2**52 - 1, ((2**57 - 1) // (fc + 1) - 1) // 2)
         self.prepared: tuple = (None,)  # the last `_prepare_weights` key and result
-
-
-# every attribute scipy's constructor sets on a csr_matrix, which `_DualInfo`
-# copies before it sets the arrays and the shape
-_EMPTY_CSR = csr_matrix((0, 0))
 
 
 def _dual_info(graph: PlanarGraph) -> _DualInfo:
@@ -353,9 +343,7 @@ def _solve_even_subgraph(graph: PlanarGraph, w: np.ndarray):
                 odd ^= {group_at[p * fc + q]}
                 p = q
         for g in odd:
-            e = info.first_edge[g]
-            if g in info.shared:
-                e = min(info.shared[g], key=lambda e: abs(w.item(e)))
+            e = min(info.group_edges[g], key=lambda e: abs(w.item(e)))
             cut[e] = not cut[e]
     value = w[cut].sum()
     return cut, value
@@ -483,9 +471,6 @@ def split_into_basic_cuts(graph: PlanarGraph, x) -> list[np.ndarray]:
     k = int(labels.max()) + 1
     if k <= 1:
         return []
-    ends = labels[graph.endpoints]
-    lt, lh = ends[:, 0], ends[:, 1]
-    if k == 2:  # both components isolate the cut between them
-        return [lt != lh]
-    c = np.arange(k)[:, None]
-    return list((lt == c) ^ (lh == c))
+    lt = labels[graph.tail]
+    lh = labels[graph.head]
+    return [(lt == c) ^ (lh == c) for c in range(1 if k == 2 else k)]
