@@ -112,18 +112,15 @@ class _DualInfo:
         first = np.ones(key.size, dtype=bool)  # a sorted edge starts a group
         first[1:] = key[1:] != key[:-1]
         self.group_starts = starts = np.flatnonzero(first)
-        # sorted face-pair key per group
+        # per sorted edge, its group and its position
+        self.group_of, self.positions = np.cumsum(first) - 1, np.arange(key.size)
+        # sorted face-pair key per group: lookup of the group joining two faces
         self.group_key = group_key = key[starts]
         self.group_lo, self.group_hi = group_lo, group_hi = np.divmod(group_key, fc)
         # directed dual adjacency: both directions of every group, rows sorted
         # by column, so by the unique key row * F + column; int32, which
         # scipy keeps without a copy per call
         keys = np.concatenate((group_key, group_hi * fc + group_lo))
-        # the walk of a matched path looks up the group of each directed
-        # dual edge, then the group's edges in sorted order
-        self.group_at = dict(zip(keys.tolist(), [*range(starts.size)] * 2))
-        edges, bounds = self.sorted_edges.tolist(), [*starts.tolist(), key.size]
-        self.group_edges = [edges[a:b] for a, b in zip(bounds, bounds[1:])]
         slots = keys.argsort()
         self.slot_group = (slots % starts.size).astype(np.int32)
         keys = keys[slots]
@@ -328,23 +325,28 @@ def _solve_even_subgraph(graph: PlanarGraph, w: np.ndarray):
     deg = np.bincount(graph.edge_face_ids[cut].ravel(), minlength=info.face_count)
     terminals = (deg & 1).nonzero()[0]
     if terminals.size:
-        gmin = np.minimum.reduceat(np.abs(w[info.sorted_edges], dtype=float), info.group_starts)
+        wa = np.abs(w[info.sorted_edges], dtype=float)
+        gmin = np.minimum.reduceat(wa, info.group_starts)
+        # representative edge per face pair: first group member achieving gmin
+        pos = np.where(wa <= gmin[info.group_of], info.positions, wa.size)
+        rep_edges = info.sorted_edges[np.minimum.reduceat(pos, info.group_starts)]
+
         with info.lock:
             gmin.take(info.slot_group, out=info.adj.data)
             pairs, pred = _search_and_match(info, gmin, terminals)
 
-        # walk each matched path; a dual edge used an odd number of times
-        # flips its group's first edge of least |w|, whose weight it carried
-        fc, ends, group_at, odd = info.face_count, terminals.tolist(), info.group_at, set()
+        # walk each matched path; a dual edge used an odd number of times flips
+        fc, ends = info.face_count, terminals.tolist()
+        steps = []
         for i, j in pairs:
             src, p = ends[i], ends[j]
             while p != src:
                 q = pred.item(i, p)
-                odd ^= {group_at[p * fc + q]}
+                steps.append(min(p, q) * fc + max(p, q))
                 p = q
-        for g in odd:
-            e = min(info.group_edges[g], key=lambda e: abs(w.item(e)))
-            cut[e] = not cut[e]
+        groups = np.searchsorted(info.group_key, steps)
+        odd = np.bincount(groups, minlength=info.group_key.size) % 2 == 1
+        cut[rep_edges[odd]] ^= True
     value = w[cut].sum()
     return cut, value
 
@@ -473,4 +475,9 @@ def split_into_basic_cuts(graph: PlanarGraph, x) -> list[np.ndarray]:
         return []
     lt = labels[graph.tail]
     lh = labels[graph.head]
-    return [(lt == c) ^ (lh == c) for c in range(1 if k == 2 else k)]
+    if k == 2:  # both components isolate the cut between them
+        return [lt != lh]
+    # one comparison for all components; each cut is copied out of it, so
+    # that a cut a pool keeps holds its own row only
+    c = np.arange(k)[:, None]
+    return [cut.copy() for cut in (lt == c) ^ (lh == c)]

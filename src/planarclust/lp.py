@@ -43,11 +43,9 @@ first rows go in with it: passing a model without rows and appending
 them gave the same solves, but a model then cost 128 against 93 us in
 the desk-scale bound loop (both with a `HighsLp` built attribute by
 attribute).
-The binding hands the solution's vectors over as Python lists: on the
-bound loop's LPs (about 10 columns and rows) the box check and the dual
-clean-up run over those lists, and the bounds loosened by the check's
-tolerance are kept per model, which cut the read-out after `run` from
-about 39 to 31 us per warm solve in the desk-scale loop.
+A warm solve's read-out after `run` checks the optimum against the
+model's bounds loosened by the check's tolerance, which the model keeps
+and recomputes only when added rows widen the tolerance.
 The binding is private to scipy; this is the only module that uses it.
 """
 
@@ -188,9 +186,9 @@ def _tol(size: float) -> float:
 
 
 def _check(problem: LpProblem, tol: float) -> tuple:
-    """`tol` and the problem's bounds loosened by it, as lists: (tol,
-    lower - tol, upper + tol)."""
-    return tol, (problem.lower - tol).tolist(), (problem.upper + tol).tolist()
+    """`tol` and the problem's bounds loosened by it: (tol, lower - tol,
+    upper + tol)."""
+    return tol, problem.lower - tol, problem.upper + tol
 
 
 def _grown(buffer: np.ndarray, rows: int, capacity: int) -> np.ndarray:
@@ -288,17 +286,16 @@ def _run(solver: highs._Highs, problem: LpProblem, tol: float, lower, upper) -> 
     status = solver.getModelStatus()
     if status.value != _OPTIMAL:
         raise LpError(f"LP solver failed: {solver.modelStatusToString(status)}")
-    # the solution's vectors arrive as lists, which the small LPs of the
-    # bound loop read faster in Python than through numpy
     solution = solver.getSolution()
-    col_value = solution.col_value
-    x = np.array(col_value)
+    duals = np.negative(solution.row_dual)
     # tiny negative multipliers are solver noise
-    duals = np.array([0.0 if abs(d) < 1e-11 else -d for d in solution.row_dual])
+    duals[np.abs(duals) < 1e-11] = 0.0
+    x = np.asarray(solution.col_value, dtype=float)
     value = -solver.getObjectiveValue()
     if not (
         math.isfinite(value)
-        and all(lo <= v <= hi for lo, v, hi in zip(lower, col_value, upper))
+        and (x >= lower).all()
+        and (x <= upper).all()
         and (problem.constraints @ x - problem.rhs).min(initial=np.inf) >= -tol
     ):
         raise LpError("LP solver reported an optimum that violates the problem")
