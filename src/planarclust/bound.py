@@ -124,7 +124,7 @@ def _fixed(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return neg, np.where(neg, 0.0, theta)
 
 
-def _cut_rows(neg: np.ndarray, fixed: np.ndarray, cuts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _cut_rows(neg: np.ndarray, fixed: np.ndarray, cuts: np.ndarray) -> tuple[np.ndarray, ...]:
     """The bound LP's constraint rows and right-hand sides for the cut rows
     `cuts`, one row per cut, given `_fixed(theta)`."""
     # a row sum, not a matrix product: each right-hand side is then the same

@@ -100,15 +100,14 @@ class _DualInfo:
     """Per-topology data reused across weight vectors."""
 
     def __init__(self, graph: PlanarGraph):
-        self.face_count = fc = graph.face_count
         f1, f2 = graph.edge_face_ids[:, 0], graph.edge_face_ids[:, 1]
         nl = np.flatnonzero(f1 != f2)  # bridges are dual self-loops
-        # the face pair (lo, hi) as one key lo * F + hi; a stable sort of it
-        # orders edges as a lexsort by (lo, hi) does
-        f1, f2 = f1[nl], f2[nl]
-        key = np.minimum(f1, f2) * fc + np.maximum(f1, f2)
-        order = key.argsort(kind="stable")
-        self.sorted_edges, key = nl[order], key[order]
+        lo = np.minimum(f1[nl], f2[nl])
+        hi = np.maximum(f1[nl], f2[nl])
+        order = np.lexsort((hi, lo))
+        self.sorted_edges = nl[order]
+        self.face_count = fc = graph.face_count
+        key = lo[order] * fc + hi[order]
         first = np.ones(key.size, dtype=bool)  # a sorted edge starts a group
         first[1:] = key[1:] != key[:-1]
         self.group_starts = starts = np.flatnonzero(first)
@@ -116,25 +115,20 @@ class _DualInfo:
         self.group_of, self.positions = np.cumsum(first) - 1, np.arange(key.size)
         # sorted face-pair key per group: lookup of the group joining two faces
         self.group_key = group_key = key[starts]
-        self.group_lo, self.group_hi = group_lo, group_hi = np.divmod(group_key, fc)
+        self.group_lo, self.group_hi = group_lo, group_hi = group_key // fc, group_key % fc
         # directed dual adjacency: both directions of every group, rows sorted
-        # by column, so by the unique key row * F + column; int32, which
-        # scipy keeps without a copy per call
-        keys = np.concatenate((group_key, group_hi * fc + group_lo))
-        slots = keys.argsort()
+        # by column; int32, which scipy keeps without a copy per call
+        rows = np.concatenate((group_lo, group_hi))
+        cols = np.concatenate((group_hi, group_lo))
+        slots = np.lexsort((cols, rows))
         self.slot_group = (slots % starts.size).astype(np.int32)
-        keys = keys[slots]
-        # face r's row starts at its first key at or past r * F
-        indptr = keys.searchsorted(np.arange(0, (fc + 1) * fc, fc)).astype(np.int32)
+        indices = cols[slots].astype(np.int32)
+        indptr = np.searchsorted(rows[slots], np.arange(fc + 1)).astype(np.int32)
         # a call refills `adj.data` in place: scipy builds a csr_matrix in
         # 12-14 us (about 56 us inside the desk-scale bound loop), a refill
         # takes 2 us.  `lock` guards it while in use.
-        self.adj = csr_matrix(
-            (np.zeros(keys.size), (keys % fc).astype(np.int32), indptr), shape=(fc, fc)
-        )
+        self.adj = csr_matrix((np.zeros(indices.size), indices, indptr), shape=(fc, fc))
         self.lock = threading.Lock()
-        # the largest sum|int64| with head-room (`_prepare_weights`)
-        self.budget = min(2**52 - 1, ((2**57 - 1) // (fc + 1) - 1) // 2)
         self.prepared: tuple = (None,)  # the last `_prepare_weights` key and result
 
 
@@ -332,7 +326,7 @@ def _solve_even_subgraph(graph: PlanarGraph, w: np.ndarray):
         rep_edges = info.sorted_edges[np.minimum.reduceat(pos, info.group_starts)]
 
         with info.lock:
-            gmin.take(info.slot_group, out=info.adj.data)
+            np.take(gmin, info.slot_group, out=info.adj.data)
             pairs, pred = _search_and_match(info, gmin, terminals)
 
         # walk each matched path; a dual edge used an odd number of times flips
@@ -410,7 +404,8 @@ def _prepare_weights(w, graph: PlanarGraph):
     info, key = _dual_info(graph), w.tobytes()
     prepared = info.prepared
     if key != prepared[0]:  # an input equal to an earlier one is finite
-        budget = info.budget
+        # the largest sum|int64| with head-room
+        budget = min(2**52 - 1, ((2**57 - 1) // (graph.face_count + 1) - 1) // 2)
         scaled = scale_to_int(w)  # None unless w is finite
         on_grid = scaled is None or _abs_sum(scaled[0]) > budget
         if on_grid:
@@ -475,9 +470,4 @@ def split_into_basic_cuts(graph: PlanarGraph, x) -> list[np.ndarray]:
         return []
     lt = labels[graph.tail]
     lh = labels[graph.head]
-    if k == 2:  # both components isolate the cut between them
-        return [lt != lh]
-    # one comparison for all components; each cut is copied out of it, so
-    # that a cut a pool keeps holds its own row only
-    c = np.arange(k)[:, None]
-    return [cut.copy() for cut in (lt == c) ^ (lh == c)]
+    return [(lt == c) ^ (lh == c) for c in range(1 if k == 2 else k)]

@@ -36,7 +36,8 @@ import numpy as np
 from .bound import BoundResult, CutPool, restricted_lp
 from .cut_oracle import min_cut_forced
 from .graph import (
-    PlanarGraph, check_integers, check_seeds, cut_energy, cut_from_partition, finite_weights, partition_from_cut,
+    PlanarGraph, check_integers, check_seeds, cut_energy, cut_from_partition, finite_weights,
+    partition_from_cut,
 )
 from .lp import LpSolution, solve_lp
 
