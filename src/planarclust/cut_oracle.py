@@ -125,7 +125,7 @@ class _DualInfo:
         indices = cols[slots].astype(np.int32)
         indptr = np.searchsorted(rows[slots], np.arange(fc + 1)).astype(np.int32)
         # a call refills `adj.data` in place: scipy builds a csr_matrix in
-        # 12-14 us (about 56 us inside the desk-scale bound loop), a refill
+        # 12-14 us (50-56 us inside the desk-scale bound loop), a refill
         # takes 2 us.  `lock` guards it while in use.
         self.adj = csr_matrix((np.zeros(indices.size), indices, indptr), shape=(fc, fc))
         self.lock = threading.Lock()

@@ -217,8 +217,10 @@ class LpModel:
         # each over 1000 graphs, process CPU time, one core of an x86-64 host)
         solver.setOptionValue("presolve", "off")
         _pass_model(solver, problem)
-        # row buffers, made when rows are first added
-        self._a, self._b = np.empty((0, problem.objective.size)), np.empty(0)
+        rows, n = problem.constraints.shape
+        self._a = np.empty((max(2 * rows, 8), n))
+        self._b = np.empty(self._a.shape[0])
+        self._a[:rows], self._b[:rows] = problem.constraints, problem.rhs
         self._check = _check(problem, _tol(_size(problem)))
 
     def add_rows(self, constraints, rhs) -> None:
@@ -246,8 +248,8 @@ class LpModel:
         old = p.rhs.size
         stop = old + b.size
         if stop > self._b.size:
-            capacity = max(2 * self._b.size, stop, 8)
-            self._a, self._b = _grown(p.constraints, old, capacity), _grown(p.rhs, old, capacity)
+            capacity = max(2 * self._b.size, stop)
+            self._a, self._b = _grown(self._a, old, capacity), _grown(self._b, old, capacity)
         self._a[old:stop], self._b[old:stop] = a, b
         if (tol := _tol(size)) > self._check[0]:
             self._check = _check(p, tol)
