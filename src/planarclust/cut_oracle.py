@@ -124,12 +124,22 @@ class _DualInfo:
         self.slot_group = (slots % starts.size).astype(np.int32)
         indices = cols[slots].astype(np.int32)
         indptr = np.searchsorted(rows[slots], np.arange(fc + 1)).astype(np.int32)
-        # a call refills `adj.data` in place: scipy builds a csr_matrix in
-        # 12-14 us (50-56 us inside the desk-scale bound loop), a refill
-        # takes 2 us.  `lock` guards it while in use.
-        self.adj = csr_matrix((np.zeros(indices.size), indices, indptr), shape=(fc, fc))
+        # a call refills `adj.data` in place, and `lock` guards it while in
+        # use.  The matrix gets the attributes scipy's constructor leaves,
+        # without the constructor and its checks (12-14 us, but 50-56 us per
+        # graph inside the desk-scale bound loop): `data`, `indices`,
+        # `indptr`, `maxprint` and the private `_shape`, as in scipy 1.17
+        # (pinned; a test compares them with the constructor's)
+        self.adj = adj = object.__new__(csr_matrix)
+        adj.__dict__.update(
+            vars(_EMPTY_CSR), _shape=(fc, fc), data=np.zeros(indices.size),
+            indices=indices, indptr=indptr,
+        )
         self.lock = threading.Lock()
         self.prepared: tuple = (None,)  # the last `_prepare_weights` key and result
+
+
+_EMPTY_CSR = csr_matrix((0, 0))  # the attributes `_DualInfo` gives its matrix
 
 
 def _dual_info(graph: PlanarGraph) -> _DualInfo:

@@ -245,7 +245,12 @@ def test_directed_dual_pattern_matches_undirected_dijkstra(data):
     info = cut_oracle._dual_info(graph)
     fc, groups = info.face_count, info.group_key.size
     # a valid scipy matrix, however it is built: float64 data, int32
-    # indices, rows sorted by column
+    # indices, rows sorted by column, and the attributes and values that
+    # scipy's constructor leaves on the same arrays
+    fresh = cut_oracle._DualInfo(graph).adj
+    made = csr_matrix((fresh.data, fresh.indices, fresh.indptr), shape=(fc, fc))
+    assert vars(fresh).keys() == vars(made).keys()
+    assert fresh.shape == made.shape and fresh.maxprint == made.maxprint
     adj = info.adj
     adj.check_format(full_check=True)
     assert adj.format == "csr" and adj.shape == (fc, fc) and adj.has_sorted_indices
