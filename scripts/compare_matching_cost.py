@@ -7,8 +7,9 @@ Runs one round of every benchmark workload (perfbench/workloads.py), or of
 the named ones and their first N instances, with OLD_CHECKOUT's library
 and records each terminal distance matrix passed to
 `cut_oracle._match_terminals`, with its mask of the pairs the oracle's
-search found (every pair where it passes no mask).  Then both checkouts' `match_dense` solve every recorded
-int64 matrix under its mask.  NEW_CHECKOUT's cut oracle matches
+search found (every pair where it passes no mask).  Then both
+checkouts' `match_dense` solve every recorded int64 matrix under its
+mask.  NEW_CHECKOUT's cut oracle matches
 fewer than its `SMALL_T` terminals on its unlimited small path by a
 subset DP, not by `match_dense`, so its `_match_terminals` also solves
 every recorded input of those sizes.  A cost is the number of matched
