@@ -14,7 +14,9 @@ the benchmark workloads (perfbench/workloads.py):
   decimal grid, so the oracle solves them rounded up onto its
   power-of-two grid (`cut_oracle._prepare_weights`).
 
-Per instance it hashes (SHA-256) the bound, lambda, batch and oracle-call
+Per instance it hashes (SHA-256) the instance first (`instance_digest`:
+every graph array with its dtype, shape and memory order, theta, the name
+and the metadata), then the bound, lambda, batch and oracle-call
 counts, the convergence flag and the cut pool, then the result (labels,
 energy, certificate, method) of `best_decode` with one restart, of
 `decode_rounding` solving its LP afresh, and of one `decode_recursive`
@@ -24,7 +26,8 @@ set.  An instance that raises hashes its exception instead.
 
 Every set runs to the end.  Per set it prints each checkout's digest,
 batch and oracle-call totals and number of certified results per decode,
-then how many instances differ, the largest bound difference, how many
+then how many instances differ and in how many of them the instance itself
+differs, the largest bound difference, how many
 instances changed an energy but no certificate, per decode how many
 energies went up and down and their sums, and one line per instance
 whose certificate flips in some decode.  Exits 1 if any
@@ -55,6 +58,19 @@ SETS = (
 
 
 DECODES = ("best_decode", "rounding", "recursive")
+GRAPH_ARRAYS = ("endpoints", "rotation_start", "rotation_index", "face_start", "face_index",
+                "edge_face_ids")
+
+
+def instance_digest(inst) -> str:
+    """SHA-256 of an instance: vertex count, every graph array and theta with
+    its dtype, shape, memory order and bytes, then the name and metadata."""
+    h = hashlib.sha256(f"{inst.graph.vertex_count!r};".encode())
+    for a in [*(getattr(inst.graph, name) for name in GRAPH_ARRAYS), inst.theta]:
+        h.update(f"{a.dtype.str} {a.shape} {a.flags.c_contiguous} {a.flags.f_contiguous};".encode())
+        h.update(a.tobytes(order="A"))
+    h.update(json.dumps([inst.name, inst.metadata]).encode())
+    return h.hexdigest()
 
 
 def _decode_record(h, res) -> list:
@@ -67,9 +83,11 @@ def _decode_record(h, res) -> list:
 def _instance_record(pc, decode, W, wl, spec, seed, max_batches, factor) -> dict:
     """Digest, bound, counts and [energy, certificate] of each decode, by name."""
     h = hashlib.sha256()
-    rec = {"bound": None, "batches": 0, "oracle_calls": 0, "decodes": {}}
+    rec = {"instance": None, "bound": None, "batches": 0, "oracle_calls": 0, "decodes": {}}
     try:
         inst = W.make_instance(spec)
+        rec["instance"] = instance_digest(inst)
+        h.update(rec["instance"].encode())
         g, theta = inst.graph, inst.theta * factor
         br = pc.optimize_lower_bound(g, theta, tol=W.TOL, max_batches=max_batches)
         rec.update(bound=br.bound, batches=br.batches, oracle_calls=br.oracle_calls)
@@ -146,6 +164,7 @@ def main() -> int:
             print(f"{a['set']:32s} {side} {len(recs):5d} instances  batches {batches:6d}  "
                   f"oracle calls {calls:6d}  certified: {certified}  {total}")
         diff = [i for i, (x, y) in enumerate(zip(ra, rb)) if x["digest"] != y["digest"]]
+        changed = sum(x["instance"] != y["instance"] for x, y in zip(ra, rb))
         gaps = [abs(x["bound"] - y["bound"]) for x, y in zip(ra, rb)
                 if x["bound"] is not None and y["bound"] is not None]
         flips, energy_only = [], 0
@@ -156,8 +175,8 @@ def main() -> int:
                 flips.append((i, flipped))
             elif dx != dy:
                 energy_only += 1
-        print(f"{a['set']:32s} {len(diff)} instances differ; largest bound difference "
-              f"{max(gaps, default=0.0):.3g}; {energy_only} change an energy only")
+        print(f"{a['set']:32s} {len(diff)} instances differ, {changed} as instances; largest "
+              f"bound difference {max(gaps, default=0.0):.3g}; {energy_only} change an energy only")
         moves = []
         for n in DECODES:
             pairs = [(x["decodes"][n][0], y["decodes"][n][0]) for x, y in zip(ra, rb)

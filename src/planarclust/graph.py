@@ -274,7 +274,7 @@ def build_graph(vertex_count, edges, rotation) -> PlanarGraph:
     graph, inconsistent rotation) and EulerViolation when the traced faces
     show the rotation system is not a plane embedding.  The checks run on
     arrays; only a failing one walks the input in Python, to name the first
-    fault.
+    fault.  This parses the lists; `graph_from_arrays` runs the rest.
     """
     endpoints = np.array(edges)
     if endpoints.size and (endpoints.ndim != 2 or endpoints.shape[1] != 2):
@@ -285,11 +285,20 @@ def build_graph(vertex_count, edges, rotation) -> PlanarGraph:
         index.size and index.dtype.kind not in "iu"
     ):
         raise MalformedInput(_id_error(edges, rotation))
-    endpoints = np.asfortranarray(endpoints.reshape(-1, 2), dtype=np.int64)
-    index = index.astype(np.int64, copy=False)
-    m = endpoints.shape[0]
     lengths = np.array([len(rot) for rot in rotation], dtype=np.int64)
-    if lengths.size != vertex_count:
+    start = np.concatenate(([0], np.cumsum(lengths)))
+    return graph_from_arrays(vertex_count, endpoints.reshape(-1, 2), start, index)
+
+
+def graph_from_arrays(vertex_count, endpoints, rotation_start, rotation_index) -> PlanarGraph:
+    """`build_graph` on integer arrays: (E, 2) endpoints and the rotation
+    system as CSR, whose arrays the graph may keep.  Same checks, in the
+    same order, with the same messages."""
+    endpoints = np.asfortranarray(endpoints, dtype=np.int64)
+    start = rotation_start.astype(np.int64, copy=False)
+    index = rotation_index.astype(np.int64, copy=False)
+    m = endpoints.shape[0]
+    if start.size - 1 != vertex_count:
         raise MalformedInput("rotation must list every vertex")
     if vertex_count <= 0:
         raise MalformedInput("vertex_count must be positive")
@@ -303,8 +312,7 @@ def build_graph(vertex_count, edges, rotation) -> PlanarGraph:
     n_comp = int(_components(vertex_count, tail, head).max()) + 1
     if n_comp != 1:
         raise MalformedInput(f"graph is disconnected ({n_comp} components)")
-    start = np.concatenate(([0], np.cumsum(lengths)))
-    vertex = np.repeat(np.arange(vertex_count), lengths)
+    vertex = np.repeat(np.arange(vertex_count), np.diff(start))
     arrivals = _arrivals(endpoints, vertex, index)
     if arrivals is None:
         raise MalformedInput(_rotation_error(endpoints.tolist(), _csr_tuples(start, index)))

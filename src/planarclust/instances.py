@@ -25,9 +25,17 @@ from dataclasses import dataclass, field
 from decimal import ROUND_HALF_EVEN, Decimal, InvalidOperation
 
 import numpy as np
-from scipy.spatial import Delaunay
+from scipy.spatial import Delaunay, QhullError
 
-from .graph import PlanarGraph, build_graph, check_integers, check_seeds, spanning_forest
+from .graph import (
+    PlanarGraph,
+    _csr_tuples,
+    build_graph,
+    check_integers,
+    check_seeds,
+    graph_from_arrays,
+    spanning_forest,
+)
 
 FORMAT_VERSION = 1
 # the fraction of a GPB-like grid's interior edges bumped into the ambiguous range
@@ -63,29 +71,43 @@ def round_theta(theta) -> np.ndarray:
     arr = np.asarray(theta, dtype=float)
     if not np.isfinite(arr).all():
         raise DomainError("weights must be finite to be rounded")
-    q = Decimal("0.00001")
-    try:
-        out = np.array(
-            [float(Decimal(repr(float(x))).quantize(q, rounding=ROUND_HALF_EVEN)) for x in arr.ravel()],
-            dtype=float,
-        )
-    except InvalidOperation:
-        raise DomainError("weights of magnitude 1e23 or more do not round to five decimals") from None
+    x = arr.ravel()
+    with np.errstate(over="ignore", invalid="ignore"):  # huge weights take the slow path
+        y = x * 1e5
+        out = np.rint(y) / 1e5
+        a = np.abs(y)
+        fast = (a < 2.0**52) & (np.abs(a - np.floor(a) - 0.5) > 2.0**-40 * np.maximum(a, 1.0))
+    if not fast.all():
+        q = Decimal("0.00001")
+        try:
+            out[~fast] = [
+                float(Decimal(repr(v)).quantize(q, rounding=ROUND_HALF_EVEN)) for v in x[~fast].tolist()
+            ]
+        except InvalidOperation:
+            raise DomainError("weights of magnitude 1e23 or more do not round to five decimals") from None
     return out.reshape(arr.shape)
+
+
+def _rotation_csr(vertex_count, ends, pos):
+    """`rotation_from_positions` as CSR (start, index) int64 arrays."""
+    vertex, other = ends.ravel(), ends[:, ::-1].ravel()
+    d = pos[other] - pos[vertex]
+    edge = np.arange(vertex.size) // 2
+    order = np.lexsort((edge, np.arctan2(d[:, 1], d[:, 0]), vertex))
+    start = np.concatenate(([0], np.cumsum(np.bincount(vertex, minlength=vertex_count))))
+    return start, edge[order]
 
 
 def rotation_from_positions(vertex_count, edges, pos):
     """CCW rotation system read off vertex coordinates: each vertex's edges
     by the angle of their other end, ties by edge id."""
     ends = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
-    pos = np.asarray(pos, dtype=float)
-    vertex, other = ends.ravel(), ends[:, ::-1].ravel()
-    d = pos[other] - pos[vertex]
-    edge = np.arange(vertex.size) // 2
-    order = np.lexsort((edge, np.arctan2(d[:, 1], d[:, 0]), vertex))
-    bounds = np.cumsum(np.bincount(vertex, minlength=vertex_count)).tolist()
-    listed = edge[order].tolist()
-    return tuple(tuple(listed[a:b]) for a, b in zip([0, *bounds], bounds))
+    return _csr_tuples(*_rotation_csr(vertex_count, ends, np.asarray(pos, dtype=float)))
+
+
+def _graph_from_positions(vertex_count, ends, pos) -> PlanarGraph:
+    """The graph on edges `ends`, embedded by the vertex coordinates `pos`."""
+    return graph_from_arrays(vertex_count, ends, *_rotation_csr(vertex_count, ends, pos))
 
 
 @dataclass(frozen=True)
@@ -123,22 +145,41 @@ class GpbLikeWeights:
         bump = (~cross) & (rng.random(m) < CLUTTER)
         gpb[bump] = rng.uniform(0.50, 0.75, size=int(bump.sum()))
         gpb = np.clip(gpb, 0.02, 0.98)
-        return np.array([gpb_to_theta(g, self.beta) for g in gpb])
+        # gpb_to_theta's operations over arrays, but libm's log, not np.log,
+        # whose last bit may differ and move a rounding near a tie
+        ratio = (1.0 - gpb) / gpb
+        return np.array(list(map(math.log, ratio.tolist()))) + self.beta
 
 
 def _grid_topology(width: int, height: int):
-    def vid(r, c):
-        return r * width + c
+    """(E, 2) int64 edges, in vertex order each vertex's edge to the right,
+    then its edge down, and (V, 2) float positions (column, row)."""
+    vid = np.arange(width * height).reshape(height, width)
+    ends = np.full((height, width, 2, 2), -1, dtype=np.int64)
+    ends[:, :-1, 0] = np.stack((vid[:, :-1], vid[:, 1:]), axis=-1)
+    ends[:-1, :, 1] = np.stack((vid[:-1], vid[1:]), axis=-1)
+    ends = ends.reshape(-1, 2)
+    pos = np.stack((vid % width, vid // width), axis=-1).reshape(-1, 2).astype(float)
+    return ends[ends[:, 0] >= 0], pos
 
-    edges = []
-    for r in range(height):
-        for c in range(width):
-            if c + 1 < width:
-                edges.append((vid(r, c), vid(r, c + 1)))
-            if r + 1 < height:
-                edges.append((vid(r, c), vid(r + 1, c)))
-    pos = [(c, r) for r in range(height) for c in range(width)]
-    return edges, pos
+
+# squared distances per block of `_nearest_site`'s rows (0.5 MB).  Without
+# blocks, gen_grid(120, 120) peaked at 77 MB of tracemalloc, and at 117 MB
+# with the V x R x 2 array of coordinate differences
+BLOCK = 1 << 16
+
+
+def _nearest_site(pos, sites) -> np.ndarray:
+    """Per position, the index of the nearest site by squared distance, the
+    first on a tie.  Each distance is one sum of two squares, as in a
+    sum over the coordinate axis, so the choice is bit for bit the same."""
+    sx, sy = sites[:, 0], sites[:, 1]
+    rows = max(1, BLOCK // len(sites))
+    nearest = np.empty(len(pos), dtype=np.int64)
+    for i in range(0, len(pos), rows):
+        cx, cy = pos[i:i + rows, :1], pos[i:i + rows, 1:]
+        nearest[i:i + rows] = np.argmin((cx - sx) ** 2 + (cy - sy) ** 2, axis=1)
+    return nearest
 
 
 def gen_grid(width: int, height: int, weight_model, seed: int) -> Instance:
@@ -150,13 +191,11 @@ def gen_grid(width: int, height: int, weight_model, seed: int) -> Instance:
     check_seeds(seed=seed)
     rng = np.random.Generator(np.random.Philox(key=seed))
     edges, pos = _grid_topology(width, height)
-    graph = build_graph(width * height, edges, rotation_from_positions(len(pos), edges, pos))
+    graph = _graph_from_positions(width * height, edges, pos)
 
     n_regions = max(2, (width * height) // 45)
     seeds = rng.uniform(0.0, 1.0, size=(n_regions, 2)) * [width - 1, height - 1]
-    coords = np.asarray(pos, dtype=float)
-    d2 = ((coords[:, None, :] - seeds[None, :, :]) ** 2).sum(axis=2)
-    regions = np.argmin(d2, axis=1)
+    regions = _nearest_site(pos, seeds)
 
     theta = round_theta(weight_model.sample(rng, graph, regions))
     name = f"grid{width}x{height}-{_model_tag(weight_model)}-s{seed}"
@@ -190,7 +229,7 @@ def gen_random_planar(n: int, seed: int) -> Instance:
         points = rng.random((n, 2))
         try:
             tri = Delaunay(points)
-        except Exception:  # degenerate (collinear) sample: redraw
+        except QhullError:  # degenerate (collinear) sample: redraw
             continue
         if len(np.unique(tri.simplices)) == n:
             break
@@ -201,8 +240,8 @@ def gen_random_planar(n: int, seed: int) -> Instance:
     order = rng.permutation(len(edges))
     # reverse-delete: an edge may go when the edges after it in `order` join its ends
     joins = np.array(spanning_forest(n, edges[order[::-1]].tolist())[::-1])
-    final_edges = np.delete(edges, order[~joins][: len(edges) - target], axis=0).tolist()
-    graph = build_graph(n, final_edges, rotation_from_positions(n, final_edges, points))
+    final_edges = np.delete(edges, order[~joins][: len(edges) - target], axis=0)
+    graph = _graph_from_positions(n, final_edges.astype(np.int64), points)
     theta = round_theta(rng.uniform(-1.0, 1.0, size=len(final_edges)))
     return Instance(
         graph=graph,

@@ -1,3 +1,6 @@
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import settings, strategies as st
@@ -31,6 +34,15 @@ def edge_masks(edge_count):
             lambda bits: np.array(bits, dtype=bool)
         ),
     )
+
+
+def load_compare_results():
+    """scripts/compare_results.py as a module."""
+    path = Path(__file__).resolve().parents[1] / "scripts" / "compare_results.py"
+    spec = importlib.util.spec_from_file_location("compare_results", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def embedded(vertex_count, edges, pos):

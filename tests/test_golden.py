@@ -3,6 +3,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import load_compare_results
 
 from planarclust.bound import optimize_lower_bound
 from planarclust.decode import best_decode
@@ -102,3 +103,34 @@ def test_tuple_views_of_the_graph_are_pinned(name, digest):
     views = (g.edges, g.rotation, g.faces, g.edge_faces)
     assert all(type(x) is int for view in views for row in view for x in row)
     assert hashlib.sha256(repr(views).encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "generate, digest",
+    [
+        # computed before instance generation and graph construction moved
+        # from per-edge Python to arrays
+        (lambda: gen_grid(28, 28, GpbLikeWeights(0.27), 0),
+         "a7ead95aba19c19109b049b839e9f08c744eb493805ce47f8958f43aa8cbc2ca"),
+        (lambda: gen_grid(28, 28, GpbLikeWeights(0.12), 1),
+         "4ed7afe5b97425121acbfc2f40c33f0f8c8c6ad8fc7da4521b11dd115e668646"),
+        (lambda: gen_grid(14, 14, GpbLikeWeights(0.27), 2),
+         "9a675e8e826edd6bb54046c3347bcb548626436e25ffdf3454324462bd5e468e"),
+        (lambda: gen_grid(17, 9, GpbLikeWeights(0.12), 5),
+         "08c0191f256759aa81b2a7692dafc4bb8288ca8847dd29a1dbeb02fc4323c312"),
+        (lambda: gen_grid(11, 7, UniformWeights(), 3),
+         "b026ee1291dbebfd2efcda4865c1be7f79d569360dd1e8ef880f22834bf5192a"),
+        (lambda: gen_random_planar(10, 4),
+         "f021f0bea7fa9659f43bb77d4f001338c7e1551f0320e33fae8b88f920279acb"),
+        (lambda: gen_random_planar(20, 5),
+         "581296bba7cc20d3a5bcde89889abbedd6f2d1094a762ce09d78ce94d63e9519"),
+        (lambda: gen_random_planar(500, 6),
+         "8a2127af2bb5fb031d161cfa3f7ac9ca64cf1f2c2e875a4ebbabbde4e4852031"),
+    ],
+    ids=["grid28-b0.27", "grid28-b0.12", "grid14", "grid17x9", "grid11x7-uniform",
+         "planar10", "planar20", "planar500"],
+)
+def test_generated_instances_are_pinned(generate, digest):
+    # every graph array with its dtype and memory order, theta's bytes, the
+    # name and the metadata
+    assert load_compare_results().instance_digest(generate()) == digest

@@ -1,8 +1,13 @@
 import math
+import tracemalloc
+from decimal import ROUND_HALF_EVEN, Decimal
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.spatial import QhullError
 
+import planarclust.instances as instances_module
 from planarclust.graph import EulerViolation, build_graph
 from planarclust.instances import (
     DomainError,
@@ -42,6 +47,48 @@ def test_round_theta():
     assert round_theta([0.35])[0] == 0.35
     out = round_theta(np.array([1.23456789, -0.5]))
     assert out.tolist() == [1.23457, -0.5]
+
+
+def _decimal_round(x: float) -> float:
+    """The reference rounding: half-to-even at 1e-5 of x's shortest repr."""
+    return float(Decimal(repr(x)).quantize(Decimal("0.00001"), rounding=ROUND_HALF_EVEN))
+
+
+def _ulps(x: float, steps: int) -> float:
+    for _ in range(abs(steps)):
+        x = math.nextafter(x, math.copysign(math.inf, steps))
+    return x
+
+
+# 2**52 / 1e5: from here up |x * 1e5| reaches 2**52 and the Decimal path takes over
+LARGE = 2.0**52 / 1e5
+
+roundable = st.one_of(
+    st.floats(min_value=-9.9e22, max_value=9.9e22),  # subnormals included
+    st.floats(min_value=-50.0, max_value=50.0),
+    # exact ties at five decimals (k + 1/2) * 1e-5, and a few ulps beside them
+    st.builds(lambda k, d: _ulps((k + 0.5) / 1e5, d), st.integers(-2**53, 2**53), st.integers(-3, 3)),
+    st.builds(lambda x, negative: -x if negative else x,
+              st.floats(min_value=LARGE * 0.999, max_value=LARGE * 1.001), st.booleans()),
+    st.sampled_from([0.0, -0.0, 0.350015, -2.077225, 5e-324, -5e-324, 2.2250738585072014e-308,
+                     -0.000004, LARGE, -LARGE, 9.9e22]),
+)
+
+
+@settings(max_examples=400)
+@given(st.lists(roundable, max_size=12))
+def test_round_theta_matches_the_decimal_reference(xs):
+    # the fast path rounds x * 1e5 with rint; near-ties and large weights
+    # take the Decimal path.  Equal bits: signed zeros must match too
+    got = round_theta(np.array(xs, dtype=float))
+    assert got.tobytes() == np.array([_decimal_round(x) for x in xs], dtype=float).tobytes()
+
+
+@given(st.floats(min_value=1e23), st.booleans())
+def test_round_theta_rejects_weights_from_1e23(x, negative):
+    weights = [0.1, -x if negative else x]
+    with pytest.raises(DomainError, match="1e23" if math.isfinite(x) else "finite"):
+        round_theta(weights)
 
 
 def test_weights_that_cannot_be_rounded_raise():
@@ -110,6 +157,41 @@ def test_non_integer_sizes_raise():
         gen_random_planar(np.int64(2), 1)
     with pytest.raises(ValueError, match="^grid must be at least 2x2$"):
         gen_grid(3, np.int32(1), UniformWeights(), 0)
+
+
+def test_gen_grid_region_assignment_stays_small():
+    # the nearest region site of every vertex came from a V x R x 2 array:
+    # 117.5 MB of tracemalloc peak at 120x120 and 950 MB of RSS at 200x200
+    tracemalloc.start()
+    try:
+        gen_grid(120, 120, GpbLikeWeights(0.27), 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20 * 2**20
+
+
+def test_gen_random_planar_redraws_only_a_degenerate_sample(monkeypatch):
+    # every exception used to trigger a redraw, so a MemoryError looped forever
+    calls = []
+
+    def delaunay(points, fail):
+        calls.append(points)
+        if len(calls) == 1:
+            raise fail("degenerate")
+        return real(points)
+
+    real = instances_module.Delaunay
+    monkeypatch.setattr(instances_module, "Delaunay", lambda p: delaunay(p, QhullError))
+    inst = gen_random_planar(12, 4)
+    assert len(calls) == 2 and not np.array_equal(calls[0], calls[1])
+    assert inst.graph.vertex_count == 12
+
+    calls.clear()
+    monkeypatch.setattr(instances_module, "Delaunay", lambda p: delaunay(p, RuntimeError))
+    with pytest.raises(RuntimeError, match="degenerate"):
+        gen_random_planar(12, 4)
+    assert len(calls) == 1
 
 
 def test_gen_random_planar_valid():
