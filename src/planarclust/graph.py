@@ -291,9 +291,9 @@ def build_graph(vertex_count, edges, rotation) -> PlanarGraph:
 
 
 def graph_from_arrays(vertex_count, endpoints, rotation_start, rotation_index) -> PlanarGraph:
-    """`build_graph` on integer arrays: (E, 2) endpoints and the rotation
-    system as CSR, whose arrays the graph may keep.  Same checks, in the
-    same order, with the same messages."""
+    """`build_graph` on integer arrays, past its parsing: (E, 2) endpoints
+    and the rotation system as CSR, which the graph may keep.  Its checks
+    run in the same order and fail with the same messages."""
     endpoints = np.asfortranarray(endpoints, dtype=np.int64)
     start = rotation_start.astype(np.int64, copy=False)
     index = rotation_index.astype(np.int64, copy=False)

@@ -159,6 +159,30 @@ def test_non_integer_sizes_raise():
         gen_grid(3, np.int32(1), UniformWeights(), 0)
 
 
+def test_grid_topology_matches_the_loop():
+    for width, height in ((2, 2), (5, 3), (3, 7), (28, 28)):
+        edges, pos = instances_module._grid_topology(width, height)
+        ref = []
+        for r in range(height):
+            for c in range(width):
+                if c + 1 < width:
+                    ref.append([r * width + c, r * width + c + 1])
+                if r + 1 < height:
+                    ref.append([r * width + c, (r + 1) * width + c])
+        assert edges.dtype == np.int64 and edges.tolist() == ref
+        assert pos.tolist() == [[c, r] for r in range(height) for c in range(width)]
+
+
+def test_nearest_site_matches_one_array_over_blocks(monkeypatch):
+    rng = np.random.default_rng(0)
+    pos = rng.integers(0, 30, size=(500, 2)).astype(float)
+    sites = rng.uniform(0.0, 1.0, size=(11, 2)) * [29, 29]
+    ref = np.argmin(((pos[:, None, :] - sites[None, :, :]) ** 2).sum(axis=2), axis=1)
+    for block in (1, 7, 11 * 37, 1 << 16):  # one row, uneven blocks, one block
+        monkeypatch.setattr(instances_module, "BLOCK", block)
+        assert np.array_equal(instances_module._nearest_site(pos, sites), ref)
+
+
 def test_gen_grid_region_assignment_stays_small():
     # the nearest region site of every vertex came from a V x R x 2 array:
     # 117.5 MB of tracemalloc peak at 120x120 and 950 MB of RSS at 200x200
