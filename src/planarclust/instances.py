@@ -255,7 +255,7 @@ def gen_random_planar(n: int, seed: int) -> Instance:
     # reverse-delete: an edge may go when the edges after it in `order` join its ends
     joins = np.array(spanning_forest(n, edges[order[::-1]].tolist())[::-1])
     final_edges = np.delete(edges, order[~joins][: len(edges) - target], axis=0)
-    graph = _graph_from_positions(n, final_edges.astype(np.int64), points)
+    graph = _graph_from_positions(n, final_edges, points)
     theta = round_theta(rng.uniform(-1.0, 1.0, size=len(final_edges)))
     return Instance(
         graph=graph,
