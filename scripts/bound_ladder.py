@@ -8,10 +8,13 @@ with BLAS and OpenMP pinned to one thread.  Wrappers around
 `cut_oracle.dijkstra` and `cut_oracle._match_terminals` time the
 Dijkstra searches and the matchings and count the search sources
 (terminal rows; the oracle's multi-source nearest-terminal runs are
-timed but not counted) and the matchings.  One line per size gives the
-bound loop's CPU time, the bound, the batch count, Dijkstra CPU time,
-the sources searched, CPU time and count of the matchings, and the
-process's peak RSS (`ru_maxrss`).  Sizes run
+timed but not counted) and the matchings; one around
+`cut_oracle._search_and_match` sums the terminals of the oracle calls,
+so `sources - terminals` is the number of rows searched again by
+repairs.  One line per size gives the bound loop's CPU time, the bound,
+the batch count, Dijkstra CPU time, the sources searched, the
+terminals, CPU time and count of the matchings, and the process's peak
+RSS (`ru_maxrss`).  Sizes run
 one after another, so the RSS of one does not inflate another.  A
 100x100 grid takes about a minute on a 2-core x86-64 host; run the two
 checkouts of a comparison in one session, one after the other.
@@ -36,8 +39,9 @@ def worker(checkout: str, n: int) -> None:
     import planarclust as pc
     from planarclust import cut_oracle
 
-    stats = {"dijkstra_s": 0.0, "sources": 0, "matching_s": 0.0, "matchings": 0}
+    stats = {"dijkstra_s": 0.0, "sources": 0, "terminals": 0, "matching_s": 0.0, "matchings": 0}
     dijkstra, match = cut_oracle.dijkstra, cut_oracle._match_terminals
+    search_and_match = cut_oracle._search_and_match
 
     def timed_dijkstra(*args, **kwargs):
         t = time.process_time()
@@ -54,7 +58,12 @@ def worker(checkout: str, n: int) -> None:
         stats["matchings"] += 1
         return out
 
+    def counted_search_and_match(info, gmin, terminals):
+        stats["terminals"] += terminals.size
+        return search_and_match(info, gmin, terminals)
+
     cut_oracle.dijkstra, cut_oracle._match_terminals = timed_dijkstra, timed_match
+    cut_oracle._search_and_match = counted_search_and_match
     inst = pc.gen_grid(n, n, pc.GpbLikeWeights(0.27), seed=0)
     t = time.process_time()
     res = pc.optimize_lower_bound(inst.graph, inst.theta)
@@ -78,7 +87,7 @@ def main() -> int:
     env = {**os.environ, **{v: "1" for v in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
                                              "MKL_NUM_THREADS")}}
     print(f"{'grid':>9} {'cpu_s':>7} {'bound':>14} {'batches':>7} {'dijkstra_s':>10} "
-          f"{'sources':>8} {'matching_s':>10} {'matchings':>9} {'peak_rss_mb':>11}")
+          f"{'sources':>8} {'terminals':>9} {'matching_s':>10} {'matchings':>9} {'peak_rss_mb':>11}")
     for n in args.sizes:
         out = subprocess.run([sys.executable, __file__, args.checkout, "--worker", str(n)],
                              env=env, capture_output=True, text=True)
@@ -87,7 +96,7 @@ def main() -> int:
             return 2
         r = json.loads(out.stdout.splitlines()[-1])
         print(f"{f'{n}x{n}':>9} {r['cpu_s']:7.2f} {r['bound']:14.10g} {r['batches']:7d} "
-              f"{r['dijkstra_s']:10.4f} {r['sources']:8d} {r['matching_s']:10.4f} "
+              f"{r['dijkstra_s']:10.4f} {r['sources']:8d} {r['terminals']:9d} {r['matching_s']:10.4f} "
               f"{r['matchings']:9d} {r['peak_rss_mb']:11.0f}")
     return 0
 

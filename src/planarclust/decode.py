@@ -8,6 +8,10 @@ Two decoders and a polish:
   solution whenever the original energy does not increase; accepted cut
   edges get lambda zeroed.  An edge the solution already cuts is skipped,
   so a pass pays one oracle call per edge it still has to separate.
+  A candidate is scored on the union cut itself: the solution and each
+  forced cut are multicuts, and so is their union (a path that the union
+  leaves uncut is uncut in both, so it joins the ends of no edge that
+  either cuts), so a repair would change nothing.
 
 * rounding: read the constraint multipliers alpha >= 0 of the bound LP
   restricted to the pooled cut rows C, which solve the dual LP (minimize
@@ -23,8 +27,8 @@ Two decoders and a polish:
   cluster or a new singleton, or merge two adjacent clusters, while that
   lowers the energy; no oracle call.
 
-Energies always refer to the repaired cut (connected components of the
-uncut subgraph), so every result is a feasible clustering.
+Returned energies always refer to the repaired cut (connected components
+of the uncut subgraph), so every result is a feasible clustering.
 """
 
 from __future__ import annotations
@@ -93,8 +97,7 @@ def decode_recursive(
         # the forced cut holds e, which s leaves uncut, so s2 differs from s
         x, _ = min_cut_forced(graph, lam, int(e))
         s2 = s | x
-        repaired = cut_from_partition(graph, partition_from_cut(graph, s2))
-        candidate_energy = cut_energy(graph, theta, repaired)
+        candidate_energy = cut_energy(graph, theta, s2)
         if candidate_energy <= current_energy:
             s = s2
             current_energy = candidate_energy

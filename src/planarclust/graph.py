@@ -18,8 +18,9 @@ serialization and tests; the package's own readers use the arrays.
 Cuts are represented as boolean vectors indexed by edge id, partitions as
 integer label vectors indexed by vertex id.  Labels are always canonicalized
 by first occurrence in vertex order so that equality tests are deterministic.
-Partitions of a cut come from a union-find: the oracle and both decoders
-ask for many, and a sparse matrix per call cost more.  Below SMALL_V
+Partitions of a cut come from a union-find: the oracle's cut split asks
+for one per cut, the decoders for one per result, and a sparse matrix per
+call cost more.  Below SMALL_V
 vertices it runs in Python, where a numpy call's fixed cost outweighs the
 work, and from SMALL_V up over numpy arrays.
 """
@@ -353,9 +354,18 @@ def cut_energy(graph: PlanarGraph, theta: np.ndarray, x: np.ndarray) -> float:
     return float(theta @ x.astype(float))
 
 
+def _integer_labels(labels) -> np.ndarray:
+    """`labels` as int64; ValueError unless their dtype is an integer one,
+    since an int64 conversion would truncate 0.5 to 0."""
+    labels = np.asarray(labels)
+    if labels.size and labels.dtype.kind not in "iu":
+        raise ValueError(f"labels must be integers, got dtype {labels.dtype}")
+    return labels.astype(np.int64, copy=False)
+
+
 def canonical_labels(labels: np.ndarray) -> np.ndarray:
     """Renumber cluster labels by first occurrence in vertex order."""
-    labels = np.asarray(labels, dtype=np.int64)
+    labels = _integer_labels(labels)
     n = labels.shape[0]
     k = int(labels.max()) + 1 if n else 0
     first = np.full(k, n, dtype=np.int64)
@@ -417,7 +427,7 @@ def partition_from_cut(graph: PlanarGraph, x: np.ndarray) -> np.ndarray:
 
 def cut_from_partition(graph: PlanarGraph, labels: np.ndarray) -> np.ndarray:
     """Indicator of edges whose endpoints carry different labels."""
-    labels = np.asarray(labels, dtype=np.int64)
+    labels = _integer_labels(labels)
     if labels.shape != (graph.vertex_count,):
         raise ValueError("labels must have one entry per vertex")
     return labels[graph.tail] != labels[graph.head]

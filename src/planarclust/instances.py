@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 from decimal import ROUND_HALF_EVEN, Decimal, InvalidOperation
 
@@ -44,6 +45,7 @@ from scipy.spatial import Delaunay, QhullError
 from .graph import (
     PlanarGraph,
     _csr_tuples,
+    _shown,
     build_graph,
     check_integers,
     check_seeds,
@@ -124,12 +126,32 @@ def _graph_from_positions(vertex_count, ends, pos) -> PlanarGraph:
     return graph_from_arrays(vertex_count, ends, *_rotation_csr(vertex_count, ends, pos))
 
 
+def _check_finite(model, **values) -> None:
+    """ValueError unless each field of `model` is a real number, DomainError
+    unless it is finite."""
+    for name, x in values.items():
+        if not isinstance(x, numbers.Real) or isinstance(x, bool):
+            raise ValueError(f"{type(model).__name__}.{name} must be a real number, got {_shown(x)}")
+        if not math.isfinite(x):
+            raise DomainError(
+                f"{type(model).__name__}.{name} must be finite, got {_shown(x)}: "
+                "the weights must be finite"
+            )
+
+
 @dataclass(frozen=True)
 class UniformWeights:
     """Independent uniform weights on [a, b]."""
 
     a: float = -1.0
     b: float = 1.0
+
+    def __post_init__(self):
+        _check_finite(self, a=self.a, b=self.b)
+        if not (self.a <= self.b and math.isfinite(float(self.b) - float(self.a))):
+            raise ValueError(
+                f"UniformWeights needs a <= b and a finite b - a, got a={_shown(self.a)}, b={_shown(self.b)}"
+            )
 
     def sample(self, rng, graph, regions) -> np.ndarray:
         return rng.uniform(self.a, self.b, size=graph.edge_count)
@@ -146,6 +168,9 @@ class GpbLikeWeights:
     """
 
     beta: float
+
+    def __post_init__(self):
+        _check_finite(self, beta=self.beta)
 
     def sample(self, rng, graph, regions) -> np.ndarray:
         m = graph.edge_count

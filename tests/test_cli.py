@@ -238,6 +238,8 @@ def test_gen_rejects_misused_uniform(tmp_path, capsys, argv, message):
         (("--beta", "inf"), "weights must be finite"),
         (("--beta", "1e308"), "magnitude 1e23 or more"),
         (("--uniform", "0,1e300"), "magnitude 1e23 or more"),
+        # a range wider than the largest double raised an uncaught OverflowError
+        (("--uniform=-1e308,1e308",), "a finite b - a"),
     ],
 )
 def test_gen_rejects_weights_it_cannot_round(tmp_path, capsys, argv, message):

@@ -407,7 +407,11 @@ def test_recursive_deterministic_given_seed():
 def test_recursive_forces_only_uncut_edges(monkeypatch):
     # the pass walks its seeded order of must-cut edges and forces an edge
     # only when the partial clustering leaves it uncut; a forced cut is
-    # kept when it does not raise the energy
+    # kept when it does not raise the repaired energy.  The pass scores the
+    # union cut unrepaired, since a union of multicuts needs no repair: this
+    # replays it with the repair, on GPB grids, on random planar graphs
+    # (sparsified ones have bridges) and with weights scaled by pi/3, which
+    # the oracle rounds onto its power-of-two grid
     calls = []
 
     def counted(graph, lam, e):
@@ -416,10 +420,14 @@ def test_recursive_forces_only_uncut_edges(monkeypatch):
         return x, value
 
     monkeypatch.setattr(decode_module, "min_cut_forced", counted)
+    grids = [gen_grid(6, 6, GpbLikeWeights(0.27), seed) for seed in range(6)]
+    planar = [gen_random_planar(n, seed) for seed, n in enumerate((8, 11, 14, 17, 20, 20))]
+    cases = [(inst, 1.0) for inst in grids + planar] + [
+        (inst, np.pi / 3) for inst in grids[:3] + planar[3:]
+    ]
     visited = made = 0
-    for seed in range(6):
-        inst = gen_grid(6, 6, GpbLikeWeights(0.27), seed)
-        g, theta = inst.graph, inst.theta
+    for seed, (inst, scale) in enumerate(cases):
+        g, theta = inst.graph, inst.theta * scale
         br = optimize_lower_bound(g, theta)
         calls.clear()
         res = decode_recursive(g, theta, br.lam, seed=seed, restart=1, bound=br.bound)
@@ -432,15 +440,18 @@ def test_recursive_forces_only_uncut_edges(monkeypatch):
             called, x = next(forced)
             assert called == e
             s2 = s | x
-            e2 = cut_energy(g, theta, cut_from_partition(g, partition_from_cut(g, s2)))
+            repaired = cut_from_partition(g, partition_from_cut(g, s2))
+            assert np.array_equal(repaired, s2)
+            e2 = cut_energy(g, theta, repaired)
             if e2 <= energy:
                 s, energy = s2, e2
         assert next(forced, None) is None
         assert np.array_equal(res.partition, partition_from_cut(g, s))
         assert res.energy == pytest.approx(energy)
-        visited += order.size
-        made += len(calls)
-    # most must-cut edges are already cut when their turn comes
+        if inst.metadata["generator"] == "grid":
+            visited += order.size
+            made += len(calls)
+    # on grids most must-cut edges are already cut when their turn comes
     assert 0 < 2 * made < visited
 
 

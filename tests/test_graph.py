@@ -255,6 +255,33 @@ def test_canonical_labels():
     assert canonical_labels(np.array([5, 5, 2, 7, 2])).tolist() == [0, 0, 1, 2, 1]
 
 
+def test_labels_that_are_no_integers_raise(triangle):
+    # an int64 conversion used to truncate them: 0.5 and 0.9 joined cluster 0
+    for labels in ([0, 0.5, 0.9], np.array([0.0, 1.0, 2.0]), np.array([True, False, True])):
+        with pytest.raises(ValueError, match="labels must be integers"):
+            cut_from_partition(triangle, labels)
+        with pytest.raises(ValueError, match="labels must be integers"):
+            canonical_labels(labels)
+    for labels, cut in (
+        ([0, 1, 1], [True, False, True]),
+        (np.array([2, 0, 2], dtype=np.uint8), [True, True, False]),
+        (np.array([7, 7, 3], dtype=np.int32), [False, True, True]),
+    ):
+        assert cut_from_partition(triangle, labels).tolist() == cut
+        assert canonical_labels(labels).dtype == np.int64
+
+
+@given(st.data())
+def test_union_of_two_clusterings_cuts_is_a_multicut(data):
+    # the recursive decoder scores s | x unrepaired; it rests on this
+    graph = data.draw(planar_graphs)
+    n = graph.vertex_count
+    labelings = st.lists(st.integers(0, n - 1), min_size=n, max_size=n).map(np.array)
+    a, b = data.draw(labelings), data.draw(labelings)
+    union = cut_from_partition(graph, a) | cut_from_partition(graph, b)
+    assert is_valid_multicut(graph, union)
+
+
 def test_partition_cut_round_trip(k4):
     rng = np.random.default_rng(0)
     for _ in range(50):

@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 from decimal import ROUND_HALF_EVEN, Decimal
 
@@ -100,6 +101,33 @@ def test_weights_that_cannot_be_rounded_raise():
         with pytest.raises(DomainError, match=message):
             round_theta([0.5, bad])
     assert round_theta([-9.9e22])[0] == -9.9e22
+
+
+@pytest.mark.parametrize(
+    "model, args, error, message",
+    [
+        # these used to fail inside gen_grid: numpy's "high - low < 0", an
+        # OverflowError that the CLI did not catch, round_theta's "weights
+        # must be finite to be rounded" and a numpy UFuncTypeError
+        (UniformWeights, (1, 0), ValueError, "needs a <= b and a finite b - a, got a=1, b=0"),
+        (UniformWeights, (float("nan"), 1), DomainError, "UniformWeights.a must be finite, got nan"),
+        (UniformWeights, (0, np.inf), DomainError, "UniformWeights.b must be finite, got inf"),
+        (UniformWeights, (-1e308, 1e308), ValueError, "a finite b - a, got a=-1e+308, b=1e+308"),
+        (UniformWeights, ("0", 1), ValueError, "UniformWeights.a must be a real number, got '0'"),
+        (GpbLikeWeights, (np.inf,), DomainError, "GpbLikeWeights.beta must be finite, got inf"),
+        (GpbLikeWeights, (np.float64("nan"),), DomainError, "GpbLikeWeights.beta must be finite, got nan"),
+        (GpbLikeWeights, ("0.2",), ValueError, "GpbLikeWeights.beta must be a real number, got '0.2'"),
+        (GpbLikeWeights, (True,), ValueError, "GpbLikeWeights.beta must be a real number, got True"),
+    ],
+)
+def test_weight_models_check_their_fields(model, args, error, message):
+    with pytest.raises(error, match=re.escape(message)):
+        model(*args)
+
+
+def test_weight_models_take_numpy_and_integer_fields():
+    for model in (UniformWeights(np.float32(-0.5), 2), UniformWeights(0.5, 0.5), GpbLikeWeights(np.int64(0))):
+        assert gen_grid(3, 3, model, 0).theta.shape == (12,)
 
 
 def test_gen_grid_shapes():

@@ -16,8 +16,9 @@ REPO = Path(__file__).resolve().parents[1]
 
 
 def test_bound_ladder_counts_searches_and_matchings():
-    # the script wraps cut_oracle.dijkstra and cut_oracle._match_terminals by
-    # name: after a rename it would print zero counts without an error
+    # the script wraps cut_oracle.dijkstra, cut_oracle._match_terminals and
+    # cut_oracle._search_and_match by name: after a rename it would print
+    # zero counts without an error
     out = subprocess.run(
         [sys.executable, str(REPO / "scripts" / "bound_ladder.py"), str(REPO), "--sizes", "20"],
         capture_output=True, text=True, timeout=300, check=True,
@@ -27,6 +28,9 @@ def test_bound_ladder_counts_searches_and_matchings():
     assert fields["grid"] == "20x20"
     assert int(fields["batches"]) > 0
     assert int(fields["sources"]) > 0 and int(fields["matchings"]) > 0
+    # every oracle call searches from each of its terminals at least once;
+    # repairs search some again
+    assert 0 < int(fields["terminals"]) <= int(fields["sources"])
     assert float(fields["matching_s"]) > 0
 
 
