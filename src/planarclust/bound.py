@@ -15,6 +15,16 @@ clustering's boundaries: a 50x50 GPB grid converges in 3 batches where
 an empty pool took 7, a 100x100 one in 9 where it took 21.  The oracle
 still certifies every exit, so the seed only changes the path.
 
+The LP over the seed rows alone needs no solver (`_seed_lp`).  Each seed
+row holds only negative edges and has right-hand side 0, so with lambda
+<= 0 it forces lambda = 0 on its edges; every other negative edge lies
+in no row and sits at its lower bound theta.  That optimum is unique,
+and multipliers that give each crossing edge C^T alpha = 1 are optimal
+duals; every optimal dual has C^T alpha >= 1 on exactly those edges, so
+the rounding decoder cuts the same edges from these as from a solver's.
+The oracle checks that lambda first, and a run that it accepts (about a
+quarter of the desk-scale graphs) returns without an LP model.
+
 Edges with theta >= 0 have a degenerate box and are fixed at lambda =
 theta outside the LP; their contribution moves into each constraint's
 right-hand side.  A cut that touches no negative edge then gives an
@@ -39,10 +49,12 @@ one, on a stall or iteration-limit exit the best seen.  So `tol` only
 decides when the loop stops.
 
 Each batch only adds rows to the pool-restricted LP, so one run keeps one
-`lp.LpModel` of it, appends each batch's rows and re-solves from the
-previous optimal basis.  On a degenerate LP the warm solve may return
-another optimal lambda than a cold solve of the same `restricted_lp`;
-the value is the same.
+`lp.LpModel` of it.  The first batch makes the model from `restricted_lp`
+over the seed rows and that batch's rows and solves it from scratch;
+later batches append their rows and re-solve from the previous optimal
+basis.  On a degenerate LP the warm solve may return another optimal
+lambda than a cold solve of the same `restricted_lp`; the value is the
+same.
 """
 
 from __future__ import annotations
@@ -133,6 +145,21 @@ def _cut_rows(neg: np.ndarray, fixed: np.ndarray, cuts: np.ndarray) -> tuple[np.
     return cuts[:, neg], rhs
 
 
+def _seed_lp(theta: np.ndarray, neg: np.ndarray, pool: CutPool) -> LpSolution:
+    """The optimum of `restricted_lp(theta, pool)` for a pool of the
+    negative-edge clustering's isolating cuts, in closed form.
+
+    Lambda is 0 on the union of the cuts and theta on the other negative
+    edges.  The graph is connected, so two clusters give one cut and each
+    crossing edge of k > 2 clusters lies in two: multipliers of 1 and of
+    1/2 give C^T alpha = 1 on the crossing edges.
+    """
+    crossing = pool.matrix(theta.size)[:, neg].any(axis=0)
+    x = np.where(crossing, 0.0, theta[neg])
+    duals = np.full(len(pool), 1.0 if len(pool) == 1 else 0.5)
+    return LpSolution(x, duals, float(-x.sum()))
+
+
 def restricted_lp(theta: np.ndarray, pool: CutPool) -> LpProblem:
     """The bound LP over the pooled cuts, one row per pooled cut.
 
@@ -161,11 +188,11 @@ def optimize_lower_bound(
 
     Starts from a pool of the negative-edge clustering's isolating cuts
     (`split_into_basic_cuts(graph, theta < 0)`, first in the result's
-    pool), or, when those are none, from the trivially feasible lambda =
-    max(0, theta).  It alternates LP solves with oracle separation until
-    no cut is violated by more than tol.  At convergence the bound is
-    `certified_bound` of the last lambda, sum(min(theta - lambda, 0)) when
-    the oracle value is zero.  The result's `lam` is the LP's lambda,
+    pool) and the LP optimum over them (`_seed_lp`), or, when those are
+    none, from lambda = theta.  It alternates oracle separation with LP
+    solves until no cut is violated by more than tol.  At convergence the
+    bound is `certified_bound` of the last lambda, sum(min(theta - lambda,
+    0)) when the oracle value is zero.  The result's `lam` is the LP's lambda,
     inside its box.
     """
     if not tol >= 0:  # NaN fails this too
@@ -178,16 +205,15 @@ def optimize_lower_bound(
         raise ValueError("theta must have one entry per edge")
     neg, fixed = _fixed(theta)
     pool = CutPool(split_into_basic_cuts(graph, neg))
-    model = LpModel(restricted_lp(theta, pool))
-    batches = 0
+    lp = _seed_lp(theta, neg, pool) if len(pool) else None
+    model, batches = None, 0
 
     # the trivially feasible start, lambda = max(0, theta): no cut weighs < 0
     best_bound, best_lam = float(np.minimum(theta, 0.0).sum()), None
 
     while True:
-        lam, lp = theta.copy(), None
-        if len(pool):
-            lp = solve_lp(model.problem, model)
+        lam = theta.copy()
+        if lp is not None:
             lam[neg] = lp.x
         certified, cut, value = certified_bound(graph, theta, lam)
         if value >= -tol:
@@ -211,5 +237,9 @@ def optimize_lower_bound(
                 lam=best_lam, bound=best_bound, pool=pool, batches=batches, converged=False,
                 oracle_calls=calls,
             )
-        model.add_rows(*_cut_rows(neg, fixed, np.array(new_cuts)))
+        if model is None:
+            model = LpModel(restricted_lp(theta, pool))
+        else:
+            model.add_rows(*_cut_rows(neg, fixed, np.array(new_cuts)))
         batches += 1
+        lp = solve_lp(model.problem, model)

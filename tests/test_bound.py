@@ -7,11 +7,12 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from planarclust.bound import (
-    CutPool, _cut_rows, _fixed, certified_bound, lower_bound_value, optimize_lower_bound, restricted_lp,
+    CutPool, _cut_rows, _fixed, _seed_lp, certified_bound, lower_bound_value, optimize_lower_bound,
+    restricted_lp,
 )
-from planarclust import cut_oracle
+from planarclust import bound as bound_module, cut_oracle
 from planarclust.cut_oracle import min_cut_2color, scale_to_int, split_into_basic_cuts
-from planarclust.decode import best_decode
+from planarclust.decode import best_decode, decode_rounding
 from planarclust.instances import GpbLikeWeights, gen_grid, gen_random_planar, UniformWeights
 from planarclust.lp import LpModel, solve_lp
 from planarclust.oracle import brute_cc, exact_cc_value, full_lp_bound
@@ -312,9 +313,12 @@ def test_bound_loops_in_threads_match_sequential_runs():
 
 
 def _replay(graph, theta, max_batches=50):
-    """The cutting-plane loop by hand, through one warm LP model as the loop
-    keeps it, from the negative-edge clustering's cuts: yields the pool, the
-    model and its solve at the start and after each batch."""
+    """The cutting-plane loop by hand, through one warm LP model from the
+    negative-edge clustering's cuts on: yields the pool, the model and its
+    solve at the start and after each batch.  The loop itself solves the
+    first LP in closed form (`_seed_lp`) and makes its model at the first
+    batch, so from the second solve on its lambda may differ from this
+    one's; the values agree."""
     pool = CutPool(split_into_basic_cuts(graph, theta < 0))
     model = LpModel(restricted_lp(theta, pool))
     lam = theta.copy()
@@ -374,3 +378,83 @@ def test_warm_solves_match_cold_solves(inst):
         reduced = problem.objective + problem.constraints.T @ sol.duals
         box = np.where(reduced > 0, reduced * problem.upper, reduced * problem.lower)
         assert -sol.duals @ problem.rhs + box.sum() == pytest.approx(sol.objective_value, abs=1e-9)
+
+
+def _strong_duality_holds(problem, sol) -> bool:
+    """LpSolution's strong duality: the value is -duals.rhs plus the box
+    terms of the reduced costs objective + A^T duals."""
+    reduced = problem.objective + problem.constraints.T @ sol.duals
+    box = np.where(reduced > 0, reduced * problem.upper, reduced * problem.lower)
+    return -sol.duals @ problem.rhs + box.sum() == pytest.approx(sol.objective_value, abs=1e-9)
+
+
+@settings(max_examples=150)
+@given(
+    st.one_of(
+        st.builds(gen_random_planar, st.integers(5, 20), st.integers(0, 2**32 - 1)),
+        st.builds(
+            gen_grid, st.integers(2, 6), st.integers(2, 6), st.just(GpbLikeWeights(0.27)),
+            st.integers(0, 2**32 - 1),
+        ),
+    )
+)
+def test_seed_lp_in_closed_form_is_the_solvers_optimum(inst):
+    graph, theta = inst.graph, inst.theta
+    neg = theta < 0
+    pool = CutPool(split_into_basic_cuts(graph, neg))
+    assume(len(pool))
+    problem = restricted_lp(theta, pool)
+    # every seed row holds only negative edges and has right-hand side 0
+    assert not np.any(pool.matrix(theta.size) & ~neg) and not problem.rhs.any()
+    closed, solved = _seed_lp(theta, neg, pool), solve_lp(problem)
+    assert np.array_equal(closed.x, solved.x)
+    assert closed.objective_value == pytest.approx(solved.objective_value, abs=1e-9)
+    assert closed.duals.shape == (len(pool),) and np.all(closed.duals >= 0.0)
+    assert _strong_duality_holds(problem, closed) and _strong_duality_holds(problem, solved)
+    # the relaxed indicator is exactly 1 on the seed cuts' edges
+    crossing = pool.matrix(theta.size).any(axis=0)
+    assert np.array_equal(pool.matrix(theta.size).T @ closed.duals, crossing.astype(float))
+    a, b = (decode_rounding(graph, theta, pool, final_lp=lp) for lp in (closed, solved))
+    assert np.array_equal(a.partition, b.partition) and a.energy == b.energy
+
+
+def _counting_models(monkeypatch) -> list:
+    """Record each LpModel that the bound loop makes."""
+    made = []
+
+    def counted(problem):
+        made.append(LpModel(problem))
+        return made[-1]
+
+    monkeypatch.setattr(bound_module, "LpModel", counted)
+    return made
+
+
+def test_a_run_makes_no_lp_model_until_the_oracle_rejects_the_seed(triangle, monkeypatch):
+    made = _counting_models(monkeypatch)
+    solves = []
+    monkeypatch.setattr(
+        bound_module, "solve_lp", lambda *args: solves.append(args) or solve_lp(*args)
+    )
+    # every edge crosses the negative-edge clustering: lambda = 0 is the
+    # seed LP's optimum, and the oracle accepts it
+    res = optimize_lower_bound(triangle, [-1.0, -1.0, -1.0])
+    assert (res.converged, res.batches, res.oracle_calls) == (True, 0, 1)
+    assert res.final_lp is not None and np.array_equal(res.final_lp.duals, [0.5, 0.5, 0.5])
+    assert made == [] and solves == []
+    converged_on_seed = with_batches = 0
+    for seed in range(30):
+        inst = gen_random_planar(8 + seed % 13, 500 + seed)
+        del made[:], solves[:]
+        res = optimize_lower_bound(inst.graph, inst.theta)
+        assert res.converged
+        if res.batches == 0:
+            assert made == [] and solves == []
+            converged_on_seed += len(res.pool) > 0
+        else:
+            # one model, over the seed rows and the first batch's, grown in place
+            assert len(made) == 1 and len(solves) == res.batches
+            assert all(model is made[0] for _, model in solves)
+            assert made[0].problem.rhs.size == len(res.pool)
+            with_batches += res.batches > 1
+    assert converged_on_seed >= 3 and with_batches >= 3

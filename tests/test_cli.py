@@ -402,7 +402,9 @@ def test_library_failures_fail_in_one_line(tmp_path, capsys, monkeypatch, target
         raise error
 
     monkeypatch.setattr(bound_module, target, fail)
-    path = write_triangle(tmp_path, [-1.0, -1.0, -1.0])
+    # the oracle rejects this triangle's negative-edge clustering (the cut
+    # of vertex 0 weighs -1), so the bound loop reaches its LP
+    path = write_triangle(tmp_path, [-2.0, 1.0, 1.0])
     code, out, err = run_cli(capsys, "solve", str(path))
     assert code == 1 and out == ""
     assert err == f"planarclust: error: {error}\n"

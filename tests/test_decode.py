@@ -125,18 +125,21 @@ def test_certificates_are_sound_at_every_batch_budget(inst, max_batches):
     assert not decode_recursive(graph, theta, br.lam).certificate
 
 
-def test_infeasible_restricted_lp_raises_lp_error(triangle, monkeypatch):
-    # every pooled cut becomes the row x0 + x1 + x2 >= 1, which no lambda in
-    # the box [-1, 0]^3 meets: the real solver finds no feasible point, on
-    # the bound loop's rows appended to its warm model and on the rounding
-    # decoder's restricted_lp alike
+def test_infeasible_restricted_lp_raises_lp_error(triangle, k4, monkeypatch):
+    # every pooled cut becomes the row "sum of the negative edges' lambdas
+    # >= 1", which no lambda in the box [theta, 0] meets: the real solver
+    # finds no feasible point, on the bound loop's model and on the rounding
+    # decoder's restricted_lp alike.  The bound loop makes its model only
+    # when the oracle rejects the negative-edge clustering, as it does on
+    # this K4: its seed cut isolates vertex 0, and the cut of vertex 2
+    # weighs -1 at the seed's lambda
     def infeasible(neg, fixed, cuts):
-        return np.ones((len(cuts), 3)), np.ones(len(cuts))
+        return np.ones((len(cuts), neg.sum())), np.ones(len(cuts))
 
     monkeypatch.setattr(bound_module, "_cut_rows", infeasible)
-    theta = [-1.0, -1.0, -1.0]
     with pytest.raises(LpError):
-        optimize_lower_bound(triangle, theta)
+        optimize_lower_bound(k4, [-2.0, -2.0, -2.0, -2.0, 1.0, 1.0])
+    theta = [-1.0, -1.0, -1.0]
     with pytest.raises(LpError):
         decode_rounding(triangle, theta, CutPool([np.array([True, True, False])]))
 
