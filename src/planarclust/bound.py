@@ -192,8 +192,8 @@ def optimize_lower_bound(
     none, from lambda = theta.  It alternates oracle separation with LP
     solves until no cut is violated by more than tol.  At convergence the
     bound is `certified_bound` of the last lambda, sum(min(theta - lambda,
-    0)) when the oracle value is zero.  The result's `lam` is the LP's lambda,
-    inside its box.
+    0)) when the oracle value is zero.  The result's `lam` is the LP's
+    lambda, inside its box.
     """
     if not tol >= 0:  # NaN fails this too
         raise ValueError(f"tol must be a nonnegative number, got {tol!r}")

@@ -16,9 +16,9 @@ REPO = Path(__file__).resolve().parents[1]
 
 
 def test_bound_ladder_counts_searches_and_matchings():
-    # the script wraps cut_oracle.dijkstra, cut_oracle._match_terminals and
-    # cut_oracle._search_and_match by name: after a rename it would print
-    # zero counts without an error
+    # the script wraps cut_oracle.dijkstra, cut_oracle._match_terminals,
+    # cut_oracle._search_and_match and bound.solve_lp by name: after a
+    # rename it would print zero counts without an error
     out = subprocess.run(
         [sys.executable, str(REPO / "scripts" / "bound_ladder.py"), str(REPO), "--sizes", "20"],
         capture_output=True, text=True, timeout=300, check=True,
@@ -32,6 +32,9 @@ def test_bound_ladder_counts_searches_and_matchings():
     # repairs search some again
     assert 0 < int(fields["terminals"]) <= int(fields["sources"])
     assert float(fields["matching_s"]) > 0
+    # one LP solve per batch: the seed LP is solved in closed form
+    assert int(fields["lp_solves"]) == int(fields["batches"])
+    assert float(fields["lp_s"]) > 0
 
 
 def test_compare_matching_cost_checks_the_enumeration():
