@@ -351,6 +351,14 @@ def test_lp_objective_monotone_across_batches():
         assert all(a >= b - 1e-9 for a, b in zip(values, values[1:]))
 
 
+def _strong_duality_holds(problem, sol) -> bool:
+    """LpSolution's strong duality: the value is -duals.rhs plus the box
+    terms of the reduced costs objective + A^T duals."""
+    reduced = problem.objective + problem.constraints.T @ sol.duals
+    box = np.where(reduced > 0, reduced * problem.upper, reduced * problem.lower)
+    return -sol.duals @ problem.rhs + box.sum() == pytest.approx(sol.objective_value, abs=1e-9)
+
+
 @settings(max_examples=150)
 @given(
     st.one_of(
@@ -373,19 +381,7 @@ def test_warm_solves_match_cold_solves(inst):
         assert sol.objective_value == pytest.approx(solve_lp(problem).objective_value, abs=1e-9)
         assert np.all(sol.x >= problem.lower - 1e-9) and np.all(sol.x <= problem.upper + 1e-9)
         assert np.all(sol.duals >= 0.0)
-        # LpSolution's strong duality: the value is -duals.rhs plus the box
-        # terms of the reduced costs objective + A^T duals
-        reduced = problem.objective + problem.constraints.T @ sol.duals
-        box = np.where(reduced > 0, reduced * problem.upper, reduced * problem.lower)
-        assert -sol.duals @ problem.rhs + box.sum() == pytest.approx(sol.objective_value, abs=1e-9)
-
-
-def _strong_duality_holds(problem, sol) -> bool:
-    """LpSolution's strong duality: the value is -duals.rhs plus the box
-    terms of the reduced costs objective + A^T duals."""
-    reduced = problem.objective + problem.constraints.T @ sol.duals
-    box = np.where(reduced > 0, reduced * problem.upper, reduced * problem.lower)
-    return -sol.duals @ problem.rhs + box.sum() == pytest.approx(sol.objective_value, abs=1e-9)
+        assert _strong_duality_holds(problem, sol)
 
 
 @settings(max_examples=150)
@@ -418,24 +414,10 @@ def test_seed_lp_in_closed_form_is_the_solvers_optimum(inst):
     assert np.array_equal(a.partition, b.partition) and a.energy == b.energy
 
 
-def _counting_models(monkeypatch) -> list:
-    """Record each LpModel that the bound loop makes."""
-    made = []
-
-    def counted(problem):
-        made.append(LpModel(problem))
-        return made[-1]
-
-    monkeypatch.setattr(bound_module, "LpModel", counted)
-    return made
-
-
 def test_a_run_makes_no_lp_model_until_the_oracle_rejects_the_seed(triangle, monkeypatch):
-    made = _counting_models(monkeypatch)
-    solves = []
-    monkeypatch.setattr(
-        bound_module, "solve_lp", lambda *args: solves.append(args) or solve_lp(*args)
-    )
+    made, solves = [], []
+    monkeypatch.setattr(bound_module, "LpModel", lambda p: made.append(LpModel(p)) or made[-1])
+    monkeypatch.setattr(bound_module, "solve_lp", lambda *a: solves.append(a) or solve_lp(*a))
     # every edge crosses the negative-edge clustering: lambda = 0 is the
     # seed LP's optimum, and the oracle accepts it
     res = optimize_lower_bound(triangle, [-1.0, -1.0, -1.0])
